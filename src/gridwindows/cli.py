@@ -33,6 +33,7 @@ from .markers import (
     fx_profile,
     toast_report,
 )
+from .schedule import parse_schedule
 from .serialize import canon_dumps, pgm_dumps
 
 DEFAULT_LIMITS = {"max_side": 512, "max_steps": 256}
@@ -53,64 +54,16 @@ def _limits(spec, args):
     return limits
 
 
-def _mt_schedule(entries):
-    steps = []
-    for entry in entries:
-        op = entry.get("op")
-        if op == "shift":
-            steps.append(mincolor.Shift(tuple(int(v) for v in entry["t"])))
-        elif op == "cover":
-            steps.append(mincolor.Cover(tuple(int(v) for v in entry["g"])))
-        elif op == "self_pattern":
-            steps.append(mincolor.SelfPattern())
-        elif op == "duplicate_odd":
-            steps.append(mincolor.DuplicateOdd())
-        else:
-            raise ValueError(f"unknown mt op {op!r}")
-    return steps
-
-
-def _gp_schedule(entries):
-    steps = []
-    for entry in entries:
-        op = entry.get("op")
-        if op == "shift":
-            steps.append(gridperiod.Shift(tuple(int(v) for v in entry["s"])))
-        elif op == "line_clear":
-            steps.append(gridperiod.LineClear(str(entry["axis"]), int(entry["index"])))
-        elif op == "cover":
-            steps.append(gridperiod.Cover(tuple(int(v) for v in entry["g"])))
-        else:
-            raise ValueError(f"unknown gp op {op!r}")
-    return steps
-
-
-def _emit_window(args, window, cert):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "window.json").write_text(canon_dumps(window.to_json()) + "\n")
-    (out / "certificate.json").write_text(canon_dumps(cert.to_json()) + "\n")
-    if args.format == "pgm":
-        (out / "window.pgm").write_text(window.to_pgm())
-    elif args.format == "ascii":
-        (out / "window.txt").write_text(window.to_ascii())
-    return out
-
-
-def cmd_build_mt(args):
-    spec = _load_json(args.spec)
-    seed = mincolor.MtCondition(
-        p=Config.from_json(spec["seed"]),
-        shifts=(),
-        patterns=(),
-        odd_mode=bool(spec.get("odd", False)),
-    )
-    sched = _mt_schedule(spec.get("schedule", []))
-    cert = mincolor.build_generic(seed, sched, _limits(spec, args))
-    report = mincolor.verify_certificate(cert)
-    _emit_window(args, cert.final.p, cert)
-    print(canon_dumps(report))
-    return 0 if report["ok"] else 4
+def _family(kind):
+    """(op table, builder, certificate class, verifier) of a family, looked
+    up at call time so wrappers installed on the family modules apply."""
+    if kind == "mt":
+        return (mincolor.STEPS, mincolor.build_generic, mincolor.Certificate,
+                mincolor.verify_certificate)
+    if kind == "gp":
+        return (gridperiod.STEPS, gridperiod.build_generic_gp, gridperiod.GpCertificate,
+                gridperiod.verify_gp_certificate)
+    raise ValueError(f"unknown certificate kind {kind!r}")
 
 
 def _hole_lattice_pgm(final, seed):
@@ -118,42 +71,52 @@ def _hole_lattice_pgm(final, seed):
     rect = final.p.rect
     ux, uy = final.u
     w, h = seed.p.rect.width, seed.p.rect.height
-    rows = []
-    for y in range(rect.hi[1], rect.lo[1] - 1, -1):
-        rows.append(
-            [
-                1 if (x - ux) % w == 0 and (y - uy) % h == 0 else 0
-                for x in range(rect.lo[0], rect.hi[0] + 1)
-            ]
-        )
-    return pgm_dumps(rows, 1)
+    xs = (np.arange(rect.lo[0], rect.hi[0] + 1) - ux) % w == 0
+    ys = (np.arange(rect.hi[1], rect.lo[1] - 1, -1) - uy) % h == 0
+    return pgm_dumps(np.outer(ys, xs).astype(np.uint8), 1)
 
 
-def cmd_build_gp(args):
+def _build(args, kind):
     spec = _load_json(args.spec)
-    seed_data = spec["seed"]
-    seed = gridperiod.GpCondition(
-        n=int(seed_data["n"]), p=Config.from_json(seed_data["p"])
-    )
-    sched = _gp_schedule(spec.get("schedule", []))
-    cert = gridperiod.build_generic_gp(seed, sched, _limits(spec, args))
-    report = gridperiod.verify_gp_certificate(cert)
-    out = _emit_window(args, cert.final.p, cert)
+    if kind == "mt":
+        seed = mincolor.MtCondition(
+            p=Config.from_json(spec["seed"]),
+            shifts=(),
+            patterns=(),
+            odd_mode=bool(spec.get("odd", False)),
+        )
+    else:
+        seed = gridperiod.GpCondition.from_json(spec["seed"])
+    steps, build, _cert_cls, verify = _family(kind)
+    cert = build(seed, parse_schedule(spec.get("schedule", []), steps), _limits(spec, args))
+    report = verify(cert)
+    window = cert.final.p
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "window.json").write_text(canon_dumps(window.to_json()) + "\n")
+    (out / "certificate.json").write_text(canon_dumps(cert.to_json()) + "\n")
     if args.format == "pgm":
-        (out / "hole_lattice.pgm").write_text(_hole_lattice_pgm(cert.final, seed))
+        (out / "window.pgm").write_text(window.to_pgm())
+        if kind == "gp":
+            (out / "hole_lattice.pgm").write_text(_hole_lattice_pgm(cert.final, seed))
+    elif args.format == "ascii":
+        (out / "window.txt").write_text(window.to_ascii())
     print(canon_dumps(report))
     return 0 if report["ok"] else 4
 
 
+def cmd_build_mt(args):
+    return _build(args, "mt")
+
+
+def cmd_build_gp(args):
+    return _build(args, "gp")
+
+
 def cmd_verify(args):
     data = _load_json(args.spec)
-    kind = data.get("kind")
-    if kind == "mt":
-        report = mincolor.verify_certificate(mincolor.Certificate.from_json(data))
-    elif kind == "gp":
-        report = gridperiod.verify_gp_certificate(gridperiod.GpCertificate.from_json(data))
-    else:
-        raise ValueError(f"unknown certificate kind {kind!r}")
+    *_, cert_cls, verify = _family(data.get("kind"))
+    report = verify(cert_cls.from_json(data))
     print(canon_dumps(report))
     return 0 if report["ok"] else 4
 

@@ -16,8 +16,14 @@ from .serialize import pgm_dumps
 
 HOLE = 255
 
-_CHAR_TO_BIT = {"0": 0, "1": 1, ".": HOLE}
-_BIT_TO_CHAR = {0: "0", 1: "1", HOLE: "."}
+# Byte lookup tables of the row and PGM codecs; cell values are 0, 1 and HOLE.
+_BAD = 2
+_CHAR_TO_BIT = np.full(256, _BAD, dtype=np.uint8)
+_CHAR_TO_BIT[list(b"01.")] = (0, 1, HOLE)
+_BIT_TO_CHAR = np.zeros(256, dtype=np.uint8)
+_BIT_TO_CHAR[[0, 1, HOLE]] = list(b"01.")
+_BIT_TO_GRAY = np.zeros(256, dtype=np.uint8)
+_BIT_TO_GRAY[[0, 1, HOLE]] = (0, 2, 1)
 
 
 class Config:
@@ -53,20 +59,21 @@ class Config:
             raise ValueError(f"expected {rect.height} rows, got {len(rows)}")
         data = np.empty((rect.height, rect.width), dtype=np.uint8)
         for j, row in enumerate(rows):
+            if not isinstance(row, str):
+                raise ValueError(f"row {j} is not a string")
             if len(row) != rect.width:
                 raise ValueError(f"row {j} has length {len(row)}, expected {rect.width}")
-            for i, ch in enumerate(row):
-                if ch not in _CHAR_TO_BIT:
-                    raise ValueError(f"bad cell character {ch!r}")
-                data[j, i] = _CHAR_TO_BIT[ch]
+            # "replace" keeps one byte per character, so indices match the row.
+            codes = np.frombuffer(row.encode("ascii", "replace"), dtype=np.uint8)
+            data[j] = _CHAR_TO_BIT[codes]
+            bad = data[j] == _BAD
+            if bad.any():
+                raise ValueError(f"bad cell character {row[int(bad.argmax())]!r}")
         return cls(rect, data)
 
     def rows(self):
         """Low-y row first, as strings over 0/1/'.'."""
-        return [
-            "".join(_BIT_TO_CHAR[int(v)] for v in self._bits[j])
-            for j in range(self.rect.height)
-        ]
+        return [_BIT_TO_CHAR[row].tobytes().decode("ascii") for row in self._bits]
 
     def value(self, g):
         """0/1 at a defined cell, None at holes and outside the window."""
@@ -113,10 +120,7 @@ class Config:
     def to_pgm(self):
         """P2 image, top row of text = highest-y row; 0/1 cells map to 0/2,
         holes to the middle gray 1."""
-        rows = []
-        for j in range(self.rect.height - 1, -1, -1):
-            rows.append([1 if v == HOLE else 2 * int(v) for v in self._bits[j]])
-        return pgm_dumps(rows, 2)
+        return pgm_dumps(_BIT_TO_GRAY[self._bits[::-1]], 2)
 
     def to_ascii(self):
         """Top-down text rendering over 0/1/'.', one line per row."""

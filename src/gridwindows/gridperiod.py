@@ -16,6 +16,7 @@ import numpy as np
 from .errors import ResourceLimitError
 from .geometry import Lattice, Rect, lattice_points_in
 from .grid import HOLE, Config
+from .schedule import Cover, run_schedule
 
 
 def _is_power(k, n):
@@ -250,11 +251,6 @@ class LineClear:
             raise ValueError(f"axis must be 'row' or 'col', got {self.axis!r}")
 
 
-@dataclass(frozen=True)
-class Cover:
-    g: tuple
-
-
 @dataclass
 class GpCertificate:
     seed: GpCondition
@@ -340,52 +336,40 @@ def _cover_gp(cur, g, lines, max_side):
     return cur
 
 
+def _grow_shift(q, req, env):
+    out, (u, v) = discriminate_shift_gp(q, req.s, avoid_lines=env["lines"])
+    return out, {"pair": [list(u), list(v)]}
+
+
+def _grow_line(q, req, env):
+    return _clear_line(q, req.axis, req.index, env["lines"]), {}
+
+
+def _grow_cover(q, req, env):
+    return _cover_gp(q, req.g, env["lines"], env["max_side"]), {}
+
+
+STEPS = {
+    "shift": (Shift, _grow_shift),
+    "line_clear": (LineClear, _grow_line),
+    "cover": (Cover, _grow_cover),
+}
+
+
 def build_generic_gp(seed, sched, limits):
     """Run a schedule of shift, line-clear and cover requests. The hole is
     steered away from every line the schedule will clear, so cleared lines
     stay clear through later growth."""
-    max_side = int(limits["max_side"])
-    max_steps = int(limits["max_steps"])
     if not validate_gp(seed):
         raise ValueError("invalid seed condition")
-    if len(sched) > max_steps:
-        raise ResourceLimitError(
-            f"schedule has {len(sched)} steps, limit is {max_steps}"
-        )
-    lines = [(r.axis, int(r.index)) for r in sched if isinstance(r, LineClear)]
-    cur = seed
-    chain = [seed]
-    stages = [_stage(seed)]
-    steps = []
-    for req in sched:
-        if isinstance(req, Shift):
-            cur, pair = discriminate_shift_gp(cur, req.s, avoid_lines=lines)
-            rec = {
-                "req": {"op": "shift", "s": [int(req.s[0]), int(req.s[1])]},
-                "pair": [[pair[0][0], pair[0][1]], [pair[1][0], pair[1][1]]],
-            }
-        elif isinstance(req, LineClear):
-            cur = _clear_line(cur, req.axis, int(req.index), lines)
-            rec = {"req": {"op": "line_clear", "axis": req.axis, "index": int(req.index)}}
-        elif isinstance(req, Cover):
-            cur = _cover_gp(cur, (int(req.g[0]), int(req.g[1])), lines, max_side)
-            rec = {"req": {"op": "cover", "g": [int(req.g[0]), int(req.g[1])]}}
-        else:
-            raise ValueError(f"unknown build step {req!r}")
-        if max(cur.p.rect.width, cur.p.rect.height) > max_side:
-            raise ResourceLimitError(
-                f"window side {max(cur.p.rect.width, cur.p.rect.height)} exceeds "
-                f"max_side={max_side}"
-            )
-        chain.append(cur)
-        stages.append(_stage(cur))
-        steps.append(rec)
+    lines = [(r.axis, r.index) for r in sched if type(r) is LineClear]
+    chain, steps, used = run_schedule(seed, sched, limits, STEPS, lines=lines)
     return GpCertificate(
         seed=seed,
-        final=cur,
+        final=chain[-1],
         steps=steps,
-        stages=stages,
-        limits={"max_side": max_side, "max_steps": max_steps},
+        stages=[_stage(c) for c in chain],
+        limits=used,
         chain=tuple(chain),
     )
 

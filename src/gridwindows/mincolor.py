@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ResourceLimitError
 from .geometry import Rect
 from .grid import HOLE, Config, tile
+from .schedule import Cover, run_schedule
 from .witness import (
     _pattern_ok_grid,
     _shift_ok_grid,
@@ -264,11 +264,6 @@ class Shift:
 
 
 @dataclass(frozen=True)
-class Cover:
-    g: tuple
-
-
-@dataclass(frozen=True)
 class SelfPattern:
     pass
 
@@ -276,6 +271,33 @@ class SelfPattern:
 @dataclass(frozen=True)
 class DuplicateOdd:
     pass
+
+
+def _grow_shift(c, req, env):
+    out = extend_shift(c, req.t)
+    return out, {"mode": "noop" if len(out.shifts) == len(c.shifts) else "extend"}
+
+
+def _grow_cover(c, req, env):
+    return extend_cover(c, req.g), {}
+
+
+def _grow_pattern(c, req, env):
+    out = extend_pattern(c)
+    return out, {"pattern_index": len(out.patterns) - 1}
+
+
+def _grow_odd(c, req, env):
+    out, (dx, dy) = duplicate_odd(c)
+    return out, {"offset": [dx, dy], "placements": [[0, 0], [dx, dy]]}
+
+
+STEPS = {
+    "shift": (Shift, _grow_shift),
+    "cover": (Cover, _grow_cover),
+    "self_pattern": (SelfPattern, _grow_pattern),
+    "duplicate_odd": (DuplicateOdd, _grow_odd),
+}
 
 
 @dataclass
@@ -310,59 +332,12 @@ class Certificate:
 def build_generic(start, sched, limits):
     """Run a schedule of grow requests, recording each step. Deterministic:
     the same start and schedule always give the same certificate."""
-    max_side = int(limits["max_side"])
-    max_steps = int(limits["max_steps"])
     vs = validate(start)
     if vs:
         raise ValueError(f"invalid start condition (clause {vs[0].clause})")
-    if len(sched) > max_steps:
-        raise ResourceLimitError(
-            f"schedule has {len(sched)} steps, limit is {max_steps}"
-        )
-    cur = start
-    chain = [start]
-    steps = []
-    for req in sched:
-        if isinstance(req, Cover):
-            g = (int(req.g[0]), int(req.g[1]))
-            cur = extend_cover(cur, g)
-            rec = {"req": {"op": "cover", "g": [g[0], g[1]]}}
-        elif isinstance(req, Shift):
-            t = (int(req.t[0]), int(req.t[1]))
-            before = len(cur.shifts)
-            cur = extend_shift(cur, t)
-            rec = {
-                "req": {"op": "shift", "t": [t[0], t[1]]},
-                "mode": "noop" if len(cur.shifts) == before else "extend",
-            }
-        elif isinstance(req, SelfPattern):
-            cur = extend_pattern(cur)
-            rec = {"req": {"op": "self_pattern"}, "pattern_index": len(cur.patterns) - 1}
-        elif isinstance(req, DuplicateOdd):
-            if not cur.odd_mode:
-                raise ValueError("duplicate_odd outside odd mode")
-            w = cur.p.rect.width
-            cur, off = duplicate_odd(cur)
-            rec = {
-                "req": {"op": "duplicate_odd"},
-                "offset": [off[0], off[1]],
-                "placements": [[0, 0], [w, 0]],
-            }
-        else:
-            raise ValueError(f"unknown build step {req!r}")
-        if max(cur.p.rect.width, cur.p.rect.height) > max_side:
-            raise ResourceLimitError(
-                f"window side {max(cur.p.rect.width, cur.p.rect.height)} exceeds "
-                f"max_side={max_side}"
-            )
-        chain.append(cur)
-        steps.append(rec)
+    chain, steps, used = run_schedule(start, sched, limits, STEPS)
     return Certificate(
-        seed=start,
-        final=cur,
-        steps=steps,
-        limits={"max_side": max_side, "max_steps": max_steps},
-        chain=tuple(chain),
+        seed=start, final=chain[-1], steps=steps, limits=used, chain=tuple(chain)
     )
 
 

@@ -1,0 +1,89 @@
+"""Build schedules shared by both condition families.
+
+A family lists its grow operations in a table ``STEPS: op name ->
+(request class, apply)``. ``parse_schedule`` reads a spec's JSON schedule
+through that table and ``run_schedule`` applies the requests in order.
+``apply(cur, req, env)`` returns the grown condition and the extra fields
+of the step's record; the driver alone enforces the limits, keeps the
+chain and writes the records. An apply calls its step function through a
+module global, so wrappers installed on the family module see every step.
+"""
+
+from __future__ import annotations
+
+from dataclasses import asdict, dataclass, fields
+
+from .errors import ResourceLimitError
+
+
+@dataclass(frozen=True)
+class Cover:
+    g: tuple
+
+
+def _read(kind, v):
+    """A request field's JSON value (None when missing), checked against the
+    field's annotation. String fields are checked by their request class."""
+    if kind == "tuple":
+        if isinstance(v, list) and len(v) == 2 and all(type(x) is int for x in v):
+            return tuple(v)
+        raise ValueError("expected two integers")
+    if kind == "int" and type(v) is not int:
+        raise ValueError("expected an integer")
+    return v
+
+
+def parse_schedule(entries, steps):
+    """Request objects for a spec's JSON schedule. A malformed entry raises
+    ValueError naming its path, e.g. ``schedule[0].t: expected two
+    integers``."""
+    if not isinstance(entries, list):
+        raise ValueError("schedule: expected a list of steps")
+    sched = []
+    for i, entry in enumerate(entries):
+        where = f"schedule[{i}]"
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where}: expected an object with an 'op'")
+        op = entry.get("op")
+        if not isinstance(op, str) or op not in steps:
+            raise ValueError(f"{where}.op: unknown op {op!r}")
+        cls = steps[op][0]
+        args = {}
+        for f in fields(cls):
+            try:
+                args[f.name] = _read(f.type, entry.get(f.name))
+            except ValueError as exc:
+                raise ValueError(f"{where}.{f.name}: {exc}") from None
+        try:
+            sched.append(cls(**args))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+    return sched
+
+
+def run_schedule(start, sched, limits, steps, **env):
+    """Apply the requests in order, starting from ``start``; ``env`` goes
+    to every apply, with ``max_side`` added. Returns the chain of
+    conditions, the step records and the limits as used."""
+    max_side = int(limits["max_side"])
+    max_steps = int(limits["max_steps"])
+    if len(sched) > max_steps:
+        raise ResourceLimitError(
+            f"schedule has {len(sched)} steps, limit is {max_steps}"
+        )
+    env["max_side"] = max_side
+    by_class = {cls: (op, apply) for op, (cls, apply) in steps.items()}
+    chain = [start]
+    records = []
+    for req in sched:
+        if type(req) not in by_class:
+            raise ValueError(f"unknown build step {req!r}")
+        op, apply = by_class[type(req)]
+        cur, extra = apply(chain[-1], req, env)
+        side = max(cur.p.rect.width, cur.p.rect.height)
+        if side > max_side:
+            raise ResourceLimitError(f"window side {side} exceeds max_side={max_side}")
+        chain.append(cur)
+        args = {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(req).items()}
+        records.append({"req": {"op": op, **args}, **extra})
+    return chain, records, {"max_side": max_side, "max_steps": max_steps}

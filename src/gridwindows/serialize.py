@@ -6,25 +6,27 @@ the same build produce byte-identical artifacts.
 
 import json
 
+import numpy as np
+
 
 def canon_dumps(data):
     """Deterministic JSON: sorted keys, no whitespace."""
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-def canon_loads(text):
-    return json.loads(text)
-
-
 def pgm_dumps(rows, maxval):
-    """Plain-text PGM (P2). ``rows`` is a list of rows of ints, the first row
-    being the TOP line of the image."""
-    if not rows:
-        raise ValueError("empty image")
-    width = len(rows[0])
-    lines = ["P2", f"{width} {len(rows)}", str(maxval)]
-    for row in rows:
-        if len(row) != width:
-            raise ValueError("ragged image rows")
-        lines.append(" ".join(str(int(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    """Plain-text PGM (P2). ``rows`` is a 2-D array, or a list of rows, of
+    non-negative ints, the first row being the TOP line of the image."""
+    img = np.asarray(rows)
+    if img.ndim != 2 or img.size == 0:
+        raise ValueError(f"expected a non-empty rectangular image, got shape {img.shape}")
+    if img.min() < 0 or img.max() > maxval:
+        raise ValueError(f"gray levels must lie in 0..{maxval}")
+    # One fixed-width entry per gray level: its digits and a separator,
+    # padded with zero bytes that are dropped after the lookup.
+    table = np.array([f"{v} ".encode() for v in range(int(img.max()) + 1)])
+    cells = table[img].view(np.uint8).reshape(*img.shape, -1)
+    last = cells[:, -1]
+    last[last == ord(" ")] = ord("\n")
+    body = cells[cells != 0].tobytes().decode("ascii")
+    return f"P2\n{img.shape[1]} {img.shape[0]}\n{maxval}\n" + body

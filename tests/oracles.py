@@ -278,3 +278,51 @@ def rand_cells(rng, a, b, c, d, hole_prob=0.0):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+# Per-cell reference codec: the row, window-PGM and PGM loops the library
+# used before its lookup-table codecs, kept here to pin their output. Cell
+# values are 0, 1 and 255 (hole); images are lists of rows of ints.
+
+REF_HOLE = 255
+_REF_CHAR_TO_BIT = {"0": 0, "1": 1, ".": REF_HOLE}
+_REF_BIT_TO_CHAR = {0: "0", 1: "1", REF_HOLE: "."}
+
+
+def ref_from_rows(width, height, rows):
+    """Rows low-y first -> list of rows of cell values."""
+    if len(rows) != height:
+        raise ValueError(f"expected {height} rows, got {len(rows)}")
+    data = [[0] * width for _ in range(height)]
+    for j, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(f"row {j} has length {len(row)}, expected {width}")
+        for i, ch in enumerate(row):
+            if ch not in _REF_CHAR_TO_BIT:
+                raise ValueError(f"bad cell character {ch!r}")
+            data[j][i] = _REF_CHAR_TO_BIT[ch]
+    return data
+
+
+def ref_rows(bits):
+    return ["".join(_REF_BIT_TO_CHAR[int(v)] for v in bits[j]) for j in range(len(bits))]
+
+
+def ref_pgm_dumps(rows, maxval):
+    if not rows:
+        raise ValueError("empty image")
+    width = len(rows[0])
+    lines = ["P2", f"{width} {len(rows)}", str(maxval)]
+    for row in rows:
+        if len(row) != width:
+            raise ValueError("ragged image rows")
+        lines.append(" ".join(str(int(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def ref_to_pgm(bits):
+    """Window PGM: top line = highest-y row; 0/1 -> 0/2, holes -> 1."""
+    rows = []
+    for j in range(len(bits) - 1, -1, -1):
+        rows.append([1 if v == REF_HOLE else 2 * int(v) for v in bits[j]])
+    return ref_pgm_dumps(rows, 2)

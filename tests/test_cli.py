@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -205,6 +206,90 @@ def test_gp_certificate_tamper_exit_4(tmp_path, capsys):
     rows[0] = ("1" if rows[0][0] == "0" else "0") + rows[0][1:]
     cert_file.write_text(canon_dumps(data))
     assert run_cli(["verify", "--spec", str(cert_file)], capsys)[0] == 4
+
+
+# ------------------------------------------------------------ schedule parsing
+
+def build_err(tmp_path, capsys, cmd, schedule):
+    base = mt_spec if cmd == "build-mt" else gp_spec
+    spec = write_spec(tmp_path / "spec.json", base(schedule=schedule))
+    code, _, err = run_cli([cmd, "--spec", spec, "--out", str(tmp_path / "o")], capsys)
+    return code, err
+
+
+@pytest.mark.parametrize("cmd", ["build-mt", "build-gp"])
+def test_schedule_entry_not_an_object_exit_2(tmp_path, capsys, cmd):
+    code, err = build_err(tmp_path, capsys, cmd, [5])
+    assert code == 2
+    assert "schedule[0]: expected an object" in err
+
+
+def test_schedule_not_a_list_exit_2(tmp_path, capsys):
+    code, err = build_err(tmp_path, capsys, "build-mt", {"op": "shift"})
+    assert code == 2
+    assert "schedule: expected a list" in err
+
+
+def test_build_mt_short_shift_exit_2(tmp_path, capsys):
+    code, err = build_err(tmp_path, capsys, "build-mt", [{"op": "shift", "t": [1]}])
+    assert code == 2
+    assert "schedule[0].t: expected two integers" in err
+
+
+def test_build_mt_short_cover_exit_2(tmp_path, capsys):
+    sched = [{"op": "shift", "t": [1, 0]}, {"op": "cover", "g": [1]}]
+    code, err = build_err(tmp_path, capsys, "build-mt", sched)
+    assert code == 2
+    assert "schedule[1].g: expected two integers" in err
+
+
+def test_build_gp_short_shift_exit_2(tmp_path, capsys):
+    code, err = build_err(tmp_path, capsys, "build-gp", [{"op": "shift", "s": [1]}])
+    assert code == 2
+    assert "schedule[0].s: expected two integers" in err
+
+
+def test_build_mt_three_element_shift_exit_2(tmp_path, capsys):
+    code, err = build_err(tmp_path, capsys, "build-mt", [{"op": "shift", "t": [1, 0, 7]}])
+    assert code == 2
+    assert "schedule[0].t: expected two integers" in err
+
+
+def test_build_gp_three_element_shift_exit_2(tmp_path, capsys):
+    code, err = build_err(tmp_path, capsys, "build-gp", [{"op": "shift", "s": [1, 0, 3]}])
+    assert code == 2
+    assert "schedule[0].s: expected two integers" in err
+
+
+# ------------------------------------------------------------- byte identity
+
+ODD_ROUTE = mt_spec(odd=True, schedule=[{"op": "duplicate_odd"}, {"op": "self_pattern"},
+                                        {"op": "cover", "g": [0, 12]}])
+
+# sha256 of certificate.json and of the printed report; any change to the
+# builders, records or codecs that alters an artifact shows up here.
+PINNED = [
+    ("build-mt", mt_spec(),
+     "929cf31cb62f35a020284afab39993e9b93e0191d4f02db5a20e837f0df11e9f",
+     "88825598e5e3db656c5dbc9f031b5dbc534cd902f9f6494cde69a6ff4a1c5cd5"),
+    ("build-mt", ODD_ROUTE,
+     "d48897b9a3f674aaab961e383406073d0fe543f9821aa74a07911199975a8ae8",
+     "0c6a3a83e5564e42d4479257f649d08a749855790b32efae50bbb99d73a5b667"),
+    ("build-gp", gp_spec(),
+     "088c51f18674d160fb678e4c12271fd4cfec54365dbbaf6fe497bcf26e4f7f14",
+     "5d71eda95c0be089c8b2b81dc4f93f7e543ac03c2d26800af6df169e23d342c2"),
+]
+
+
+@pytest.mark.parametrize("cmd,spec,cert_sha,report_sha", PINNED, ids=["mt", "odd", "gp"])
+def test_build_artifacts_byte_identical(tmp_path, capsys, cmd, spec, cert_sha, report_sha):
+    path = write_spec(tmp_path / "spec.json", spec)
+    out_dir = tmp_path / "out"
+    code, out, _ = run_cli([cmd, "--spec", path, "--out", str(out_dir)], capsys)
+    assert code == 0
+    cert = (out_dir / "certificate.json").read_bytes()
+    assert hashlib.sha256(cert).hexdigest() == cert_sha
+    assert hashlib.sha256(out.encode()).hexdigest() == report_sha
 
 
 # ------------------------------------------------------------------ toast demo

@@ -1,0 +1,83 @@
+"""Differential tests of the row and PGM codecs against the per-cell
+reference codec in oracles.py."""
+
+import numpy as np
+import pytest
+
+from gridwindows.cli import main
+from gridwindows.geometry import Rect
+from gridwindows.grid import Config
+from gridwindows.serialize import canon_dumps, pgm_dumps
+
+from oracles import ref_from_rows, ref_pgm_dumps, ref_rows, ref_to_pgm, seeded
+
+
+def test_window_codecs_match_reference_with_holes():
+    rng = seeded(41)
+    for _ in range(200):
+        w, h = rng.randint(1, 12), rng.randint(1, 12)
+        a, c = rng.randint(-5, 5), rng.randint(-5, 5)
+        rows = ["".join(rng.choice("0011.") for _ in range(w)) for _ in range(h)]
+        cfg = Config.from_rows(Rect.from_bounds(a, a + w - 1, c, c + h - 1), rows)
+        bits = ref_from_rows(w, h, rows)
+        assert cfg.array.tolist() == bits
+        assert cfg.rows() == ref_rows(bits) == rows
+        assert cfg.to_pgm() == ref_to_pgm(bits)
+
+
+@pytest.mark.parametrize("maxval", [1, 2, 9, 10, 12, 255, 1000])
+def test_pgm_dumps_matches_reference(maxval):
+    rng = seeded(maxval)
+    for _ in range(30):
+        w, h = rng.randint(1, 9), rng.randint(1, 9)
+        img = [[rng.randint(0, maxval) for _ in range(w)] for _ in range(h)]
+        expected = ref_pgm_dumps(img, maxval)
+        assert pgm_dumps(img, maxval) == expected
+        assert pgm_dumps(np.array(img), maxval) == expected
+
+
+def test_toast_pgm_with_two_digit_levels_matches_reference(tmp_path, capsys):
+    # Level n holds the column x = n - 6 for y <= 3, so cell (x, y) sits at
+    # depth x + 7 (2..12) below row 4 and at depth 0 above it.
+    levels = [[[[n - 6, y] for y in range(-5, 4)]] for n in range(12)]
+    spec = {"toast": {"layered": False, "window": [-5, 5, -5, 5], "levels": levels}}
+    path = tmp_path / "toast.json"
+    path.write_text(canon_dumps(spec) + "\n")
+    out_dir = tmp_path / "o"
+    assert main(["toast", "--spec", str(path), "--out", str(out_dir), "--format", "pgm"]) == 0
+    capsys.readouterr()
+    expected = [[x + 7 if y <= 3 else 0 for x in range(-5, 6)] for y in range(5, -6, -1)]
+    assert (out_dir / "toast.pgm").read_text() == ref_pgm_dumps(expected, 12)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [["02"], ["0é"], ["01", "1"], ["0"]],
+    ids=["bad-char", "non-ascii", "ragged", "short"],
+)
+def test_from_rows_rejects_like_reference(rows):
+    with pytest.raises(ValueError) as ref:
+        ref_from_rows(2, len(rows), rows)
+    with pytest.raises(ValueError) as lib:
+        Config.from_rows(Rect.from_bounds(0, 1, 0, len(rows) - 1), rows)
+    assert str(lib.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("rows", [[["0", "1"]], [[0, 1]], [5]], ids=["chars", "ints", "int"])
+def test_from_rows_rejects_rows_that_are_not_strings(rows):
+    with pytest.raises(ValueError, match="row 0 is not a string"):
+        Config.from_rows(Rect.from_bounds(0, 1, 0, 0), rows)
+
+
+@pytest.mark.parametrize("img", [[], [[1, 2], [1]], [[1], [1, 2]]])
+def test_pgm_dumps_rejects_like_reference(img):
+    with pytest.raises(ValueError):
+        ref_pgm_dumps(img, 2)
+    with pytest.raises(ValueError):
+        pgm_dumps(img, 2)
+
+
+@pytest.mark.parametrize("img", [[[0, 3]], [[-1, 0]]], ids=["above-maxval", "negative"])
+def test_pgm_dumps_rejects_gray_levels_outside_maxval(img):
+    with pytest.raises(ValueError):
+        pgm_dumps(img, 2)

@@ -176,8 +176,9 @@ def tile(q, counts, flip_mask, anchor):
 
 
 def _match_offsets(p, f, flipped):
-    """All offsets s with s + rect(f) in the hole-free part of p and every
-    cell matching (complemented when ``flipped``)."""
+    """(offset rect, boolean grid over it) marking the offsets s with
+    s + rect(f) in the hole-free part of p and every cell matching
+    (complemented when ``flipped``); (None, None) when f cannot fit in p."""
     if not f.hole_free():
         raise ValueError("pattern must be hole-free")
     pa = p.array
@@ -186,22 +187,26 @@ def _match_offsets(p, f, flipped):
     sx0, sx1 = plo[0] - flo[0], phi[0] - fhi[0]
     sy0, sy1 = plo[1] - flo[1], phi[1] - fhi[1]
     if sx0 > sx1 or sy0 > sy1:
-        return set()
+        return None, None
     nsx, nsy = sx1 - sx0 + 1, sy1 - sy0 + 1
     fa = f.array
     if flipped:
         fa = (1 - fa).astype(np.uint8)
     fh, fw = fa.shape
     acc = np.ones((nsy, nsx), dtype=bool)
-    # row/col in pa of offset (sx0, sy0) placing f's low corner:
-    bx = sx0 + flo[0] - plo[0]
-    by = sy0 + flo[1] - plo[1]
+    # Offset (sx0, sy0) puts f's low corner on p's low corner.
     for v in range(fh):
         for u in range(fw):
-            sub = pa[by + v : by + v + nsy, bx + u : bx + u + nsx]
-            acc &= sub == fa[v, u]
-    ys, xs = np.nonzero(acc)
-    return {(int(x) + sx0, int(y) + sy0) for x, y in zip(xs, ys)}
+            acc &= pa[v : v + nsy, u : u + nsx] == fa[v, u]
+    return Rect((sx0, sy0), (sx1, sy1)), acc
+
+
+def _offset_set(srect, grid):
+    """The offsets a boolean grid over srect marks, as a set of points."""
+    if srect is None:
+        return set()
+    ys, xs = np.nonzero(grid)
+    return {(int(x) + srect.lo[0], int(y) + srect.lo[1]) for x, y in zip(xs, ys)}
 
 
 def find_occurrences(p, f, flipped):
@@ -210,7 +215,8 @@ def find_occurrences(p, f, flipped):
     ``flipped``). Cell coordinates of ``f`` are absolute: its own rect.
     Offsets are searched over [lo(p) - hi(f), hi(p)] per axis."""
     hx, hy = p.rect.hi
-    return {s for s in _match_offsets(p, f, flipped) if s[0] <= hx and s[1] <= hy}
+    occ = _offset_set(*_match_offsets(p, f, flipped))
+    return {s for s in occ if s[0] <= hx and s[1] <= hy}
 
 
 def boundary(points):

@@ -222,18 +222,21 @@ def detect_line_period(cfg, axis, index):
 def verify_grid_periodicity(x, w, h, u):
     """Each residue class modulo (w, h) is constant on x, excusing only the
     class containing u. Holes are skipped."""
-    arr = x.array
-    lo = x.rect.lo
-    ex = (u[0] % w, u[1] % h)
-    for ry in range(h):
-        for rx in range(w):
-            if (rx % w, ry % h) == ex:
-                continue
-            sub = arr[(ry - lo[1]) % h :: h, (rx - lo[0]) % w :: w]
-            vals = sub[sub != HOLE]
-            if vals.size > 1 and not (vals == vals[0]).all():
-                return False
-    return True
+    if w < 1 or h < 1:
+        raise ValueError(f"period sides must be >= 1, got {w}x{h}")
+    # Pad with holes so that row and column 0 are residue 0 and the blocks
+    # are whole; cell [ry, rx] of a block reduction is then class (rx, ry).
+    rows, cols = x.array.shape
+    ox, oy = x.rect.lo[0] % w, x.rect.lo[1] % h
+    ny, nx = -(-(oy + rows) // h), -(-(ox + cols) // w)
+    pad = np.full((ny * h, nx * w), HOLE, dtype=np.uint8)
+    pad[oy : oy + rows, ox : ox + cols] = x.array
+    blocks = pad.reshape(ny, h, nx, w)
+    # A class holds both bits when its largest bit (holes as 0) exceeds its
+    # least value (holes as 255).
+    mixed = np.where(blocks == HOLE, 0, blocks).max(axis=(0, 2)) > blocks.min(axis=(0, 2))
+    mixed[u[1] % h, u[0] % w] = False
+    return not mixed.any()
 
 
 @dataclass(frozen=True)
@@ -386,21 +389,34 @@ def verify_gp_certificate(cert):
     fin = final.p
     holes = fin.holes
     fu = next(iter(holes)) if len(holes) == 1 else None
+    W, H = fin.rect.width, fin.rect.height
     for i, st in enumerate(cert.stages):
-        ok = fu is not None and verify_grid_periodicity(
-            fin, int(st["w"]), int(st["h"]), tuple(st["u"])
+        w, h, su = int(st["w"]), int(st["h"]), tuple(st["u"])
+        # The stage's block sides are powers of n dividing the final sides,
+        # and its hole lies in the final hole's class modulo them.
+        ok = (
+            fu is not None
+            and final.n >= 2
+            and all(_is_power(k, final.n) and side % k == 0 for k, side in ((w, W), (h, H)))
+            and (su[0] - fu[0]) % w == 0
+            and (su[1] - fu[1]) % h == 0
+            and verify_grid_periodicity(fin, w, h, su)
         )
         checks.append(
             {"name": f"stage[{i}] periodicity {st['w']}x{st['h']}", "ok": ok}
         )
-    W, H = fin.rect.width, fin.rect.height
     a, b, cc, d = fin.rect.bounds()
     for srec in cert.steps:
         op = srec["req"]["op"]
         if op == "shift":
             g1, g2 = (tuple(srec["pair"][0]), tuple(srec["pair"][1]))
             v1, v2 = fin.value(g1), fin.value(g2)
-            ok = v1 is not None and v2 is not None and v1 != v2
+            ok = (
+                v1 is not None
+                and v2 is not None
+                and v1 != v2
+                and [g2[0] - g1[0], g2[1] - g1[1]] == srec["req"]["s"]
+            )
             checks.append(
                 {"name": f"shift {srec['req']['s']} pair differs", "ok": ok}
             )

@@ -14,15 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .geometry import Rect
 from .grid import HOLE, Config, tile
 from .schedule import Cover, run_schedule
 from .witness import (
+    _differs,
     _pattern_ok_grid,
     _shift_ok_grid,
-    _slices,
     check_pattern_witness,
     check_shift_witness,
     window_two_coloring_check,
@@ -83,15 +81,16 @@ class MtCondition:
 
 
 def _first_bad(rect, mask):
-    if not mask.any():
+    """Least marked cell (by x, then y) of a mask over rect, or None."""
+    if mask is None or not mask.any():
         return None
-    ys, xs = np.nonzero(mask)
-    return min((int(x) + rect.lo[0], int(y) + rect.lo[1]) for x, y in zip(xs, ys))
+    x = int(mask.any(axis=0).argmax())
+    return (x + rect.lo[0], int(mask[:, x].argmax()) + rect.lo[1])
 
 
-def validate(c):
-    """All violations of the condition's clauses. Structural problems are
-    reported alone, since the witness clauses assume a well-formed input."""
+def _structure(c):
+    """Structural violations: holes, even sides in odd mode, zero shifts and
+    patterns with holes. The witness clauses assume there are none."""
     vs = []
     if not c.p.hole_free():
         vs.append(Violation("structure", None, None))
@@ -103,6 +102,13 @@ def validate(c):
     for j, (f, _F) in enumerate(c.patterns):
         if not f.hole_free():
             vs.append(Violation("structure", j, None))
+    return vs
+
+
+def validate(c):
+    """All violations of the condition's clauses. Structural problems are
+    reported alone, since the witness clauses assume a well-formed input."""
+    vs = _structure(c)
     if vs:
         return vs
     defined = c.p.array != HOLE
@@ -154,18 +160,7 @@ def _reflect_config(cfg, fx, fy, about=None):
 def _lex_least_differing(p, t):
     """Least position u (by x, then y) with u and u+t defined in the window
     and carrying different values, or None."""
-    rect = p.rect
-    r = rect.intersect(rect.translate((-t[0], -t[1])))
-    if r is None:
-        return None
-    arr = p.array
-    au = arr[_slices(rect, r)]
-    av = arr[_slices(rect, r.translate(t))]
-    m = (au != HOLE) & (av != HOLE) & (au != av)
-    if not m.any():
-        return None
-    ys, xs = np.nonzero(m)
-    return min((int(x) + r.lo[0], int(y) + r.lo[1]) for x, y in zip(xs, ys))
+    return _first_bad(*_differs(p, t))
 
 
 def extend_cover(c, g):
@@ -342,20 +337,20 @@ def build_generic(start, sched, limits):
 
 
 def verify_certificate(cert):
-    """Recompute every witness clause on the final window."""
+    """Recompute every witness clause on the final window, each once.
+    "final validate" is derived from the structural check and the clause
+    a/b1/b2 checks below, so it equals ``validate(final) == []``."""
     seed, final = cert.seed, cert.final
     checks = [
         {"name": "seed validate", "ok": validate(seed) == []},
-        {"name": "final validate", "ok": validate(final) == []},
+        {"name": "final validate", "ok": None},
         {"name": "final extends seed", "ok": is_extension(final, seed)},
     ]
+    clauses_ok = True
     for i, (t, T) in enumerate(final.shifts):
-        checks.append(
-            {
-                "name": f"shift[{i}] t=({t[0]},{t[1]}) clause a",
-                "ok": check_shift_witness(final.p, t, T),
-            }
-        )
+        ok = check_shift_witness(final.p, t, T)
+        clauses_ok &= ok
+        checks.append({"name": f"shift[{i}] t=({t[0]},{t[1]}) clause a", "ok": ok})
         checks.append(
             {
                 "name": f"shift[{i}] t=({t[0]},{t[1]}) window two-coloring",
@@ -363,12 +358,11 @@ def verify_certificate(cert):
             }
         )
     for j, (f, F) in enumerate(final.patterns):
-        checks.append(
-            {"name": f"pattern[{j}] clause b1", "ok": check_pattern_witness(final.p, f, F, False)}
-        )
-        checks.append(
-            {"name": f"pattern[{j}] clause b2", "ok": check_pattern_witness(final.p, f, F, True)}
-        )
+        for clause, flipped in (("b1", False), ("b2", True)):
+            ok = check_pattern_witness(final.p, f, F, flipped)
+            clauses_ok &= ok
+            checks.append({"name": f"pattern[{j}] clause {clause}", "ok": ok})
+    checks[1]["ok"] = clauses_ok and not _structure(final)
     if final.odd_mode:
         checks.append(
             {

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Lattice, Rect, lattice_points_in
-from .grid import HOLE, Config, _match_offsets
+from .grid import HOLE, _match_offsets, _offset_set
 
 
 def _slices(rect, sub):
@@ -23,53 +23,42 @@ def _slices(rect, sub):
     )
 
 
-def _shift_ok_grid(p, t, T):
-    """Boolean grid over p's window: True where some tau in T exhibits a
-    defined, differing pair (g+tau, g+tau+t) inside the window."""
+def _differs(p, t):
+    """(rect, mask): mask over rect is True at g when g and g+t are both
+    defined cells of the window with different values. (None, None) when no
+    g has both g and g+t inside the window."""
     rect = p.rect
-    arr = p.array
-    ok = np.zeros(arr.shape, dtype=bool)
-    for tau in T:
-        r = rect.intersect(rect.translate((-tau[0], -tau[1])))
+    r = rect.intersect(rect.translate((-t[0], -t[1])))
+    if r is None:
+        return None, None
+    au = p.array[_slices(rect, r)]
+    av = p.array[_slices(rect, r.translate(t))]
+    return r, (au != HOLE) & (av != HOLE) & (au != av)
+
+
+def _reach(target, srect, grid, offsets):
+    """Boolean grid over target: True at g when some o in offsets has
+    g + o in srect and grid True there."""
+    ok = np.zeros((target.height, target.width), dtype=bool)
+    if srect is None or not grid.any():
+        return ok
+    for o in offsets:
+        r = target.intersect(srect.translate((-o[0], -o[1])))
         if r is not None:
-            r = r.intersect(rect.translate((-t[0] - tau[0], -t[1] - tau[1])))
-        if r is None:
-            continue
-        au = arr[_slices(rect, r.translate(tau))]
-        av = arr[_slices(rect, r.translate((tau[0] + t[0], tau[1] + t[1])))]
-        ok[_slices(rect, r)] |= (au != HOLE) & (av != HOLE) & (au != av)
+            ok[_slices(target, r)] |= grid[_slices(srect, r.translate(o))]
     return ok
 
 
-def _occurrence_grid(p, f, flipped):
-    """(offset rect, boolean array of occurrence offsets) or (None, None)
-    when f cannot fit inside p at all."""
-    rect, fr = p.rect, f.rect
-    sx0, sx1 = rect.lo[0] - fr.lo[0], rect.hi[0] - fr.hi[0]
-    sy0, sy1 = rect.lo[1] - fr.lo[1], rect.hi[1] - fr.hi[1]
-    if sx0 > sx1 or sy0 > sy1:
-        return None, None
-    srect = Rect((sx0, sy0), (sx1, sy1))
-    occ = np.zeros((srect.height, srect.width), dtype=bool)
-    for (x, y) in _match_offsets(p, f, flipped):
-        occ[y - sy0, x - sx0] = True
-    return srect, occ
+def _shift_ok_grid(p, t, T):
+    """Boolean grid over p's window: True where some tau in T exhibits a
+    defined, differing pair (g+tau, g+tau+t) inside the window."""
+    return _reach(p.rect, *_differs(p, t), T)
 
 
 def _pattern_ok_grid(p, f, F, flipped):
     """Boolean grid over p's window: True where some sigma in F lands on an
     occurrence offset of f (flipped or not)."""
-    rect = p.rect
-    ok = np.zeros(p.array.shape, dtype=bool)
-    srect, occ = _occurrence_grid(p, f, flipped)
-    if srect is None or not occ.any():
-        return ok
-    for sig in F:
-        r = rect.intersect(srect.translate((-sig[0], -sig[1])))
-        if r is None:
-            continue
-        ok[_slices(rect, r)] |= occ[_slices(srect, r.translate(sig))]
-    return ok
+    return _reach(p.rect, *_match_offsets(p, f, flipped), F)
 
 
 def check_shift_witness(p, t, T):
@@ -114,13 +103,7 @@ def window_two_coloring_check(x, s, T):
         region = r if region is None else region.intersect(r)
         if region is None:
             return True
-    arr = x.array
-    ok = np.zeros((region.height, region.width), dtype=bool)
-    for tau in T:
-        au = arr[_slices(rect, region.translate(tau))]
-        av = arr[_slices(rect, region.translate((tau[0] + s[0], tau[1] + s[1])))]
-        ok |= (au != HOLE) & (av != HOLE) & (au != av)
-    return bool(ok.all())
+    return bool(_reach(region, *_differs(x, s), T).all())
 
 
 @dataclass(frozen=True)
@@ -158,7 +141,7 @@ def recurrence_check(x, B, T):
     region = Rect((ax, ay), (bx, by))
     bpos = set()
     for f in B.patterns:
-        bpos |= _match_offsets(x, f, False)
+        bpos |= _offset_set(*_match_offsets(x, f, False))
     failing = tuple(
         g
         for g in region.points()
@@ -212,16 +195,9 @@ def find_lattice_in(x, B, max_spacing, min_points=9):
     ``min_points`` of them. A point is testable when some pattern's cells
     fit inside the window there."""
     rect = x.rect
-    bpos = set()
-    for f in B.patterns:
-        bpos |= _match_offsets(x, f, False)
-    fit_rects = []
-    for f in B.patterns:
-        fr = f.rect
-        sx0, sx1 = rect.lo[0] - fr.lo[0], rect.hi[0] - fr.hi[0]
-        sy0, sy1 = rect.lo[1] - fr.lo[1], rect.hi[1] - fr.hi[1]
-        if sx0 <= sx1 and sy0 <= sy1:
-            fit_rects.append(Rect((sx0, sy0), (sx1, sy1)))
+    matches = [_match_offsets(x, f, False) for f in B.patterns]
+    bpos = set().union(*(_offset_set(r, occ) for r, occ in matches))
+    fit_rects = [r for r, _occ in matches if r is not None]
     for w in range(1, max_spacing + 1):
         for h in range(1, max_spacing + 1):
             for ax in range(rect.lo[0], rect.lo[0] + w):

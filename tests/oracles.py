@@ -180,6 +180,33 @@ def naive_recurrence(x_cells, bounds, pattern_cell_maps, T):
     return (not failing), failing
 
 
+def naive_lex_least_differing(p_cells, t):
+    """Least defined g (by x, then y) whose translate g+t is defined with
+    the other value, or None."""
+    found = [
+        g for g, v in p_cells.items()
+        if p_cells.get((g[0] + t[0], g[1] + t[1]), v) != v
+    ]
+    return min(found, default=None)
+
+
+def naive_grid_periodicity(x, w, h, u):
+    """One residue class modulo (w, h) at a time: the library's loop before
+    it reduced all classes at once. x is a library Config."""
+    arr = x.array
+    lo = x.rect.lo
+    ex = (u[0] % w, u[1] % h)
+    for ry in range(h):
+        for rx in range(w):
+            if (rx, ry) == ex:
+                continue
+            sub = arr[(ry - lo[1]) % h :: h, (rx - lo[0]) % w :: w]
+            vals = sub[sub != REF_HOLE]
+            if vals.size > 1 and not (vals == vals[0]).all():
+                return False
+    return True
+
+
 def odd_ball(r):
     return [(x, y) for x in range(-r, r + 1) for y in range(-r, r + 1)
             if (abs(x) + abs(y)) % 2 == 1 and abs(x) + abs(y) <= r]

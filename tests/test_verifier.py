@@ -1,0 +1,241 @@
+"""The certificate verifiers: each mt witness clause is evaluated once,
+reports of broken finals keep their bytes, every gp stage and shift claim
+is checked against the window, and the clause kernels agree with the
+oracles."""
+
+import json
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from gridwindows import mincolor, witness
+from gridwindows.cli import main
+from gridwindows.geometry import Rect
+from gridwindows.grid import HOLE, Config
+from gridwindows.gridperiod import verify_grid_periodicity
+from gridwindows.mincolor import (
+    Cover,
+    MtCondition,
+    SelfPattern,
+    Shift,
+    _lex_least_differing,
+    build_generic,
+    verify_certificate,
+)
+from gridwindows.serialize import canon_dumps
+
+from oracles import cells_of, naive_grid_periodicity, naive_lex_least_differing, seeded
+
+
+CHECKER = {"rect": [0, 2, 0, 2], "rows": ["010", "101", "010"], "holes": []}
+LIMITS = {"max_side": 128, "max_steps": 64}
+MT_SPEC = {
+    "odd": False,
+    "seed": CHECKER,
+    "schedule": [
+        {"op": "shift", "t": [1, 0]},
+        {"op": "cover", "g": [6, 4]},
+        {"op": "self_pattern"},
+    ],
+    "limits": LIMITS,
+}
+ODD_SPEC = dict(
+    MT_SPEC,
+    odd=True,
+    schedule=[
+        {"op": "duplicate_odd"},
+        {"op": "self_pattern"},
+        {"op": "shift", "t": [0, 1]},
+        {"op": "cover", "g": [0, 12]},
+    ],
+)
+GP_SPEC = {
+    "seed": {"n": 2, "p": {"rect": [0, 1, 0, 1], "rows": ["01", "1."], "holes": [[1, 1]]}},
+    "schedule": [
+        {"op": "shift", "s": [1, 0]},
+        {"op": "line_clear", "axis": "row", "index": 0},
+        {"op": "cover", "g": [12, 12]},
+    ],
+    "limits": {"max_side": 256, "max_steps": 64},
+}
+
+
+def build_cert(tmp_path, capsys, cmd, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(canon_dumps(spec) + "\n")
+    assert main([cmd, "--spec", str(path), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    return json.loads((tmp_path / "out" / "certificate.json").read_text())
+
+
+def verify_cert(tmp_path, capsys, data):
+    path = tmp_path / "tampered.json"
+    path.write_text(canon_dumps(data))
+    code = main(["verify", "--spec", str(path)])
+    return code, capsys.readouterr().out
+
+
+def check(report_text, prefix):
+    (entry,) = [c for c in json.loads(report_text)["checks"] if c["name"].startswith(prefix)]
+    return entry["ok"]
+
+
+# ------------------------------------------------------------- mt clauses
+
+
+def test_verify_certificate_evaluates_each_clause_once(monkeypatch):
+    seed = MtCondition(
+        Config.from_json(CHECKER), shifts=(), patterns=(), odd_mode=False
+    )
+    sched = [Shift((1, 0)), SelfPattern(), Shift((0, 2)), Cover((9, 5)), SelfPattern()]
+    cert = build_generic(seed, sched, LIMITS)
+    final = cert.final
+    calls = Counter()
+    shift_grid, pattern_grid = witness._shift_ok_grid, witness._pattern_ok_grid
+
+    def counted_shift(p, t, T):
+        if p is final.p:
+            calls[("a", tuple(t))] += 1
+        return shift_grid(p, t, T)
+
+    def counted_pattern(p, f, F, flipped):
+        if p is final.p:
+            calls[("b", id(f), flipped)] += 1
+        return pattern_grid(p, f, F, flipped)
+
+    for module in (witness, mincolor):
+        monkeypatch.setattr(module, "_shift_ok_grid", counted_shift)
+        monkeypatch.setattr(module, "_pattern_ok_grid", counted_pattern)
+    report = verify_certificate(cert)
+    assert report["ok"]
+    expected = Counter({("a", t): 1 for (t, _T) in final.shifts})
+    for (f, _F) in final.patterns:
+        expected[("b", id(f), False)] = 1
+        expected[("b", id(f), True)] = 1
+    assert len(final.shifts) == 2 and len(final.patterns) == 2
+    assert calls == expected
+
+
+def hole_in_final(data):
+    p = data["final"]["p"]
+    a, _b, c, _d = p["rect"]
+    p["rows"][0] = "." + p["rows"][0][1:]
+    p["holes"] = [[a, c]]
+
+
+def even_width_final(data):
+    p = data["final"]["p"]
+    p["rect"][1] -= 1
+    p["rows"] = [row[:-1] for row in p["rows"]]
+
+
+# Reports as printed before "final validate" was derived from the clause
+# checks; a structurally broken final must keep them byte for byte.
+PINNED_REPORTS = [
+    (
+        MT_SPEC,
+        hole_in_final,
+        '{"checks":[{"name":"seed validate","ok":true},{"name":"final validate","ok":false},'
+        '{"name":"final extends seed","ok":false},{"name":"shift[0] t=(1,0) clause a","ok":true},'
+        '{"name":"shift[0] t=(1,0) window two-coloring","ok":true},'
+        '{"name":"pattern[0] clause b1","ok":false},{"name":"pattern[0] clause b2","ok":true}],'
+        '"ok":false}\n',
+    ),
+    (
+        ODD_SPEC,
+        even_width_final,
+        '{"checks":[{"name":"seed validate","ok":true},{"name":"final validate","ok":false},'
+        '{"name":"final extends seed","ok":true},{"name":"shift[0] t=(0,1) clause a","ok":true},'
+        '{"name":"shift[0] t=(0,1) window two-coloring","ok":true},'
+        '{"name":"pattern[0] clause b1","ok":false},{"name":"pattern[0] clause b2","ok":true},'
+        '{"name":"odd sides","ok":false}],"ok":false}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("spec,tamper,expected", PINNED_REPORTS, ids=["hole", "even-odd"])
+def test_broken_final_report_pinned(tmp_path, capsys, spec, tamper, expected):
+    data = build_cert(tmp_path, capsys, "build-mt", spec)
+    tamper(data)
+    assert verify_cert(tmp_path, capsys, data) == (4, expected)
+
+
+def test_lex_least_differing_matches_oracle():
+    rng = seeded(41)
+    for _ in range(400):
+        w, h = rng.randint(1, 6), rng.randint(1, 6)
+        lo = (rng.randint(-3, 3), rng.randint(-3, 3))
+        bits = np.array(
+            [[HOLE if rng.random() < 0.2 else rng.randrange(2) for _ in range(w)] for _ in range(h)],
+            dtype=np.uint8,
+        )
+        p = Config(Rect(lo, (lo[0] + w - 1, lo[1] + h - 1)), bits)
+        t = (rng.randint(-7, 7), rng.randint(-7, 7))
+        _bounds, cells = cells_of(p)
+        assert _lex_least_differing(p, t) == naive_lex_least_differing(cells, t)
+
+
+# ----------------------------------------------------------- gp periodicity
+
+
+def test_grid_periodicity_matches_oracle():
+    rng = seeded(43)
+    for _ in range(2000):
+        w, h = rng.randint(1, 5), rng.randint(1, 5)
+        cols, rows = rng.randint(1, 13), rng.randint(1, 13)
+        lo = (rng.randint(-9, 9), rng.randint(-9, 9))
+        block = [[rng.randrange(2) for _ in range(w)] for _ in range(h)]
+        bits = np.array(
+            [[block[(lo[1] + j) % h][(lo[0] + i) % w] for i in range(cols)] for j in range(rows)],
+            dtype=np.uint8,
+        )
+        for _flip in range(rng.choice((0, 0, 1, 2))):
+            j, i = rng.randrange(rows), rng.randrange(cols)
+            bits[j, i] ^= 1
+        bits[np.array([[rng.random() < 0.15 for _ in range(cols)] for _ in range(rows)])] = HOLE
+        x = Config(Rect(lo, (lo[0] + cols - 1, lo[1] + rows - 1)), bits)
+        u = (rng.randint(-20, 20), rng.randint(-20, 20))
+        assert verify_grid_periodicity(x, w, h, u) == naive_grid_periodicity(x, w, h, u)
+
+
+@pytest.mark.parametrize("w,h", [(0, 2), (2, 0), (-2, 2)])
+def test_grid_periodicity_rejects_nonpositive_sides(w, h):
+    x = Config.from_json(CHECKER)
+    with pytest.raises(ValueError):
+        verify_grid_periodicity(x, w, h, (0, 0))
+
+
+# ------------------------------------------------------------ gp claims
+
+# Stage 0 of GP_SPEC's certificate is 2x2 with its hole at (1, 1); the final
+# window is 16x16 with its hole at (15, 15).
+STAGE_TAMPERS = [
+    ("w", 0),
+    ("w", -2),
+    ("u", [0, 0]),
+    ("h", 10**12),
+]
+
+
+@pytest.mark.parametrize("key,value", STAGE_TAMPERS, ids=["w0", "w-2", "u", "h-huge"])
+def test_gp_stage_claim_checked_exit_4(tmp_path, capsys, key, value):
+    data = build_cert(tmp_path, capsys, "build-gp", GP_SPEC)
+    assert data["stages"][0] == {"w": 2, "h": 2, "u": [1, 1]}
+    data["stages"][0][key] = value
+    code, out = verify_cert(tmp_path, capsys, data)
+    assert code == 4
+    assert check(out, "stage[0] periodicity") is False
+    assert [c["name"] for c in json.loads(out)["checks"] if not c["ok"]] == [
+        f"stage[0] periodicity {data['stages'][0]['w']}x{data['stages'][0]['h']}"
+    ]
+
+
+def test_gp_shift_offset_claim_checked_exit_4(tmp_path, capsys):
+    data = build_cert(tmp_path, capsys, "build-gp", GP_SPEC)
+    assert data["steps"][0]["req"]["s"] == [1, 0]
+    data["steps"][0]["req"]["s"] = [5, 7]
+    code, out = verify_cert(tmp_path, capsys, data)
+    assert code == 4
+    assert check(out, "shift [5, 7] pair differs") is False
+

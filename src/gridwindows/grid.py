@@ -193,11 +193,18 @@ def _match_offsets(p, f, flipped):
     if flipped:
         fa = (1 - fa).astype(np.uint8)
     fh, fw = fa.shape
-    acc = np.ones((nsy, nsx), dtype=bool)
-    # Offset (sx0, sy0) puts f's low corner on p's low corner.
-    for v in range(fh):
-        for u in range(fw):
-            acc &= pa[v : v + nsy, u : u + nsx] == fa[v, u]
+    # Offset (sx0, sy0) puts f's low corner on p's low corner. Loop over
+    # f's cells or over the offsets, whichever are fewer.
+    if fh * fw <= nsx * nsy:
+        acc = np.ones((nsy, nsx), dtype=bool)
+        for v in range(fh):
+            for u in range(fw):
+                acc &= pa[v : v + nsy, u : u + nsx] == fa[v, u]
+    else:
+        acc = np.empty((nsy, nsx), dtype=bool)
+        for j in range(nsy):
+            for i in range(nsx):
+                acc[j, i] = np.array_equal(pa[j : j + fh, i : i + fw], fa)
     return Rect((sx0, sy0), (sx1, sy1)), acc
 
 

@@ -390,20 +390,29 @@ def verify_gp_certificate(cert):
     holes = fin.holes
     fu = next(iter(holes)) if len(holes) == 1 else None
     W, H = fin.rect.width, fin.rect.height
+    # A no-op line_clear repeats its stage; each distinct stage is checked once.
+    stage_ok = {}
     for i, st in enumerate(cert.stages):
-        w, h, su = int(st["w"]), int(st["h"]), tuple(st["u"])
-        # The stage's block sides are powers of n dividing the final sides,
-        # and its hole lies in the final hole's class modulo them.
-        ok = (
-            fu is not None
-            and final.n >= 2
-            and all(_is_power(k, final.n) and side % k == 0 for k, side in ((w, W), (h, H)))
-            and (su[0] - fu[0]) % w == 0
-            and (su[1] - fu[1]) % h == 0
-            and verify_grid_periodicity(fin, w, h, su)
-        )
+        w, h, su = int(st["w"]), int(st["h"]), st["u"]
+        pair = isinstance(su, list) and len(su) == 2 and all(type(v) is int for v in su)
+        key = (w, h, tuple(su) if pair else None)
+        if key not in stage_ok:
+            # The stage's hole is a pair of integers in the final hole's
+            # class modulo its block sides, which are powers of n dividing
+            # the final sides.
+            stage_ok[key] = (
+                pair
+                and fu is not None
+                and final.n >= 2
+                and all(
+                    _is_power(k, final.n) and side % k == 0 for k, side in ((w, W), (h, H))
+                )
+                and (su[0] - fu[0]) % w == 0
+                and (su[1] - fu[1]) % h == 0
+                and verify_grid_periodicity(fin, w, h, su)
+            )
         checks.append(
-            {"name": f"stage[{i}] periodicity {st['w']}x{st['h']}", "ok": ok}
+            {"name": f"stage[{i}] periodicity {st['w']}x{st['h']}", "ok": stage_ok[key]}
         )
     a, b, cc, d = fin.rect.bounds()
     for srec in cert.steps:

@@ -8,6 +8,7 @@ probes landing on holes never witness anything.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -36,16 +37,58 @@ def _differs(p, t):
     return r, (au != HOLE) & (av != HOLE) & (au != av)
 
 
+def _boxes(offsets):
+    """Disjoint boxes ``(x0, x1, y0, y1)``, bounds inclusive, whose union is
+    the finite offset set: runs along x, merged along y. Duplicates are
+    allowed. Work and memory grow with the number of points, never with
+    the area of their bounding box."""
+    pts = np.fromiter(chain.from_iterable(offsets), dtype=np.int64).reshape(-1, 2)
+    if not len(pts):
+        return []
+    (x0, y0), (x1, y1) = pts.min(axis=0).tolist(), pts.max(axis=0).tolist()
+    w, area = x1 - x0 + 1, (x1 - x0 + 1) * (y1 - y0 + 1)
+    if len(pts) == area:
+        # As many points as cells: one box unless some point repeats.
+        seen = np.zeros(area, dtype=bool)
+        seen[(pts[:, 1] - y0) * w + pts[:, 0] - x0] = True
+        if seen.all():
+            return [(x0, x1, y0, y1)]
+    ys, xs = np.unique(pts[:, ::-1], axis=0).T
+    # Runs: maximal x-consecutive stretches within one row.
+    new = np.r_[True, (ys[1:] != ys[:-1]) | (xs[1:] != xs[:-1] + 1)]
+    runs = np.stack([xs[new], xs[np.r_[new[1:], True]], ys[new]], axis=1)
+    # Boxes: runs with the same x-extent on consecutive rows.
+    x0, x1, y = runs[np.lexsort(runs.T[::-1])].T
+    new = np.r_[True, (x0[1:] != x0[:-1]) | (x1[1:] != x1[:-1]) | (y[1:] != y[:-1] + 1)]
+    end = np.r_[new[1:], True]
+    return list(zip(x0[new].tolist(), x1[new].tolist(), y[new].tolist(), y[end].tolist()))
+
+
 def _reach(target, srect, grid, offsets):
     """Boolean grid over target: True at g when some o in offsets has
-    g + o in srect and grid True there."""
+    g + o in srect and grid True there.
+
+    One summed-area table of grid answers each box of offsets with one
+    O(area) query, so a clause costs O(area) per box, not per offset.
+    Offsets that cannot reach srect from target are dropped first, so any
+    integers are accepted."""
     ok = np.zeros((target.height, target.width), dtype=bool)
     if srect is None or not grid.any():
         return ok
-    for o in offsets:
-        r = target.intersect(srect.translate((-o[0], -o[1])))
-        if r is not None:
-            ok[_slices(target, r)] |= grid[_slices(srect, r.translate(o))]
+    lx, hx = srect.lo[0] - target.hi[0], srect.hi[0] - target.lo[0]
+    ly, hy = srect.lo[1] - target.hi[1], srect.hi[1] - target.lo[1]
+    boxes = _boxes(o for o in offsets if lx <= o[0] <= hx and ly <= o[1] <= hy)
+    sh, sw = grid.shape
+    dtype = np.int32 if grid.size < 2**31 else np.int64
+    sat = np.zeros((sh + 1, sw + 1), dtype=dtype)
+    sat[1:, 1:] = grid.cumsum(axis=0, dtype=dtype).cumsum(axis=1, dtype=dtype)
+    # Target cells as srect array indices. Cell g and box [x0, x1] x [y0, y1]
+    # count the grid cells of g + box; mode="clip" clips the box to srect.
+    ys = np.arange(target.height) + (target.lo[1] - srect.lo[1])
+    xs = np.arange(target.width) + (target.lo[0] - srect.lo[0])
+    for x0, x1, y0, y1 in boxes:
+        rows = sat.take(ys + y1 + 1, 0, mode="clip") - sat.take(ys + y0, 0, mode="clip")
+        ok |= rows.take(xs + x1 + 1, 1, mode="clip") != rows.take(xs + x0, 1, mode="clip")
     return ok
 
 
@@ -90,19 +133,17 @@ def window_two_coloring_check(x, s, T):
     """
     if tuple(s) == (0, 0):
         raise ValueError("shift must be nonzero")
-    rect = x.rect
     if not T:
         return False
-    region = None
-    for tau in T:
-        r = rect.translate((-tau[0], -tau[1])).intersect(
-            rect.translate((-s[0] - tau[0], -s[1] - tau[1]))
-        )
-        if r is None:
-            return True
-        region = r if region is None else region.intersect(r)
-        if region is None:
-            return True
+    # g is admissible on [lo - min tau - min(0, s), hi - max tau - max(0, s)]
+    # per axis. Python ints, so offsets of any size are accepted.
+    rect = x.rect
+    txs, tys = zip(*T)
+    lo = (rect.lo[0] - min(txs) - min(0, s[0]), rect.lo[1] - min(tys) - min(0, s[1]))
+    hi = (rect.hi[0] - max(txs) - max(0, s[0]), rect.hi[1] - max(tys) - max(0, s[1]))
+    if lo[0] > hi[0] or lo[1] > hi[1]:
+        return True
+    region = Rect(lo, hi)
     return bool(_reach(region, *_differs(x, s), T).all())
 
 

@@ -3,10 +3,13 @@
 Everything here favors readability over speed: dict-of-cells configs, explicit
 quantifier loops, no numpy. The library is checked against these on small
 random instances, and several frozen constants in the test files were computed
-by running these by hand first.
+by running these by hand first. The few routines that take library arrays
+keep the loops the library used before it vectorized them.
 """
 
 import random
+
+import numpy as np
 
 
 def taxicab(g):
@@ -116,6 +119,27 @@ def naive_pattern_ok(p_cells, f_rect_cells, F, flipped):
         if not found:
             return False
     return True
+
+
+def naive_reach(target, srect, grid, offsets):
+    """One slice-OR per offset: the library's witness kernel before it
+    queried summed-area tables per box of offsets. target and srect are
+    library Rects, grid a boolean array over srect (srect may be None)."""
+    ok = np.zeros((target.height, target.width), dtype=bool)
+    if srect is None:
+        return ok
+
+    def index(rect, sub):
+        return (
+            slice(sub.lo[1] - rect.lo[1], sub.hi[1] - rect.lo[1] + 1),
+            slice(sub.lo[0] - rect.lo[0], sub.hi[0] - rect.lo[0] + 1),
+        )
+
+    for o in offsets:
+        r = target.intersect(srect.translate((-o[0], -o[1])))
+        if r is not None:
+            ok[index(target, r)] |= grid[index(srect, r.translate(o))]
+    return ok
 
 
 def naive_window_check(x_cells, bounds, s, T):

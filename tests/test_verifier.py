@@ -9,11 +9,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from gridwindows import mincolor, witness
+from gridwindows import gridperiod, mincolor, witness
 from gridwindows.cli import main
 from gridwindows.geometry import Rect
 from gridwindows.grid import HOLE, Config
-from gridwindows.gridperiod import verify_grid_periodicity
+from gridwindows.gridperiod import (
+    GpCertificate,
+    verify_gp_certificate,
+    verify_grid_periodicity,
+)
 from gridwindows.mincolor import (
     Cover,
     MtCondition,
@@ -23,7 +27,9 @@ from gridwindows.mincolor import (
     build_generic,
     verify_certificate,
 )
+from gridwindows.schedule import parse_schedule
 from gridwindows.serialize import canon_dumps
+from gridwindows.witness import window_two_coloring_check
 
 from oracles import cells_of, naive_grid_periodicity, naive_lex_least_differing, seeded
 
@@ -115,6 +121,25 @@ def test_verify_certificate_evaluates_each_clause_once(monkeypatch):
         expected[("b", id(f), True)] = 1
     assert len(final.shifts) == 2 and len(final.patterns) == 2
     assert calls == expected
+
+
+# Offsets far outside every window can never witness anything: verify drops
+# them, whatever their size, and reports exactly as without them.
+@pytest.mark.parametrize("entry,key", [("shifts", "T"), ("patterns", "F")])
+def test_far_witness_offset_changes_nothing(tmp_path, capsys, entry, key):
+    data = build_cert(tmp_path, capsys, "build-mt", MT_SPEC)
+    code, honest = verify_cert(tmp_path, capsys, data)
+    assert code == 0
+    for far in ([10**30, 0], [-(10**40), 3]):
+        data["final"][entry][0][key].append(far)
+        assert verify_cert(tmp_path, capsys, data) == (0, honest)
+
+
+def test_window_check_far_offset_leaves_no_admissible_position():
+    x = Config.from_rows(Rect.from_bounds(0, 4, 0, 4), ["00000"] * 5)
+    assert not window_two_coloring_check(x, (1, 0), {(0, 0)})
+    assert window_two_coloring_check(x, (1, 0), {(0, 0), (10**30, 0)})
+    assert window_two_coloring_check(x, (1, 0), {(0, 0), (0, -(10**30))})
 
 
 def hole_in_final(data):
@@ -215,10 +240,17 @@ STAGE_TAMPERS = [
     ("w", -2),
     ("u", [0, 0]),
     ("h", 10**12),
+    ("u", [1]),
+    ("u", [1, 1, 1]),
+    ("u", [1.0, 1]),
 ]
 
 
-@pytest.mark.parametrize("key,value", STAGE_TAMPERS, ids=["w0", "w-2", "u", "h-huge"])
+@pytest.mark.parametrize(
+    "key,value",
+    STAGE_TAMPERS,
+    ids=["w0", "w-2", "u", "h-huge", "u-short", "u-long", "u-float"],
+)
 def test_gp_stage_claim_checked_exit_4(tmp_path, capsys, key, value):
     data = build_cert(tmp_path, capsys, "build-gp", GP_SPEC)
     assert data["stages"][0] == {"w": 2, "h": 2, "u": [1, 1]}
@@ -239,3 +271,29 @@ def test_gp_shift_offset_claim_checked_exit_4(tmp_path, capsys):
     assert code == 4
     assert check(out, "shift [5, 7] pair differs") is False
 
+
+def test_gp_duplicate_stages_checked_once(monkeypatch):
+    seed = gridperiod.GpCondition.from_json(GP_SPEC["seed"])
+    sched = parse_schedule(GP_SPEC["schedule"], gridperiod.STEPS)
+    cert = GpCertificate.from_json(
+        gridperiod.build_generic_gp(seed, sched, GP_SPEC["limits"]).to_json()
+    )
+    calls = Counter()
+
+    def counted(x, w, h, u):
+        calls[(w, h, tuple(u))] += 1
+        return verify_grid_periodicity(x, w, h, u)
+
+    monkeypatch.setattr(gridperiod, "verify_grid_periodicity", counted)
+    report = verify_gp_certificate(cert)
+    stages = [(st["w"], st["h"], tuple(st["u"])) for st in cert.stages]
+    assert len(set(stages)) < len(stages)
+    assert calls == Counter(set(stages))
+    names = [c["name"] for c in report["checks"] if c["name"].startswith("stage[")]
+    assert names == [f"stage[{i}] periodicity {w}x{h}" for i, (w, h, _u) in enumerate(stages)]
+    assert report["ok"]
+    # A repeated stage with its hole moved is a different stage.
+    assert cert.stages[2] == {"w": 4, "h": 2, "u": [3, 1]}
+    cert.stages[2] = {"w": 4, "h": 2, "u": [1, 1]}
+    report = verify_gp_certificate(cert)
+    assert [c["name"] for c in report["checks"] if not c["ok"]] == ["stage[2] periodicity 4x2"]

@@ -70,22 +70,27 @@ def _reach(target, srect, grid, offsets):
 
     One summed-area table of grid answers each box of offsets with one
     O(area) query, so a clause costs O(area) per box, not per offset.
-    Offsets that cannot reach srect from target are dropped first, so any
-    integers are accepted."""
+    Offsets that cannot reach srect from target are dropped first, and the
+    rest are taken relative to the least offset that can, (lx, ly), so every
+    numpy value is bounded by the sides of target and srect whatever the
+    coordinates are."""
     ok = np.zeros((target.height, target.width), dtype=bool)
     if srect is None or not grid.any():
         return ok
     lx, hx = srect.lo[0] - target.hi[0], srect.hi[0] - target.lo[0]
     ly, hy = srect.lo[1] - target.hi[1], srect.hi[1] - target.lo[1]
-    boxes = _boxes(o for o in offsets if lx <= o[0] <= hx and ly <= o[1] <= hy)
+    boxes = _boxes(
+        (o[0] - lx, o[1] - ly) for o in offsets if lx <= o[0] <= hx and ly <= o[1] <= hy
+    )
     sh, sw = grid.shape
     dtype = np.int32 if grid.size < 2**31 else np.int64
     sat = np.zeros((sh + 1, sw + 1), dtype=dtype)
     sat[1:, 1:] = grid.cumsum(axis=0, dtype=dtype).cumsum(axis=1, dtype=dtype)
-    # Target cells as srect array indices. Cell g and box [x0, x1] x [y0, y1]
-    # count the grid cells of g + box; mode="clip" clips the box to srect.
-    ys = np.arange(target.height) + (target.lo[1] - srect.lo[1])
-    xs = np.arange(target.width) + (target.lo[0] - srect.lo[0])
+    # Target cell g as an srect array index plus (lx, ly): g - target.hi.
+    # Cell g and relative box [x0, x1] x [y0, y1] count the grid cells of
+    # g + (lx, ly) + box; mode="clip" clips the box to srect.
+    ys = np.arange(1 - target.height, 1)
+    xs = np.arange(1 - target.width, 1)
     for x0, x1, y0, y1 in boxes:
         rows = sat.take(ys + y1 + 1, 0, mode="clip") - sat.take(ys + y0, 0, mode="clip")
         ok |= rows.take(xs + x1 + 1, 1, mode="clip") != rows.take(xs + x0, 1, mode="clip")

@@ -100,6 +100,24 @@ def test_reach_matches_per_offset_loop():
     assert not _reach(target, None, None, {(0, 0)}).any()
 
 
+def test_reach_far_target_matches_per_offset_loop():
+    # A target near c reaches srect through offsets near -c: the kept
+    # offsets are far outside int64, but bounded relative to each other.
+    rng = seeded(101)
+    for _ in range(100):
+        srect = rand_rect(rng, 7)
+        grid = np.array(
+            [[rng.random() < 0.3 for _ in range(srect.width)] for _ in range(srect.height)],
+            dtype=bool,
+        )
+        for c in FAR:
+            target = rand_rect(rng, 7).translate(c)
+            for kind, offsets in offset_sets(rng).items():
+                moved = [(o[0] - c[0], o[1] - c[1]) for o in offsets]
+                got = _reach(target, srect, grid, moved)
+                assert np.array_equal(got, naive_reach(target, srect, grid, moved)), kind
+
+
 # -------------------------------------------------------- pattern offsets
 
 
@@ -183,3 +201,27 @@ def test_window_check_witness_box_wider_than_window():
         assert got == naive_window_check(xc, b, s, T)
         seen.add(got)
     assert seen == {True, False}
+
+
+def test_window_check_far_translated_witness_set():
+    # Translating T by a constant c moves every probe and every admissible
+    # position by c, so the check keeps its answer: the oracle runs on T and
+    # the library on T + c, with c far outside int64.
+    rng = seeded(97)
+    seen = set()
+    for _ in range(120):
+        x = rand_config(rng, rand_rect(rng, 6), hole_prob=rng.choice((0.0, 0.1)))
+        s = (0, 0)
+        while s == (0, 0):
+            s = (rng.randint(-2, 2), rng.randint(-2, 2))
+        T = {(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(rng.randint(1, 4))}
+        b, xc = cells_of(x)
+        want = naive_window_check(xc, b, s, T)
+        for c in FAR:
+            far = {(t[0] + c[0], t[1] + c[1]) for t in T}
+            assert window_two_coloring_check(x, s, far) == want
+        seen.add(want)
+    assert seen == {True, False}
+    x = Config.from_rows(Rect.from_bounds(0, 4, 0, 4), ["01000"] * 5)
+    assert window_two_coloring_check(x, (1, 0), {(10**30, 0)}) is False
+    assert window_two_coloring_check(x, (1, 0), {(10**30, 0), (10**30 + 1, 0)}) is False

@@ -135,6 +135,41 @@ def test_far_witness_offset_changes_nothing(tmp_path, capsys, entry, key):
         assert verify_cert(tmp_path, capsys, data) == (0, honest)
 
 
+# A witness set moved far away as a whole keeps a non-empty admissible
+# region for the window check, near the far coordinates: verify reports
+# the clause as failed (exit 4) and the window check as for the honest set.
+@pytest.mark.parametrize("T", ["single", "translated"])
+def test_far_translated_witness_set_exit_4(tmp_path, capsys, T):
+    data = build_cert(tmp_path, capsys, "build-mt", MT_SPEC)
+    code, honest = verify_cert(tmp_path, capsys, data)
+    assert code == 0
+    shift = data["final"]["shifts"][0]
+    if T == "single":
+        shift["T"] = [[10**30, 0]]
+    else:
+        shift["T"] = [[x + 10**30, y - 10**40] for x, y in shift["T"]]
+    code, report = verify_cert(tmp_path, capsys, data)
+    assert code == 4
+    assert not check(report, "shift[0] t=(1,0) clause a")
+    window = "shift[0] t=(1,0) window two-coloring"
+    assert check(report, window) is (check(honest, window) if T == "translated" else False)
+
+
+def test_far_pattern_with_far_witness_set_verifies(tmp_path, capsys):
+    # Moving f by c and F by -c leaves clauses b1/b2 as they were, although
+    # both offset rectangles sit near -10**30.
+    data = build_cert(tmp_path, capsys, "build-mt", MT_SPEC)
+    code, honest = verify_cert(tmp_path, capsys, data)
+    assert code == 0
+    c = 10**30
+    pattern = data["final"]["patterns"][0]
+    a, b, lo, hi = pattern["f"]["rect"]
+    pattern["f"]["rect"] = [a + c, b + c, lo - c, hi - c]
+    pattern["f"]["holes"] = [[x + c, y - c] for x, y in pattern["f"]["holes"]]
+    pattern["F"] = [[x - c, y + c] for x, y in pattern["F"]]
+    assert verify_cert(tmp_path, capsys, data) == (0, honest)
+
+
 def test_window_check_far_offset_leaves_no_admissible_position():
     x = Config.from_rows(Rect.from_bounds(0, 4, 0, 4), ["00000"] * 5)
     assert not window_two_coloring_check(x, (1, 0), {(0, 0)})

@@ -57,19 +57,19 @@ class Config:
         """Rows are listed low-y first; characters 0, 1 and '.' (hole)."""
         if len(rows) != rect.height:
             raise ValueError(f"expected {rect.height} rows, got {len(rows)}")
-        data = np.empty((rect.height, rect.width), dtype=np.uint8)
+        # The rows are checked before anything the size of rect is allocated.
         for j, row in enumerate(rows):
             if not isinstance(row, str):
                 raise ValueError(f"row {j} is not a string")
             if len(row) != rect.width:
                 raise ValueError(f"row {j} has length {len(row)}, expected {rect.width}")
-            # "replace" keeps one byte per character, so indices match the row.
-            codes = np.frombuffer(row.encode("ascii", "replace"), dtype=np.uint8)
-            data[j] = _CHAR_TO_BIT[codes]
-            bad = data[j] == _BAD
-            if bad.any():
-                raise ValueError(f"bad cell character {row[int(bad.argmax())]!r}")
-        return cls(rect, data)
+        text = "".join(rows)
+        # "replace" keeps one byte per character, so indices match the text.
+        data = _CHAR_TO_BIT[np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)]
+        bad = data == _BAD
+        if bad.any():
+            raise ValueError(f"bad cell character {text[int(bad.argmax())]!r}")
+        return cls(rect, data.reshape(rect.height, rect.width))
 
     def rows(self):
         """Low-y row first, as strings over 0/1/'.'."""
@@ -131,10 +131,6 @@ class Config:
         if not isinstance(other, Config):
             return NotImplemented
         return self.rect == other.rect and np.array_equal(self._bits, other._bits)
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
 
     def __hash__(self):
         return hash((self.rect, self._bits.tobytes()))

@@ -9,14 +9,14 @@ hole, every residue class modulo any past block size stays constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ResourceLimitError
 from .geometry import Lattice, Rect, lattice_points_in
 from .grid import HOLE, Config
-from .schedule import Cover, run_schedule
+from .schedule import Cover, certificate_class, is_point, run_schedule
 
 
 def _is_power(k, n):
@@ -254,36 +254,7 @@ class LineClear:
             raise ValueError(f"axis must be 'row' or 'col', got {self.axis!r}")
 
 
-@dataclass
-class GpCertificate:
-    seed: GpCondition
-    final: GpCondition
-    steps: list
-    stages: list
-    limits: dict
-    chain: tuple = field(default=(), compare=False, repr=False)
-
-    def to_json(self):
-        return {
-            "kind": "gp",
-            "seed": self.seed.to_json(),
-            "final": self.final.to_json(),
-            "steps": self.steps,
-            "stages": self.stages,
-            "limits": self.limits,
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        if data.get("kind") != "gp":
-            raise ValueError("not a gp certificate")
-        return cls(
-            seed=GpCondition.from_json(data["seed"]),
-            final=GpCondition.from_json(data["final"]),
-            steps=list(data["steps"]),
-            stages=list(data["stages"]),
-            limits=dict(data["limits"]),
-        )
+GpCertificate = certificate_class("GpCertificate", "gp", GpCondition, extra=("stages",))
 
 
 def _stage(c):
@@ -394,7 +365,7 @@ def verify_gp_certificate(cert):
     stage_ok = {}
     for i, st in enumerate(cert.stages):
         w, h, su = int(st["w"]), int(st["h"]), st["u"]
-        pair = isinstance(su, list) and len(su) == 2 and all(type(v) is int for v in su)
+        pair = is_point(su)
         key = (w, h, tuple(su) if pair else None)
         if key not in stage_ok:
             # The stage's hole is a pair of integers in the final hole's
@@ -418,14 +389,17 @@ def verify_gp_certificate(cert):
     for srec in cert.steps:
         op = srec["req"]["op"]
         if op == "shift":
-            g1, g2 = (tuple(srec["pair"][0]), tuple(srec["pair"][1]))
-            v1, v2 = fin.value(g1), fin.value(g2)
-            ok = (
-                v1 is not None
-                and v2 is not None
-                and v1 != v2
-                and [g2[0] - g1[0], g2[1] - g1[1]] == srec["req"]["s"]
-            )
+            pair = srec["pair"]
+            ok = isinstance(pair, list) and len(pair) == 2 and all(map(is_point, pair))
+            if ok:
+                (x1, y1), (x2, y2) = pair
+                v1, v2 = fin.value((x1, y1)), fin.value((x2, y2))
+                ok = (
+                    v1 is not None
+                    and v2 is not None
+                    and v1 != v2
+                    and [x2 - x1, y2 - y1] == srec["req"]["s"]
+                )
             checks.append(
                 {"name": f"shift {srec['req']['s']} pair differs", "ok": ok}
             )
@@ -446,9 +420,9 @@ def verify_gp_certificate(cert):
                     ok = per is not None and H % per == 0
             checks.append({"name": f"line {axis} {idx} cleared", "ok": ok})
         elif op == "cover":
-            g = (int(srec["req"]["g"][0]), int(srec["req"]["g"][1]))
+            g = srec["req"]["g"]
             checks.append(
-                {"name": f"cover {list(g)} contained", "ok": fin.rect.contains(g)}
+                {"name": f"cover {g} contained", "ok": is_point(g) and fin.rect.contains(g)}
             )
     return {"ok": all(ch["ok"] for ch in checks), "checks": checks}
 

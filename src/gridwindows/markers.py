@@ -225,13 +225,6 @@ class Toast:
         )
 
 
-def _with_neighbors(cl):
-    out = set(cl)
-    for (x, y) in cl:
-        out.update(((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)))
-    return out
-
-
 def _taxicab_diameter(cl):
     s = [x + y for (x, y) in cl]
     d = [x - y for (x, y) in cl]
@@ -240,7 +233,8 @@ def _taxicab_diameter(cl):
 
 def _rim_exempt(t, cl):
     # A class that cannot dilate inside the window is excused from nesting.
-    return not all(t.window.contains(g) for g in _with_neighbors(cl))
+    a, b, c, d = t.window.bounds()
+    return not all(a < x < b and c < y < d for (x, y) in cl)
 
 
 def check_toast(t):

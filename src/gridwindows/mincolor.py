@@ -12,11 +12,11 @@ cells land inside that position's own block, where values are an exact
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .geometry import Rect
 from .grid import HOLE, Config, tile
-from .schedule import Cover, run_schedule
+from .schedule import Cover, certificate_class, run_schedule
 from .witness import (
     _differs,
     _pattern_ok_grid,
@@ -64,10 +64,11 @@ class MtCondition:
             p=Config.from_json(data["p"]),
             shifts=tuple(
                 (
-                    (int(e["t"][0]), int(e["t"][1])),
+                    (int(tx), int(ty)),
                     frozenset((int(x), int(y)) for x, y in e["T"]),
                 )
                 for e in data["shifts"]
+                for tx, ty in (e["t"],)  # t has exactly two entries
             ),
             patterns=tuple(
                 (
@@ -138,25 +139,6 @@ def is_extension(c1, c2):
     return c1.p.restrict(c2.p.rect) == c2.p
 
 
-def _reflect_config(cfg, fx, fy, about=None):
-    """Mirror a window along the chosen axes, about the center of ``about``
-    (default: its own center, which keeps the rect in place)."""
-    if not fx and not fy:
-        return cfg
-    arr = cfg.array
-    if fx:
-        arr = arr[:, ::-1]
-    if fy:
-        arr = arr[::-1, :]
-    base = cfg.rect if about is None else about
-    sx = base.lo[0] + base.hi[0]
-    sy = base.lo[1] + base.hi[1]
-    r = cfg.rect
-    lo = (sx - r.hi[0] if fx else r.lo[0], sy - r.hi[1] if fy else r.lo[1])
-    hi = (sx - r.lo[0] if fx else r.hi[0], sy - r.lo[1] if fy else r.hi[1])
-    return Config(Rect(lo, hi), arr)
-
-
 def _lex_least_differing(p, t):
     """Least position u (by x, then y) with u and u+t defined in the window
     and carrying different values, or None."""
@@ -175,17 +157,10 @@ def extend_cover(c, g):
 
 
 def _cover_axis(gx, a, b, w, odd):
-    if gx > b:
-        cnt = (gx - a) // w + 1
-        if odd and cnt % 2 == 0:
-            cnt += 1
-        return cnt, a
-    if gx < a:
-        cnt = (b - gx) // w + 1
-        if odd and cnt % 2 == 0:
-            cnt += 1
-        return cnt, b - cnt * w + 1
-    return 1, a
+    cnt = max(gx - a, b - gx) // w + 1
+    if odd and cnt % 2 == 0:
+        cnt += 1
+    return cnt, (a if gx >= a else b - cnt * w + 1)
 
 
 def extend_shift(c, t):
@@ -193,9 +168,10 @@ def extend_shift(c, t):
 
     When the current window already shows a differing pair at offset t, the
     witness set points every position at that pair and the window is left
-    alone. Otherwise the window is tiled out so that its high corner can be
-    compared against its image under t, flipping the block the image lands
-    in when the unflipped tiling would make the two values agree.
+    alone. Otherwise the window is tiled out toward t so that its corner
+    facing t can be compared against its image under t, flipping the block
+    the image lands in when the unflipped tiling would make the two values
+    agree.
     """
     t = (int(t[0]), int(t[1]))
     if t == (0, 0):
@@ -207,25 +183,28 @@ def extend_shift(c, t):
     if u is not None:
         T = frozenset((u[0] - gx, u[1] - gy) for (gx, gy) in c.p.rect.points())
         return MtCondition(c.p, c.shifts + ((t, T),), c.patterns, c.odd_mode)
-    fx, fy = t[0] < 0, t[1] < 0
-    q = _reflect_config(c.p, fx, fy)
-    tt = (abs(t[0]), abs(t[1]))
-    a, b, cc, d = q.rect.bounds()
-    w, h = q.rect.width, q.rect.height
-    i0 = (w - 1 + tt[0]) // w
-    j0 = (h - 1 + tt[1]) // h
-    if c.odd_mode:
-        i0 += i0 % 2
-        j0 += j0 % 2
-    bi = (b + tt[0] - a) // w
-    bj = (d + tt[1] - cc) // h
-    grown = tile(q, (i0 + 1, j0 + 1), lambda i, j: False, (a, cc))
-    if grown.value((b, d)) == grown.value((b + tt[0], d + tt[1])):
-        grown = tile(q, (i0 + 1, j0 + 1), lambda i, j: (i, j) == (bi, bj), (a, cc))
-    T = frozenset(Rect.from_bounds(-i0 * w, b - a, -j0 * h, d - cc).points())
-    newp = _reflect_config(grown, fx, fy, about=c.p.rect)
-    T = frozenset(((-x if fx else x), (-y if fy else y)) for (x, y) in T)
-    return MtCondition(newp, c.shifts + ((t, T),), c.patterns, c.odd_mode)
+    a, b, cc, d = c.p.rect.bounds()
+    nx, ax, cx, (tx0, tx1) = _shift_axis(t[0], a, b, c.odd_mode)
+    ny, ay, cy, (ty0, ty1) = _shift_axis(t[1], cc, d, c.odd_mode)
+    image = (cx + t[0], cy + t[1])
+    flipped = ((image[0] - ax) // c.p.rect.width, (image[1] - ay) // c.p.rect.height)
+    grown = tile(c.p, (nx, ny), lambda i, j: False, (ax, ay))
+    if grown.value((cx, cy)) == grown.value(image):
+        grown = tile(c.p, (nx, ny), lambda i, j: (i, j) == flipped, (ax, ay))
+    T = frozenset(Rect.from_bounds(tx0, tx1, ty0, ty1).points())
+    return MtCondition(grown, c.shifts + ((t, T),), c.patterns, c.odd_mode)
+
+
+def _shift_axis(tx, a, b, odd):
+    """One axis of extend_shift's tiling: the block count, the low anchor,
+    the window's coordinate facing tx, and the witness interval."""
+    w = b - a + 1
+    k = (w - 1 + abs(tx)) // w
+    if odd:
+        k += k % 2
+    if tx < 0:
+        return k + 1, a - k * w, a, (a - b, k * w)
+    return k + 1, a, b, (-k * w, b - a)
 
 
 def extend_pattern(c):
@@ -295,33 +274,7 @@ STEPS = {
 }
 
 
-@dataclass
-class Certificate:
-    seed: MtCondition
-    final: MtCondition
-    steps: list
-    limits: dict
-    chain: tuple = field(default=(), compare=False, repr=False)
-
-    def to_json(self):
-        return {
-            "kind": "mt",
-            "seed": self.seed.to_json(),
-            "final": self.final.to_json(),
-            "steps": self.steps,
-            "limits": self.limits,
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        if data.get("kind") != "mt":
-            raise ValueError("not an mt certificate")
-        return cls(
-            seed=MtCondition.from_json(data["seed"]),
-            final=MtCondition.from_json(data["final"]),
-            steps=list(data["steps"]),
-            limits=dict(data["limits"]),
-        )
+Certificate = certificate_class("Certificate", "mt", MtCondition)
 
 
 def build_generic(start, sched, limits):

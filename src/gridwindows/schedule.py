@@ -7,11 +7,13 @@ through that table and ``run_schedule`` applies the requests in order.
 of the step's record; the driver alone enforces the limits, keeps the
 chain and writes the records. An apply calls its step function through a
 module global, so wrappers installed on the family module see every step.
+``certificate_class`` makes each family's certificate type, the record of
+one build that the family's verifier re-checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields, make_dataclass
 
 from .errors import ResourceLimitError
 
@@ -21,11 +23,16 @@ class Cover:
     g: tuple
 
 
+def is_point(v):
+    """v is a JSON point: a list of two integers."""
+    return isinstance(v, list) and len(v) == 2 and all(type(x) is int for x in v)
+
+
 def _read(kind, v):
     """A request field's JSON value (None when missing), checked against the
     field's annotation. String fields are checked by their request class."""
     if kind == "tuple":
-        if isinstance(v, list) and len(v) == 2 and all(type(x) is int for x in v):
+        if is_point(v):
             return tuple(v)
         raise ValueError("expected two integers")
     if kind == "int" and type(v) is not int:
@@ -87,3 +94,30 @@ def run_schedule(start, sched, limits, steps, **env):
         args = {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(req).items()}
         records.append({"req": {"op": op, **args}, **extra})
     return chain, records, {"max_side": max_side, "max_steps": max_steps}
+
+
+def certificate_class(name, kind, condition, extra=()):
+    """The certificate dataclass of one family, tagged ``kind`` in JSON: the
+    seed and final conditions, the step records and ``extra`` record lists,
+    the limits as used, and the chain of conditions (in memory only)."""
+    lists = ("steps", *extra)
+
+    def to_json(self):
+        out = {"kind": kind, "seed": self.seed.to_json(), "final": self.final.to_json()}
+        out.update((key, getattr(self, key)) for key in (*lists, "limits"))
+        return out
+
+    def from_json(cls, data):
+        if data.get("kind") != kind:
+            raise ValueError(f'kind: expected "{kind}"')
+        seed, final = condition.from_json(data["seed"]), condition.from_json(data["final"])
+        return cls(seed, final, *(list(data[key]) for key in lists), dict(data["limits"]))
+
+    chain = field(default=(), compare=False, repr=False)
+    cert_fields = [("seed", condition), ("final", condition), *((k, list) for k in lists),
+                   ("limits", dict), ("chain", tuple, chain)]
+    # Each class holds its own to_json and from_json, so a wrapper installed
+    # on one family's class leaves the other's alone.
+    namespace = {"__module__": condition.__module__, "to_json": to_json,
+                 "from_json": classmethod(from_json)}
+    return make_dataclass(name, cert_fields, namespace=namespace)

@@ -11,6 +11,10 @@ import random
 
 import numpy as np
 
+from gridwindows.geometry import Rect
+from gridwindows.grid import Config, tile
+from gridwindows.mincolor import MtCondition, _lex_least_differing
+
 
 def taxicab(g):
     return abs(g[0]) + abs(g[1])
@@ -377,3 +381,58 @@ def ref_to_pgm(bits):
     for j in range(len(bits) - 1, -1, -1):
         rows.append([1 if v == REF_HOLE else 2 * int(v) for v in bits[j]])
     return ref_pgm_dumps(rows, 2)
+
+
+# The builder's shift step before it tiled toward t directly: a negative
+# shift mirrors the window, tiles it toward +|t|, mirrors it back and
+# reflects the witness box one point at a time.
+
+def _mirror_config(cfg, fx, fy, about=None):
+    """Mirror a window along the chosen axes, about the center of ``about``
+    (default: its own center, which keeps the rect in place)."""
+    if not fx and not fy:
+        return cfg
+    arr = cfg.array
+    if fx:
+        arr = arr[:, ::-1]
+    if fy:
+        arr = arr[::-1, :]
+    base = cfg.rect if about is None else about
+    sx = base.lo[0] + base.hi[0]
+    sy = base.lo[1] + base.hi[1]
+    r = cfg.rect
+    lo = (sx - r.hi[0] if fx else r.lo[0], sy - r.hi[1] if fy else r.lo[1])
+    hi = (sx - r.lo[0] if fx else r.hi[0], sy - r.lo[1] if fy else r.hi[1])
+    return Config(Rect(lo, hi), arr)
+
+
+def mirror_extend_shift(c, t):
+    t = (int(t[0]), int(t[1]))
+    if t == (0, 0):
+        raise ValueError("shift must be nonzero")
+    for (s, _T) in c.shifts:
+        if s == t:
+            return c
+    u = _lex_least_differing(c.p, t)
+    if u is not None:
+        T = frozenset((u[0] - gx, u[1] - gy) for (gx, gy) in c.p.rect.points())
+        return MtCondition(c.p, c.shifts + ((t, T),), c.patterns, c.odd_mode)
+    fx, fy = t[0] < 0, t[1] < 0
+    q = _mirror_config(c.p, fx, fy)
+    tt = (abs(t[0]), abs(t[1]))
+    a, b, cc, d = q.rect.bounds()
+    w, h = q.rect.width, q.rect.height
+    i0 = (w - 1 + tt[0]) // w
+    j0 = (h - 1 + tt[1]) // h
+    if c.odd_mode:
+        i0 += i0 % 2
+        j0 += j0 % 2
+    bi = (b + tt[0] - a) // w
+    bj = (d + tt[1] - cc) // h
+    grown = tile(q, (i0 + 1, j0 + 1), lambda i, j: False, (a, cc))
+    if grown.value((b, d)) == grown.value((b + tt[0], d + tt[1])):
+        grown = tile(q, (i0 + 1, j0 + 1), lambda i, j: (i, j) == (bi, bj), (a, cc))
+    T = frozenset(Rect.from_bounds(-i0 * w, b - a, -j0 * h, d - cc).points())
+    newp = _mirror_config(grown, fx, fy, about=c.p.rect)
+    T = frozenset(((-x if fx else x), (-y if fy else y)) for (x, y) in T)
+    return MtCondition(newp, c.shifts + ((t, T),), c.patterns, c.odd_mode)

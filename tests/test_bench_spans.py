@@ -30,3 +30,16 @@ def test_every_span_target_resolves():
         if not found:
             missing.append(f"{mod_name}.{attr}")
     assert missing == []
+
+
+def test_span_target_classes_are_distinct():
+    # Two names bound to one class would get the same method wrapped twice,
+    # mixing the span names of both families.
+    spans = load_spans()
+    owners = {}
+    for mod_name, attr, _name, _count in spans.TARGETS:
+        owner, _, _meth = attr.rpartition(".")
+        if owner:
+            module = importlib.import_module(f"{spans.PACKAGE}.{mod_name}")
+            owners[f"{mod_name}.{owner}"] = getattr(module, owner)
+    assert len({id(cls) for cls in owners.values()}) == len(owners)

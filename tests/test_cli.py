@@ -275,13 +275,24 @@ PINNED = [
     ("build-mt", ODD_ROUTE,
      "d48897b9a3f674aaab961e383406073d0fe543f9821aa74a07911199975a8ae8",
      "0c6a3a83e5564e42d4479257f649d08a749855790b32efae50bbb99d73a5b667"),
+    ("build-mt", mt_spec(seed={"rect": [0, 1, 0, 1], "rows": ["00", "00"], "holes": []},
+                         schedule=[{"op": "shift", "t": [-3, -1]}, {"op": "shift", "t": [2, -5]},
+                                   {"op": "self_pattern"}, {"op": "shift", "t": [-1, 7]}]),
+     "3221f0a03e2a1f9a4d19c81402c108475e39940f79154a32ed59a6f0ae34c4f0",
+     "de6b3436442c91fe1751e1a6adf9862f51c3e1af709df09d98f13869282ca8f5"),
+    ("build-mt", mt_spec(odd=True, seed={"rect": [0, 0, 0, 0], "rows": ["0"], "holes": []},
+                         schedule=[{"op": "shift", "t": [-2, 3]}, {"op": "shift", "t": [4, -1]},
+                                   {"op": "self_pattern"}, {"op": "shift", "t": [-5, -2]}]),
+     "30d0e49d6a09171d441f30baba8e5e5d768faaccb446786ad779e7003d44841c",
+     "cf9190e1bc5395f61507ec6f2901e9efffe7c2718e1810744596443e5237ba45"),
     ("build-gp", gp_spec(),
      "088c51f18674d160fb678e4c12271fd4cfec54365dbbaf6fe497bcf26e4f7f14",
      "5d71eda95c0be089c8b2b81dc4f93f7e543ac03c2d26800af6df169e23d342c2"),
 ]
 
 
-@pytest.mark.parametrize("cmd,spec,cert_sha,report_sha", PINNED, ids=["mt", "odd", "gp"])
+@pytest.mark.parametrize("cmd,spec,cert_sha,report_sha", PINNED,
+                         ids=["mt", "odd", "neg", "neg-odd", "gp"])
 def test_build_artifacts_byte_identical(tmp_path, capsys, cmd, spec, cert_sha, report_sha):
     path = write_spec(tmp_path / "spec.json", spec)
     out_dir = tmp_path / "out"

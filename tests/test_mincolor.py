@@ -25,7 +25,7 @@ from gridwindows.mincolor import (
 from gridwindows.serialize import canon_dumps
 from gridwindows.witness import check_pattern_witness, check_shift_witness
 
-from oracles import rect_cells
+from oracles import mirror_extend_shift, rect_cells
 
 
 def checkerboard(a, b, c, d):
@@ -225,6 +225,32 @@ def test_extend_shift_negative_components():
         tt, T = out.shifts[-1]
         assert tt == t
         assert check_shift_witness(out.p, t, T)
+
+
+def test_extend_shift_matches_mirror_oracle():
+    rng = random.Random(79)
+    tiled = 0
+    for _ in range(600):
+        odd = rng.random() < 0.4
+        sides = (1, 3, 5) if odd else (1, 2, 3, 4)
+        w, h = rng.choice(sides), rng.choice(sides)
+        a, c = rng.randint(-4, 4), rng.randint(-4, 4)
+        if rng.random() < 0.5:
+            p = constant(a, a + w - 1, c, c + h - 1, rng.randrange(2))
+        else:
+            rows = ["".join(str(rng.randrange(2)) for _ in range(w)) for _ in range(h)]
+            p = Config.from_rows(Rect.from_bounds(a, a + w - 1, c, c + h - 1), rows)
+        cond = bare(p, odd)
+        for _step in range(rng.randint(1, 3)):
+            t = (rng.randint(-9, 9), rng.randint(-9, 9))
+            if t == (0, 0):
+                continue
+            out = extend_shift(cond, t)
+            ref = mirror_extend_shift(cond, t)
+            assert (out.p, out.shifts) == (ref.p, ref.shifts), (cond, t)
+            tiled += out.p != cond.p
+            cond = out
+    assert tiled > 400
 
 
 def test_extend_shift_odd_mode_keeps_sides_odd():

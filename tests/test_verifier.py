@@ -332,3 +332,54 @@ def test_gp_duplicate_stages_checked_once(monkeypatch):
     cert.stages[2] = {"w": 4, "h": 2, "u": [1, 1]}
     report = verify_gp_certificate(cert)
     assert [c["name"] for c in report["checks"] if not c["ok"]] == ["stage[2] periodicity 4x2"]
+
+
+# ------------------------------------------------------ malformed shapes
+
+# Points of the wrong shape in a certificate. The mt reader needs t to be
+# two values (exit 2); a gp step claim of the wrong shape fails its own
+# check (exit 4). A huge rect is refused before anything is allocated.
+SHAPE_TAMPERS = [
+    ("build-mt", MT_SPEC, ("final", "shifts", 0, "t"), [1], 2),
+    ("build-mt", MT_SPEC, ("final", "shifts", 0, "t"), [], 2),
+    ("build-mt", MT_SPEC, ("seed", "shifts"), [{"t": [1], "T": []}], 2),
+    ("build-mt", MT_SPEC, ("final", "p", "rect"), [0, 10**12, 0, 5], 2),
+    ("build-gp", GP_SPEC, ("steps", 0, "pair"), [[0, 0]], 4),
+    ("build-gp", GP_SPEC, ("steps", 0, "pair"), [[0], [1]], 4),
+    ("build-gp", GP_SPEC, ("steps", 2, "req", "g"), [5], 4),
+    ("build-gp", GP_SPEC, ("steps", 2, "req", "g"), [], 4),
+    ("build-gp", GP_SPEC, ("steps", 2, "req", "g"), [[1, 2]], 4),
+]
+
+
+@pytest.mark.parametrize(
+    "cmd,spec,path,value,code",
+    SHAPE_TAMPERS,
+    ids=["t-short", "t-empty", "seed-t-short", "huge-rect",
+         "pair-short", "pair-points-short", "g-short", "g-empty", "g-nested"],
+)
+def test_malformed_shape_exit_code(tmp_path, capsys, cmd, spec, path, value, code):
+    data = build_cert(tmp_path, capsys, cmd, spec)
+    *keys, last = path
+    owner = data
+    for key in keys:
+        owner = owner[key]
+    owner[last] = value
+    assert verify_cert(tmp_path, capsys, data)[0] == code
+
+
+def test_huge_seed_rect_build_exit_2(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(canon_dumps(dict(MT_SPEC, seed=dict(CHECKER, rect=[0, 10**12, 0, 2]))))
+    assert main(["build-mt", "--spec", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "row 0 has length 3" in capsys.readouterr().err
+
+
+def test_certificate_kind_checked():
+    gp = gridperiod.build_generic_gp(
+        gridperiod.GpCondition.from_json(GP_SPEC["seed"]), [], GP_SPEC["limits"]
+    ).to_json()
+    with pytest.raises(ValueError, match='kind: expected "mt"'):
+        mincolor.Certificate.from_json(gp)
+    with pytest.raises(ValueError, match='kind: expected "gp"'):
+        GpCertificate.from_json(dict(gp, kind="mt"))

@@ -8,6 +8,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .schedule import is_int
+
 INFINITY = math.inf
 
 
@@ -83,8 +85,9 @@ class Rect:
 
     @classmethod
     def from_json(cls, data):
-        a, b, c, d = (int(v) for v in data)
-        return cls.from_bounds(a, b, c, d)
+        if not (isinstance(data, list) and len(data) == 4 and all(map(is_int, data))):
+            raise ValueError("rect: expected four integers")
+        return cls.from_bounds(*data)
 
 
 @dataclass(frozen=True)

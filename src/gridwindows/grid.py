@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Rect
+from .schedule import read_points
 from .serialize import pgm_dumps
 
 HOLE = 255
@@ -112,8 +113,7 @@ class Config:
     def from_json(cls, data):
         rect = Rect.from_json(data["rect"])
         cfg = cls.from_rows(rect, list(data["rows"]))
-        declared = {(int(x), int(y)) for x, y in data.get("holes", [])}
-        if declared != set(cfg.holes):
+        if read_points(data.get("holes", []), "holes") != cfg.holes:
             raise ValueError("declared holes do not match row data")
         return cfg
 

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ResourceLimitError
 from .geometry import Lattice, Rect, lattice_points_in
 from .grid import HOLE, Config
-from .schedule import Cover, certificate_class, is_point, run_schedule
+from .schedule import Cover, certificate_class, is_int, is_point, run_schedule
 
 
 def _is_power(k, n):
@@ -45,7 +45,9 @@ class GpCondition:
 
     @classmethod
     def from_json(cls, data):
-        cond = cls(int(data["n"]), Config.from_json(data["p"]))
+        if not is_int(data["n"]):
+            raise ValueError("n: expected an integer")
+        cond = cls(data["n"], Config.from_json(data["p"]))
         if "u" in data and tuple(data["u"]) != cond.u:
             raise ValueError("declared hole does not match the window")
         return cond
@@ -98,57 +100,56 @@ def extend_tile_gp(q, ranges, t_star, hole_fills=None):
     w, h = q.p.rect.width, q.p.rect.height
     if not _is_power(i1 - i0 + 1, q.n) or not _is_power(j1 - j0 + 1, q.n):
         raise ValueError("block counts must be powers of the base")
-    offsets = {(i * w, j * h) for i in range(i0, i1 + 1) for j in range(j0, j1 + 1)}
+
+    def tiled(d):
+        """d is the offset (i * w, j * h) of a block inside the ranges."""
+        return all(r == 0 and lo <= k <= hi
+                   for (k, r), (lo, hi) in zip(map(divmod, d, (w, h)), ranges))
+
     t_star = (int(t_star[0]), int(t_star[1]))
-    if t_star not in offsets:
+    if not tiled(t_star):
         raise ValueError("new hole must land on a tiled block")
     u = q.u
-    fills = {}
-    if hole_fills:
-        fills = {(int(k[0]), int(k[1])): int(v) for k, v in hole_fills.items()}
+    fills = {(int(k[0]), int(k[1])): int(v) for k, v in (hole_fills or {}).items()}
     new_hole = (u[0] + t_star[0], u[1] + t_star[1])
-    slots = {(u[0] + tx, u[1] + ty) for (tx, ty) in offsets}
     for k, v in fills.items():
-        if k not in slots or k == new_hole:
+        if not tiled((k[0] - u[0], k[1] - u[1])) or k == new_hole:
             raise ValueError(f"fill at {k} is not a displaced hole slot")
         if v not in (0, 1):
             raise ValueError(f"fill value {v} is not a bit")
     a, _b, cc, _d = q.p.rect.bounds()
     lo = (a + i0 * w, cc + j0 * h)
     out = np.tile(q.p.array, (j1 - j0 + 1, i1 - i0 + 1))
-    for (tx, ty) in offsets:
-        pos = (u[0] + tx, u[1] + ty)
-        row, col = pos[1] - lo[1], pos[0] - lo[0]
-        out[row, col] = HOLE if (tx, ty) == t_star else fills.get(pos, 0)
+    out[u[1] - cc :: h, u[0] - a :: w] = 0
+    for (x, y), v in fills.items():
+        out[y - lo[1], x - lo[0]] = v
+    out[new_hole[1] - lo[1], new_hole[0] - lo[0]] = HOLE
     rect = Rect(lo, (lo[0] + (i1 - i0 + 1) * w - 1, lo[1] + (j1 - j0 + 1) * h - 1))
     return GpCondition(q.n, Config(rect, out))
 
 
-def _pad_pow(lo, hi, n):
-    cnt = hi - lo + 1
-    p = 1
-    while p < cnt:
-        p *= n
-    pad = p - cnt
-    if hi > 0:
-        return lo, hi + pad
-    return lo - pad, hi
+def _span(b, count):
+    """Range of count block indices from block 0 toward block b."""
+    return (0, count - 1) if b >= 0 else (1 - count, 0)
 
 
-def _choose_tstar(cands, u, new_w, new_h, avoid_lines):
-    """Lex-greatest candidate whose hole dodges every scheduled line in the
+# Axis index of a scheduled line: a column fixes x, a row fixes y.
+_AXIS = {"col": 0, "row": 1}
+
+
+def _grow(q, ranges, lines, skip=(), fills=None):
+    """Tile q over the block ranges, moving the hole to the lex-greatest
+    block offset outside skip whose hole dodges every scheduled line in the
     grown window; if none can, ignore the schedule."""
-    def clean(t):
-        hx, hy = u[0] + t[0], u[1] + t[1]
-        for axis, idx in avoid_lines:
-            if axis == "row" and (idx - hy) % new_h == 0:
-                return False
-            if axis == "col" and (idx - hx) % new_w == 0:
-                return False
-        return True
-
-    good = [t for t in cands if clean(t)]
-    return max(good) if good else max(cands)
+    u = q.u
+    sides = (q.p.rect.width, q.p.rect.height)
+    grown = [side * (hi - lo + 1) for side, (lo, hi) in zip(sides, ranges)]
+    (i0, i1), (j0, j1) = ranges
+    cands = [t for i in range(i1, i0 - 1, -1) for j in range(j1, j0 - 1, -1)
+             if (t := (i * sides[0], j * sides[1])) not in skip]
+    lines = [(_AXIS[axis], idx) for axis, idx in lines if axis in ("col", "row")]
+    clean = (t for t in cands if all((idx - u[k] - t[k]) % grown[k] for k, idx in lines))
+    return extend_tile_gp(q, ranges, next(clean, cands[0]), fills)
 
 
 def discriminate_shift_gp(q, s, avoid_lines=()):
@@ -168,46 +169,33 @@ def discriminate_shift_gp(q, s, avoid_lines=()):
     target = (u[0] + s[0], u[1] + s[1])
     bi, rx = divmod(target[0] - a, w)
     bj, ry = divmod(target[1] - cc, h)
-    i0, i1 = _pad_pow(min(0, bi), max(0, bi), q.n)
-    j0, j1 = _pad_pow(min(0, bj), max(0, bj), q.n)
     rel = (a + rx, cc + ry)
-    while True:
-        offsets = {(i * w, j * h) for i in range(i0, i1 + 1) for j in range(j0, j1 + 1)}
-        excluded = {(0, 0)}
-        if rel == u:
-            excluded.add((target[0] - u[0], target[1] - u[1]))
-        cands = sorted(offsets - excluded)
-        if cands:
-            break
-        cnt = (i1 - i0 + 1) * q.n
-        if bi >= 0:
-            i1 = i0 + cnt - 1
-        else:
-            i0 = i1 - cnt + 1
+    skip = {(0, 0)}
     if rel == u:
+        skip.add(s)
         fills = {u: 0, target: 1}
     else:
         fills = {u: 1 - q.p.value(rel)}
-    t_star = _choose_tstar(
-        cands, u, (i1 - i0 + 1) * w, (j1 - j0 + 1) * h, avoid_lines
-    )
-    return extend_tile_gp(q, ((i0, i1), (j0, j1)), t_star, fills), (u, target)
+    counts = [1, 1]
+    for k, b in enumerate((bi, bj)):
+        while counts[k] <= abs(b):
+            counts[k] *= q.n
+    # Every skipped offset is a tiled block, so this widens until one is left.
+    while counts[0] * counts[1] <= len(skip):
+        counts[0] *= q.n
+    ranges = [_span(b, cnt) for b, cnt in zip((bi, bj), counts)]
+    return _grow(q, ranges, avoid_lines, skip, fills), (u, target)
 
 
 def detect_line_period(cfg, axis, index):
     """Smallest period of the given full row or column, or None when the
     line is too short to constrain anything."""
-    a, b, cc, d = cfg.rect.bounds()
-    if axis == "row":
-        if not cc <= index <= d:
-            raise ValueError("row outside the window")
-        seq = cfg.array[index - cc, :]
-    elif axis == "col":
-        if not a <= index <= b:
-            raise ValueError("column outside the window")
-        seq = cfg.array[:, index - a]
-    else:
+    if axis not in ("col", "row"):
         raise ValueError(f"axis must be 'row' or 'col', got {axis!r}")
+    k = _AXIS[axis]
+    if not cfg.rect.lo[k] <= index <= cfg.rect.hi[k]:
+        raise ValueError(f"{('column', 'row')[k]} outside the window")
+    seq = cfg.array.take(index - cfg.rect.lo[k], axis=1 - k)
     if (seq == HOLE).any():
         raise ValueError("line crosses the hole")
     n = len(seq)
@@ -265,48 +253,25 @@ def _stage(c):
 def _clear_line(cur, axis, index, lines):
     """Tile along the line's axis so the hole leaves the line. No-op when
     the line already misses the hole's residue class."""
-    u = cur.u
-    w, h = cur.p.rect.width, cur.p.rect.height
-    n = cur.n
-    if axis == "row":
-        if (index - u[1]) % h != 0:
-            return cur
-        m = (index - u[1]) // h
-        cands = [(0, k * h) for k in range(n) if (m - k) % n != 0]
-        t_star = _choose_tstar(cands, u, w, n * h, lines)
-        return extend_tile_gp(cur, ((0, 0), (0, n - 1)), t_star, None)
-    if (index - u[0]) % w != 0:
+    k = _AXIS[axis]
+    sides = (cur.p.rect.width, cur.p.rect.height)
+    m, r = divmod(index - cur.u[k], sides[k])
+    if r:
         return cur
-    m = (index - u[0]) // w
-    cands = [(k * w, 0) for k in range(n) if (m - k) % n != 0]
-    t_star = _choose_tstar(cands, u, n * w, h, lines)
-    return extend_tile_gp(cur, ((0, n - 1), (0, 0)), t_star, None)
+    counts = [1, 1]
+    counts[k] = cur.n
+    on_line = tuple(m % cnt * side for cnt, side in zip(counts, sides))
+    return _grow(cur, [(0, cnt - 1) for cnt in counts], lines, skip={on_line})
 
 
 def _cover_gp(cur, g, lines, max_side):
-    n = cur.n
     while not cur.p.rect.contains(g):
-        a, b, cc, d = cur.p.rect.bounds()
-        w, h = cur.p.rect.width, cur.p.rect.height
-        if g[0] > b:
-            ranges = ((0, n - 1), (0, 0))
-        elif g[0] < a:
-            ranges = ((-(n - 1), 0), (0, 0))
-        elif g[1] > d:
-            ranges = ((0, 0), (0, n - 1))
-        else:
-            ranges = ((0, 0), (-(n - 1), 0))
-        new_w = w * (ranges[0][1] - ranges[0][0] + 1)
-        new_h = h * (ranges[1][1] - ranges[1][0] + 1)
-        if max(new_w, new_h) > max_side:
+        rect = cur.p.rect
+        counts = [1, 1]
+        counts[int(rect.lo[0] <= g[0] <= rect.hi[0])] = cur.n
+        if max(rect.width * counts[0], rect.height * counts[1]) > max_side:
             raise ResourceLimitError(f"cover of {g} would exceed max_side={max_side}")
-        offsets = sorted(
-            (i * w, j * h)
-            for i in range(ranges[0][0], ranges[0][1] + 1)
-            for j in range(ranges[1][0], ranges[1][1] + 1)
-        )
-        t_star = _choose_tstar(offsets, cur.u, new_w, new_h, lines)
-        cur = extend_tile_gp(cur, ranges, t_star, None)
+        cur = _grow(cur, [_span(x - hi, cnt) for x, hi, cnt in zip(g, rect.hi, counts)], lines)
     return cur
 
 
@@ -364,16 +329,14 @@ def verify_gp_certificate(cert):
     # A no-op line_clear repeats its stage; each distinct stage is checked once.
     stage_ok = {}
     for i, st in enumerate(cert.stages):
-        w, h, su = int(st["w"]), int(st["h"]), st["u"]
-        pair = is_point(su)
-        key = (w, h, tuple(su) if pair else None)
-        if key not in stage_ok:
-            # The stage's hole is a pair of integers in the final hole's
-            # class modulo its block sides, which are powers of n dividing
-            # the final sides.
+        w, h, su = st["w"], st["h"], st["u"]
+        # Non-integer claims fail here, before 2.0 could share the entry of 2.
+        key = (w, h, tuple(su)) if is_int(w) and is_int(h) and is_point(su) else None
+        if key is not None and key not in stage_ok:
+            # The stage's hole is in the final hole's class modulo its block
+            # sides, which are powers of n dividing the final sides.
             stage_ok[key] = (
-                pair
-                and fu is not None
+                fu is not None
                 and final.n >= 2
                 and all(
                     _is_power(k, final.n) and side % k == 0 for k, side in ((w, W), (h, H))
@@ -383,9 +346,9 @@ def verify_gp_certificate(cert):
                 and verify_grid_periodicity(fin, w, h, su)
             )
         checks.append(
-            {"name": f"stage[{i}] periodicity {st['w']}x{st['h']}", "ok": stage_ok[key]}
+            {"name": f"stage[{i}] periodicity {st['w']}x{st['h']}",
+             "ok": stage_ok.get(key, False)}
         )
-    a, b, cc, d = fin.rect.bounds()
     for srec in cert.steps:
         op = srec["req"]["op"]
         if op == "shift":
@@ -404,20 +367,12 @@ def verify_gp_certificate(cert):
                 {"name": f"shift {srec['req']['s']} pair differs", "ok": ok}
             )
         elif op == "line_clear":
-            axis = srec["req"]["axis"]
-            idx = int(srec["req"]["index"])
-            if fu is None:
-                ok = False
-            elif axis == "row":
-                ok = (idx - fu[1]) % H != 0
-                if ok and cc <= idx <= d:
-                    per = detect_line_period(fin, "row", idx)
-                    ok = per is not None and W % per == 0
-            else:
-                ok = (idx - fu[0]) % W != 0
-                if ok and a <= idx <= b:
-                    per = detect_line_period(fin, "col", idx)
-                    ok = per is not None and H % per == 0
+            axis, idx = srec["req"]["axis"], srec["req"]["index"]
+            k = _AXIS["row" if axis == "row" else "col"]
+            ok = fu is not None and is_int(idx) and (idx - fu[k]) % (W, H)[k] != 0
+            if ok and fin.rect.lo[k] <= idx <= fin.rect.hi[k]:
+                per = detect_line_period(fin, ("col", "row")[k], idx)
+                ok = per is not None and (H, W)[k] % per == 0
             checks.append({"name": f"line {axis} {idx} cleared", "ok": ok})
         elif op == "cover":
             g = srec["req"]["g"]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .geometry import Rect
 from .grid import HOLE, Config, tile
-from .schedule import Cover, certificate_class, run_schedule
+from .schedule import Cover, certificate_class, is_point, read_points, run_schedule
 from .witness import (
     _differs,
     _pattern_ok_grid,
@@ -60,22 +60,14 @@ class MtCondition:
 
     @classmethod
     def from_json(cls, data):
+        p = Config.from_json(data["p"])
+        if not all(is_point(e["t"]) for e in data["shifts"]):
+            raise ValueError("t: expected two integers")
         return cls(
-            p=Config.from_json(data["p"]),
-            shifts=tuple(
-                (
-                    (int(tx), int(ty)),
-                    frozenset((int(x), int(y)) for x, y in e["T"]),
-                )
-                for e in data["shifts"]
-                for tx, ty in (e["t"],)  # t has exactly two entries
-            ),
+            p=p,
+            shifts=tuple((tuple(e["t"]), read_points(e["T"], "T")) for e in data["shifts"]),
             patterns=tuple(
-                (
-                    Config.from_json(e["f"]),
-                    frozenset((int(x), int(y)) for x, y in e["F"]),
-                )
-                for e in data["patterns"]
+                (Config.from_json(e["f"]), read_points(e["F"], "F")) for e in data["patterns"]
             ),
             odd_mode=bool(data["odd"]),
         )
@@ -179,11 +171,11 @@ def extend_shift(c, t):
     for (s, _T) in c.shifts:
         if s == t:
             return c
+    a, b, cc, d = c.p.rect.bounds()
     u = _lex_least_differing(c.p, t)
     if u is not None:
-        T = frozenset((u[0] - gx, u[1] - gy) for (gx, gy) in c.p.rect.points())
+        T = frozenset(Rect.from_bounds(u[0] - b, u[0] - a, u[1] - d, u[1] - cc).points())
         return MtCondition(c.p, c.shifts + ((t, T),), c.patterns, c.odd_mode)
-    a, b, cc, d = c.p.rect.bounds()
     nx, ax, cx, (tx0, tx1) = _shift_axis(t[0], a, b, c.odd_mode)
     ny, ay, cy, (ty0, ty1) = _shift_axis(t[1], cc, d, c.odd_mode)
     image = (cx + t[0], cy + t[1])

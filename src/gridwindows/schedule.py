@@ -14,6 +14,7 @@ one build that the family's verifier re-checks.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields, make_dataclass
+from itertools import chain
 
 from .errors import ResourceLimitError
 
@@ -23,9 +24,24 @@ class Cover:
     g: tuple
 
 
+def is_int(v):
+    """v is a JSON integer (not a float, a string or a bool)."""
+    return type(v) is int
+
+
 def is_point(v):
     """v is a JSON point: a list of two integers."""
-    return isinstance(v, list) and len(v) == 2 and all(type(x) is int for x in v)
+    return isinstance(v, list) and len(v) == 2 and is_int(v[0]) and is_int(v[1])
+
+
+def read_points(v, where):
+    """The JSON list of points v as a frozenset of (x, y) tuples."""
+    # is_point over the whole list, with the loops in C: witness sets run to
+    # tens of thousands of points.
+    if not (set(map(type, v)) <= {list} and set(map(len, v)) <= {2}
+            and set(map(type, chain.from_iterable(v))) <= {int}):
+        raise ValueError(f"{where}: expected a list of points")
+    return frozenset(map(tuple, v))
 
 
 def _read(kind, v):
@@ -35,7 +51,7 @@ def _read(kind, v):
         if is_point(v):
             return tuple(v)
         raise ValueError("expected two integers")
-    if kind == "int" and type(v) is not int:
+    if kind == "int" and not is_int(v):
         raise ValueError("expected an integer")
     return v
 

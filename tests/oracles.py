@@ -13,6 +13,7 @@ import numpy as np
 
 from gridwindows.geometry import Rect
 from gridwindows.grid import Config, tile
+from gridwindows.gridperiod import GpCondition, _is_power
 from gridwindows.mincolor import MtCondition, _lex_least_differing
 
 
@@ -436,3 +437,39 @@ def mirror_extend_shift(c, t):
     newp = _mirror_config(grown, fx, fy, about=c.p.rect)
     T = frozenset(((-x if fx else x), (-y if fy else y)) for (x, y) in T)
     return MtCondition(newp, c.shifts + ((t, T),), c.patterns, c.odd_mode)
+
+
+# The gp tile step before it went whole-array: the block offsets and the
+# displaced hole slots as sets, and one write per block.
+
+def naive_extend_tile_gp(q, ranges, t_star, hole_fills=None):
+    (i0, i1), (j0, j1) = ranges
+    if i0 > 0 or i1 < 0 or j0 > 0 or j1 < 0:
+        raise ValueError("tile ranges must include block 0")
+    w, h = q.p.rect.width, q.p.rect.height
+    if not _is_power(i1 - i0 + 1, q.n) or not _is_power(j1 - j0 + 1, q.n):
+        raise ValueError("block counts must be powers of the base")
+    offsets = {(i * w, j * h) for i in range(i0, i1 + 1) for j in range(j0, j1 + 1)}
+    t_star = (int(t_star[0]), int(t_star[1]))
+    if t_star not in offsets:
+        raise ValueError("new hole must land on a tiled block")
+    u = q.u
+    fills = {}
+    if hole_fills:
+        fills = {(int(k[0]), int(k[1])): int(v) for k, v in hole_fills.items()}
+    new_hole = (u[0] + t_star[0], u[1] + t_star[1])
+    slots = {(u[0] + tx, u[1] + ty) for (tx, ty) in offsets}
+    for k, v in fills.items():
+        if k not in slots or k == new_hole:
+            raise ValueError(f"fill at {k} is not a displaced hole slot")
+        if v not in (0, 1):
+            raise ValueError(f"fill value {v} is not a bit")
+    a, _b, cc, _d = q.p.rect.bounds()
+    lo = (a + i0 * w, cc + j0 * h)
+    out = np.tile(q.p.array, (j1 - j0 + 1, i1 - i0 + 1))
+    for (tx, ty) in offsets:
+        pos = (u[0] + tx, u[1] + ty)
+        row, col = pos[1] - lo[1], pos[0] - lo[0]
+        out[row, col] = REF_HOLE if (tx, ty) == t_star else fills.get(pos, 0)
+    rect = Rect(lo, (lo[0] + (i1 - i0 + 1) * w - 1, lo[1] + (j1 - j0 + 1) * h - 1))
+    return GpCondition(q.n, Config(rect, out))

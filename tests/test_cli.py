@@ -288,11 +288,30 @@ PINNED = [
     ("build-gp", gp_spec(),
      "088c51f18674d160fb678e4c12271fd4cfec54365dbbaf6fe497bcf26e4f7f14",
      "5d71eda95c0be089c8b2b81dc4f93f7e543ac03c2d26800af6df169e23d342c2"),
+    # Widening past a displaced hole slot, a column clear that tiles, a
+    # cover down and left.
+    ("build-gp", gp_spec(schedule=[{"op": "shift", "s": [2, 0]}, {"op": "shift", "s": [-3, 2]},
+                                   {"op": "line_clear", "axis": "col", "index": 7},
+                                   {"op": "line_clear", "axis": "row", "index": 1},
+                                   {"op": "cover", "g": [-9, -7]}],
+                         limits={"max_side": 128, "max_steps": 64}),
+     "6543e1058e34d4ab945176f1c32939eec5ecf85ba92bd4f25bbea265468d01ec",
+     "01e9aab1978c60dd67c7b6277f189e0126eac5fce00ea254ed0904abfaafa51d"),
+    # Base 3: a row clear that tiles, growth to the left.
+    ("build-gp", gp_spec(seed={"n": 3, "p": {"rect": [0, 2, 0, 2], "rows": ["010", "1.0", "011"],
+                                             "holes": [[1, 1]]}},
+                         schedule=[{"op": "line_clear", "axis": "row", "index": 1},
+                                   {"op": "shift", "s": [-4, 5]},
+                                   {"op": "line_clear", "axis": "col", "index": 1},
+                                   {"op": "cover", "g": [20, -10]}, {"op": "shift", "s": [0, -9]}],
+                         limits={"max_side": 243, "max_steps": 64}),
+     "bcc51101977d7c66e404a71742b8a89595d9b1557f13f24206256056d681a1e4",
+     "e8412abc31ab3e9ce3173e7625472e34f0b5c708bd95cdcf49914b240c3daf8d"),
 ]
 
 
 @pytest.mark.parametrize("cmd,spec,cert_sha,report_sha", PINNED,
-                         ids=["mt", "odd", "neg", "neg-odd", "gp"])
+                         ids=["mt", "odd", "neg", "neg-odd", "gp", "gp-neg", "gp-n3"])
 def test_build_artifacts_byte_identical(tmp_path, capsys, cmd, spec, cert_sha, report_sha):
     path = write_spec(tmp_path / "spec.json", spec)
     out_dir = tmp_path / "out"
@@ -334,6 +353,15 @@ def test_toast_violation_report(tmp_path, capsys):
     report = json.loads(out)
     assert report["ok"] is False
     assert any(v["clause"] == "2'" for v in report["violations"])
+
+
+def test_toast_float_window_exit_2(tmp_path, capsys):
+    data = toast_spec()
+    data["toast"]["window"] = [-4.5, 4, -4, 4]
+    spec = write_spec(tmp_path / "toast.json", data)
+    code, _, err = run_cli(["toast", "--spec", spec], capsys)
+    assert code == 2
+    assert "rect: expected four integers" in err
 
 
 def test_toast_pgm_artifact(tmp_path, capsys):

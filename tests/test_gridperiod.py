@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -25,7 +26,7 @@ from gridwindows.gridperiod import (
 )
 from gridwindows.serialize import canon_dumps
 
-from oracles import naive_min_period, rect_cells
+from oracles import naive_extend_tile_gp, naive_min_period, rect_cells
 
 
 def gp(rows, n=2, lo=(0, 0)):
@@ -117,7 +118,53 @@ def test_extend_tile_gp_rejections():
         extend_tile_gp(SEED, ((1, 2), (0, 1)), (2, 2))       # ranges exclude block 0
 
 
+def test_extend_tile_gp_matches_per_block_oracle():
+    rng = random.Random(211)
+    kept = rejected = 0
+    for _ in range(1500):
+        n = rng.choice([2, 3])
+        w, h = n ** rng.randrange(3), n ** rng.randrange(3)
+        bits = [[str(rng.randrange(2)) for _ in range(w)] for _ in range(h)]
+        bits[rng.randrange(h)][rng.randrange(w)] = "."
+        q = gp(["".join(r) for r in bits], n=n, lo=(rng.randint(-4, 4), rng.randint(-4, 4)))
+        ranges = []
+        for _ in range(2):
+            cnt = n ** rng.randrange(3) + (rng.random() < 0.05)
+            lo = -rng.randrange(cnt) if rng.random() < 0.95 else 1
+            ranges.append((lo, lo + cnt - 1))
+        (i0, i1), (j0, j1) = ranges
+        t_star = (rng.randint(i0, i1) * w + (rng.random() < 0.05),
+                  rng.randint(j0, j1 + (rng.random() < 0.05)) * h)
+        fills = {}
+        for _ in range(rng.randrange(4)):
+            off = (rng.randint(i0, i1) * w, rng.randint(j0, j1) * h + (rng.random() < 0.03))
+            fills[(q.u[0] + off[0], q.u[1] + off[1])] = rng.choice([0, 1] * 20 + [2])
+        try:
+            want = naive_extend_tile_gp(q, ranges, t_star, fills)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                extend_tile_gp(q, ranges, t_star, fills)
+            rejected += 1
+            continue
+        assert extend_tile_gp(q, ranges, t_star, fills) == want
+        kept += 1
+    assert kept > 500 and rejected > 300
+
+
 # -------------------------------------------------------- discriminate_shift_gp
+
+@pytest.mark.parametrize("s,bounds,u", [((2, 0), (0, 7, 0, 1), (7, 1)),
+                                        ((0, -2), (0, 3, -2, 1), (3, 1)),
+                                        ((-4, 2), (-6, 1, 0, 3), (1, 3))])
+def test_discriminate_onto_displaced_hole_slot(s, bounds, u):
+    # u + s is a copy of the hole slot: both cells get opposite fills.
+    out, pair = discriminate_shift_gp(SEED, s)
+    assert pair == ((1, 1), (1 + s[0], 1 + s[1]))
+    assert out.p.rect == Rect.from_bounds(*bounds)
+    assert out.u == u
+    assert [out.p.value(g) for g in pair] == [0, 1]
+    assert is_extension_gp(out, SEED)
+
 
 def test_discriminate_small_shift():
     out, pair = discriminate_shift_gp(SEED, (1, 0))

@@ -349,6 +349,15 @@ SHAPE_TAMPERS = [
     ("build-gp", GP_SPEC, ("steps", 2, "req", "g"), [5], 4),
     ("build-gp", GP_SPEC, ("steps", 2, "req", "g"), [], 4),
     ("build-gp", GP_SPEC, ("steps", 2, "req", "g"), [[1, 2]], 4),
+    # Non-integer numbers were truncated by int() and verified.
+    ("build-mt", MT_SPEC, ("final", "shifts", 0, "t"), [1.5, 0], 2),
+    ("build-mt", MT_SPEC, ("final", "shifts", 0, "T", 0), [-1.1, -2], 2),
+    ("build-gp", GP_SPEC, ("steps", 1, "req", "index"), 0.5, 4),
+    ("build-gp", GP_SPEC, ("stages", 0, "w"), 2.5, 4),
+    ("build-gp", GP_SPEC, ("stages", 0, "w"), 2.0, 4),
+    ("build-gp", GP_SPEC, ("final", "n"), 2.9, 2),
+    ("build-gp", GP_SPEC, ("final", "p", "rect"), [0.5, 15, 0, 15], 2),
+    ("build-gp", GP_SPEC, ("final", "p", "holes", 0), [15.2, 15], 2),
 ]
 
 
@@ -356,7 +365,9 @@ SHAPE_TAMPERS = [
     "cmd,spec,path,value,code",
     SHAPE_TAMPERS,
     ids=["t-short", "t-empty", "seed-t-short", "huge-rect",
-         "pair-short", "pair-points-short", "g-short", "g-empty", "g-nested"],
+         "pair-short", "pair-points-short", "g-short", "g-empty", "g-nested",
+         "t-float", "T-float", "index-float", "w-float", "w-integral-float", "n-float",
+         "rect-float", "hole-float"],
 )
 def test_malformed_shape_exit_code(tmp_path, capsys, cmd, spec, path, value, code):
     data = build_cert(tmp_path, capsys, cmd, spec)

@@ -33,7 +33,7 @@ from .markers import (
     fx_profile,
     toast_report,
 )
-from .schedule import parse_schedule
+from .schedule import is_point, parse_schedule, read_int
 from .serialize import canon_dumps, pgm_dumps
 
 DEFAULT_LIMITS = {"max_side": 512, "max_steps": 256}
@@ -121,24 +121,38 @@ def cmd_verify(args):
     return 0 if report["ok"] else 4
 
 
+def _probes(spec):
+    """The spec's probes as (x, y) tuples, in order."""
+    probes = spec.get("probes", [])
+    if not isinstance(probes, list):
+        raise ValueError("probes: expected a list of points")
+    for i, g in enumerate(probes):
+        if not is_point(g):
+            raise ValueError(f"probes[{i}]: expected two integers")
+    return [tuple(g) for g in probes]
+
+
 def _toast_pgm(t):
+    """Depth map of the toast: each window cell's highest level + 1, else 0."""
     win = t.window
-    depth = {}
+    side, max_side = max(win.width, win.height), DEFAULT_LIMITS["max_side"]
+    if side > max_side:
+        raise ResourceLimitError(f"window side {side} exceeds max_side={max_side}")
+    lo_x, hi_y = win.lo[0], win.hi[1]
+    depth = np.zeros((win.height, win.width), dtype=np.int64)
+    # Levels ascend, so a cell's last write is its highest level. Offsets are
+    # taken in Python, so far-out coordinates never reach numpy.
     for n, level in enumerate(t.levels):
-        for cl in level:
-            for g in cl:
-                if win.contains(g):
-                    depth[g] = max(depth.get(g, 0), n + 1)
-    rows = []
-    for y in range(win.hi[1], win.lo[1] - 1, -1):
-        rows.append([depth.get((x, y), 0) for x in range(win.lo[0], win.hi[0] + 1)])
-    return pgm_dumps(rows, max(1, len(t.levels)))
+        cells = [(hi_y - y, x - lo_x) for cl in level for (x, y) in cl if win.contains((x, y))]
+        if cells:
+            depth[tuple(zip(*cells))] = n + 1
+    return pgm_dumps(depth, max(1, len(t.levels)))
 
 
 def cmd_toast(args):
     spec = _load_json(args.spec)
     t = Toast.from_json(spec["toast"])
-    probes = [(int(g[0]), int(g[1])) for g in spec.get("probes", [])]
+    probes = _probes(spec)
     report = toast_report(t)
     report["fx"] = [
         {"probe": [gx, gy], "profile": fx_profile(t, (gx, gy))} for (gx, gy) in probes
@@ -161,9 +175,9 @@ def cmd_toast(args):
 
 
 def _markers_stack(args, spec):
-    a = int(spec["a"])
+    a = read_int(spec["a"], "a")
     m = 2 * a + 1
-    side = int(spec.get("side", 5 * m * m))
+    side = read_int(spec.get("side", 5 * m * m), "side")
     win = Rect.from_bounds(0, side - 1, 0, side - 1)
     long_ok, _ = check_segment_center_cover(a, win, 2 * m * m + 1)
     short_ok, _ = check_segment_center_cover(a, win, m)
@@ -189,14 +203,13 @@ def _markers_partitions(args, spec):
     window = Rect.from_json(spec["window"])
     parts = [
         RectPartition(
-            level=int(entry["level"]),
+            level=read_int(entry["level"], f"levels[{i}].level"),
             rects=tuple(Rect.from_json(r) for r in entry["rects"]),
             window=window,
         )
-        for entry in spec["levels"]
+        for i, entry in enumerate(spec["levels"])
     ]
-    probes = [(int(g[0]), int(g[1])) for g in spec.get("probes", [])]
-    print(canon_dumps(check_partition_props(parts, probes)))
+    print(canon_dumps(check_partition_props(parts, _probes(spec))))
     return 0
 
 

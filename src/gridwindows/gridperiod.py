@@ -382,7 +382,7 @@ def verify_gp_certificate(cert):
     return {"ok": all(ch["ok"] for ch in checks), "checks": checks}
 
 
-def lattice_demo(f, limits=None):
+def lattice_demo(f):
     """Build a window where the given hole-free pattern repeats on a square
     lattice. Returns (window, lattice, report); the report counts the
     lattice placements that fit and lists any that fail to match."""
@@ -419,7 +419,7 @@ def lattice_demo(f, limits=None):
     return window, lat, report
 
 
-def constant_on_lattice_demo(rule, r, limits=None):
+def constant_on_lattice_demo(rule, r):
     """Build a window on which the local rule (applied to the (2r+1)-square
     patch, rows low-y first) takes a single value over a full lattice of
     anchors. Returns (window, lattice, value)."""

@@ -12,13 +12,15 @@ checks here report which nesting clause fails and where.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import product
 
 import numpy as np
 
 from .geometry import Rect, dist_to_set
 from .grid import boundary, Config
+from .schedule import read_int, read_points
 
 
 # ---------------------------------------------------------------- shifted stack
@@ -50,16 +52,12 @@ def copy_centers(a, win):
     m = 2 * a + 1
     lo_x, lo_y = win.lo
     hi_x, hi_y = win.hi
-    out = set()
-    for cx in range(lo_x + a, hi_x - a + 1):
-        if (cx - a) % m != 0:
-            continue
-        c = (cx - a) // m
-        r = (a - c) % m
-        for cy in range(lo_y + a, hi_y - a + 1):
-            if (cy - r) % m == 0:
-                out.add((cx, cy))
-    return out
+    # Column block c holds its centers at x = c*m + a and y = (a - c) mod m.
+    return {
+        (cx, cy)
+        for cx in range(lo_x + a + (-lo_x) % m, hi_x - a + 1, m)
+        for cy in range(lo_y + a + (-lo_y - (cx - a) // m) % m, hi_y - a + 1, m)
+    }
 
 
 def check_segment_center_cover(a, win, length):
@@ -78,13 +76,15 @@ def check_segment_center_cover(a, win, length):
     x_last = hi_x - length + 1
     if x_last < lo_x or y_first > y_last:
         raise ValueError("window holds no admissible segment of this length")
-    centers = copy_centers(a, win)
+    rows = {}
+    for x, y in sorted(copy_centers(a, win)):
+        rows.setdefault(y, []).append(x)
     for y in range(y_first, y_last + 1):
-        row = sorted(x for (x, cy) in centers if cy == y)
-        for x0 in range(lo_x, x_last + 1):
-            k = bisect.bisect_left(row, x0)
-            if k >= len(row) or row[k] > x0 + length - 1:
-                return False, ((x0, y), length)
+        # A segment misses every center only inside a gap wider than it.
+        stops = [lo_x - 1, *rows.get(y, ()), hi_x + 1]
+        for p, q in zip(stops, stops[1:]):
+            if q - p > length:
+                return False, ((p + 1, y), length)
     return True, None
 
 
@@ -108,7 +108,7 @@ class RectPartition:
     @classmethod
     def from_json(cls, data):
         return cls(
-            level=int(data["level"]),
+            level=read_int(data["level"], "level"),
             rects=tuple(Rect.from_json(r) for r in data["rects"]),
             window=Rect.from_json(data["window"]),
         )
@@ -203,6 +203,11 @@ class Toast:
         )
         object.__setattr__(self, "levels", norm)
 
+    @cached_property
+    def interiors(self):
+        """Per level, each class minus its boundary ring."""
+        return tuple(tuple(cl - boundary(cl) for cl in level) for level in self.levels)
+
     def to_json(self):
         return {
             "layered": self.layered,
@@ -217,8 +222,8 @@ class Toast:
     def from_json(cls, data):
         return cls(
             levels=tuple(
-                tuple(frozenset((int(x), int(y)) for (x, y) in cl) for cl in level)
-                for level in data["levels"]
+                tuple(read_points(cl, f"levels[{n}][{i}]") for i, cl in enumerate(level))
+                for n, level in enumerate(data["levels"])
             ),
             layered=bool(data["layered"]),
             window=Rect.from_json(data["window"]),
@@ -269,26 +274,23 @@ def check_toast(t):
             if cl:
                 margin = max(margin, _taxicab_diameter(cl))
     a, b, c, d = t.window.bounds()
-    for g in t.window.points():
-        rim = min(g[0] - a, b - g[0], g[1] - c, d - g[1])
-        if rim >= margin and g not in covered:
-            vs.append(ToastViolation("0", None, g))
-            break
+    # Cells with rim >= margin, x-major: at most len(covered) + 1 are visited.
+    cells = product(range(a + margin, b - margin + 1), range(c + margin, d - margin + 1))
+    gap = next((g for g in cells if g not in covered), None)
+    if gap is not None:
+        vs.append(ToastViolation("0", None, gap))
 
-    top = len(t.levels) - 1
+    strict = "2'" if t.layered else "2"
     for n, level in enumerate(t.levels):
+        up = slice(n + 1, n + 2 if t.layered else None)
+        above = [sup for lv in t.levels[up] for sup in lv]
+        inner = [sup for lv in t.interiors[up] for sup in lv]
         for cl in level:
             if not cl or _rim_exempt(t, cl):
                 continue
-            if t.layered:
-                above = t.levels[n + 1] if n < top else ()
-                strict = "2'"
-            else:
-                above = [sup for m in range(n + 1, top + 1) for sup in t.levels[m]]
-                strict = "2"
             if not any(cl <= sup for sup in above):
                 vs.append(ToastViolation("1", n, min(cl)))
-            if not any(cl <= (sup - boundary(sup)) for sup in above):
+            if not any(cl <= sup for sup in inner):
                 vs.append(ToastViolation(strict, n, min(cl)))
     return vs
 
@@ -318,13 +320,11 @@ def fx_profile(t, g):
     distance from ``g`` to the union of that level's class boundaries."""
     g = (int(g[0]), int(g[1]))
     prof = []
-    for level in t.levels:
+    for level, inner in zip(t.levels, t.interiors):
         if not any(g in cl for cl in level):
             prof.append(0)
             continue
-        ring = set()
-        for cl in level:
-            ring |= boundary(cl)
+        ring = set().union(*(cl - i for cl, i in zip(level, inner)))
         prof.append(int(dist_to_set(g, ring)))
     return prof
 

@@ -34,11 +34,18 @@ def is_point(v):
     return isinstance(v, list) and len(v) == 2 and is_int(v[0]) and is_int(v[1])
 
 
+def read_int(v, where):
+    """The JSON integer v; anything else raises ValueError naming ``where``."""
+    if not is_int(v):
+        raise ValueError(f"{where}: expected an integer")
+    return v
+
+
 def read_points(v, where):
     """The JSON list of points v as a frozenset of (x, y) tuples."""
     # is_point over the whole list, with the loops in C: witness sets run to
     # tens of thousands of points.
-    if not (set(map(type, v)) <= {list} and set(map(len, v)) <= {2}
+    if not (isinstance(v, list) and set(map(type, v)) <= {list} and set(map(len, v)) <= {2}
             and set(map(type, chain.from_iterable(v))) <= {int}):
         raise ValueError(f"{where}: expected a list of points")
     return frozenset(map(tuple, v))

@@ -7,6 +7,7 @@ by running these by hand first. The few routines that take library arrays
 keep the loops the library used before it vectorized them.
 """
 
+import bisect
 import random
 
 import numpy as np
@@ -14,6 +15,7 @@ import numpy as np
 from gridwindows.geometry import Rect
 from gridwindows.grid import Config, tile
 from gridwindows.gridperiod import GpCondition, _is_power
+from gridwindows.markers import ToastViolation
 from gridwindows.mincolor import MtCondition, _lex_least_differing
 
 
@@ -473,3 +475,115 @@ def naive_extend_tile_gp(q, ranges, t_star, hole_fills=None):
         out[row, col] = REF_HOLE if (tx, ty) == t_star else fills.get(pos, 0)
     rect = Rect(lo, (lo[0] + (i1 - i0 + 1) * w - 1, lo[1] + (j1 - j0 + 1) * h - 1))
     return GpCondition(q.n, Config(rect, out))
+
+
+# The marker checkers before each toast class's interior was computed once:
+# the ring of every superclass rebuilt per pair, every window cell scanned
+# for clause 0, and the centre and segment scans cell by cell.
+
+def naive_copy_centers(a, win):
+    m = 2 * a + 1
+    lo_x, lo_y = win.lo
+    hi_x, hi_y = win.hi
+    out = set()
+    for cx in range(lo_x + a, hi_x - a + 1):
+        if (cx - a) % m != 0:
+            continue
+        c = (cx - a) // m
+        r = (a - c) % m
+        for cy in range(lo_y + a, hi_y - a + 1):
+            if (cy - r) % m == 0:
+                out.add((cx, cy))
+    return out
+
+
+def naive_check_segment_center_cover(a, win, length):
+    if length < 1:
+        raise ValueError(f"segment length must be >= 1, got {length}")
+    lo_x, lo_y = win.lo
+    hi_x, hi_y = win.hi
+    y_first, y_last = lo_y + 2 * a, hi_y - 2 * a
+    x_last = hi_x - length + 1
+    if x_last < lo_x or y_first > y_last:
+        raise ValueError("window holds no admissible segment of this length")
+    centers = naive_copy_centers(a, win)
+    for y in range(y_first, y_last + 1):
+        row = sorted(x for (x, cy) in centers if cy == y)
+        for x0 in range(lo_x, x_last + 1):
+            k = bisect.bisect_left(row, x0)
+            if k >= len(row) or row[k] > x0 + length - 1:
+                return False, ((x0, y), length)
+    return True, None
+
+
+def _naive_diameter(cl):
+    s = [x + y for (x, y) in cl]
+    d = [x - y for (x, y) in cl]
+    return max(max(s) - min(s), max(d) - min(d))
+
+
+def _naive_rim_exempt(t, cl):
+    a, b, c, d = t.window.bounds()
+    return not all(a < x < b and c < y < d for (x, y) in cl)
+
+
+def naive_check_toast(t):
+    vs = []
+    covered = set()
+    for n, level in enumerate(t.levels):
+        seen = set()
+        for cl in level:
+            if not cl:
+                vs.append(ToastViolation("structure", n, None))
+                continue
+            outside = [g for g in cl if not t.window.contains(g)]
+            if outside:
+                vs.append(ToastViolation("structure", n, min(outside)))
+            overlap = seen & cl
+            if overlap:
+                vs.append(ToastViolation("structure", n, min(overlap)))
+            seen |= cl
+            covered |= cl
+
+    margin = 0
+    for level in t.levels:
+        for cl in level:
+            if cl:
+                margin = max(margin, _naive_diameter(cl))
+    a, b, c, d = t.window.bounds()
+    for g in t.window.points():
+        rim = min(g[0] - a, b - g[0], g[1] - c, d - g[1])
+        if rim >= margin and g not in covered:
+            vs.append(ToastViolation("0", None, g))
+            break
+
+    top = len(t.levels) - 1
+    for n, level in enumerate(t.levels):
+        for cl in level:
+            if not cl or _naive_rim_exempt(t, cl):
+                continue
+            if t.layered:
+                above = t.levels[n + 1] if n < top else ()
+                strict = "2'"
+            else:
+                above = [sup for m in range(n + 1, top + 1) for sup in t.levels[m]]
+                strict = "2"
+            if not any(cl <= sup for sup in above):
+                vs.append(ToastViolation("1", n, min(cl)))
+            if not any(cl <= (sup - naive_boundary(sup)) for sup in above):
+                vs.append(ToastViolation(strict, n, min(cl)))
+    return vs
+
+
+def naive_fx_profile(t, g):
+    g = (int(g[0]), int(g[1]))
+    prof = []
+    for level in t.levels:
+        if not any(g in cl for cl in level):
+            prof.append(0)
+            continue
+        ring = set()
+        for cl in level:
+            ring |= naive_boundary(cl)
+        prof.append(int(naive_dist_to_set(g, ring)))
+    return prof

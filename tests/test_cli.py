@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -362,6 +363,142 @@ def test_toast_float_window_exit_2(tmp_path, capsys):
     code, _, err = run_cli(["toast", "--spec", spec], capsys)
     assert code == 2
     assert "rect: expected four integers" in err
+
+
+def broken_toast_spec(layered=True):
+    """toast_spec() with no top level, levels 2 and 3 equal, an overlap, an
+    empty class, a cell outside the window and probes off every class."""
+    data = toast_spec()
+    levels = data["toast"]["levels"]
+    levels[2] = levels[3]
+    del levels[4]
+    levels[0] = levels[0] + [[[0, 0], [1, 0]], [[6, 1], [3, 3]], []]
+    levels[1] = levels[1] + [[[-4, -4], [-4, -3]]]
+    data["toast"]["layered"] = layered
+    data["probes"] = [[0, 0], [2, 1], [-4, -3], [9, 9]]
+    return data
+
+
+# sha256 of the printed report and of toast.pgm, computed before each toast
+# class's interior was cached.
+PINNED_TOAST = [
+    (toast_spec(),
+     "192d473562722a4b8309e206753c1fe750ccbc0afb0f19cf1d954094cdd2b2de",
+     "936360209275efc5b358748f3217544047741e44f20774cf4490a89e4129e64a"),
+    (broken_toast_spec(),
+     "19dbd972e3ea5d2f208e9064ffb8b8283556b06185a4da56e72dbe404342263c",
+     "21045f25fa52d34d2b017062ed2595eba914ca506ed0de6240411f27ab46604f"),
+    (broken_toast_spec(layered=False),
+     "514dd297bde686b6545838fd3c0ae6b32cbb1ad7ea9327e4e8edd5a53b34f9d1",
+     "21045f25fa52d34d2b017062ed2595eba914ca506ed0de6240411f27ab46604f"),
+]
+
+
+@pytest.mark.parametrize("data,report_sha,pgm_sha", PINNED_TOAST,
+                         ids=["pass", "broken", "broken-unlayered"])
+def test_toast_artifacts_byte_identical(tmp_path, capsys, data, report_sha, pgm_sha):
+    spec = write_spec(tmp_path / "toast.json", data)
+    out_dir = tmp_path / "o"
+    code, out, _ = run_cli(["toast", "--spec", spec, "--out", str(out_dir),
+                            "--format", "pgm"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == report_sha
+    assert hashlib.sha256((out_dir / "toast.pgm").read_bytes()).hexdigest() == pgm_sha
+
+
+def huge_toast_spec():
+    return {"toast": {"layered": True, "window": [0, 10**6, 0, 10**6],
+                      "levels": [[[[1, 1]]]]}}
+
+
+def test_toast_huge_window_bounded_by_input(tmp_path, capsys):
+    spec = write_spec(tmp_path / "toast.json", huge_toast_spec())
+    start = time.perf_counter()
+    code, out, _ = run_cli(["toast", "--spec", spec], capsys)
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert json.loads(out)["violations"] == [
+        {"clause": "0", "level": None, "where": [0, 0]},
+        {"clause": "1", "level": 0, "where": [1, 1]},
+        {"clause": "2'", "level": 0, "where": [1, 1]},
+    ]
+
+
+@pytest.mark.parametrize("window,code", [([0, 511, 0, 0], 0), ([0, 512, 0, 0], 3),
+                                         ([0, 10**6, 0, 10**6], 3)])
+def test_toast_pgm_side_limit(tmp_path, capsys, window, code):
+    data = huge_toast_spec()
+    data["toast"]["window"] = window
+    spec = write_spec(tmp_path / "toast.json", data)
+    got, _, err = run_cli(["toast", "--spec", spec, "--out", str(tmp_path / "o"),
+                           "--format", "pgm"], capsys)
+    assert got == code
+    assert code == 0 or "exceeds max_side=512" in err
+
+
+def test_toast_pgm_far_coordinates(tmp_path, capsys):
+    far = 10**30
+    data = broken_toast_spec()
+    toast = data["toast"]
+    toast["window"] = [far - 4, far + 4, -4, 4]
+    toast["levels"] = [[[[x + far, y] for x, y in cl] for cl in level] for level in toast["levels"]]
+    pgms = []
+    for name, spec in (("near", broken_toast_spec()), ("far", data)):
+        path = write_spec(tmp_path / f"{name}.json", spec)
+        code, _, _ = run_cli(["toast", "--spec", path, "--out", str(tmp_path / name),
+                              "--format", "pgm"], capsys)
+        assert code == 0
+        pgms.append((tmp_path / name / "toast.pgm").read_bytes())
+    assert pgms[0] == pgms[1]
+
+
+def with_field(data, path, value):
+    *keys, last = path
+    node = data
+    for k in keys:
+        node = node[k]
+    node[last] = value
+    return data
+
+
+def partitions_spec():
+    return {"demo": "partitions", "window": [0, 7, 0, 7],
+            "levels": [{"level": 0, "rects": [[0, 7, 0, 7]]}], "probes": [[3, 3]]}
+
+
+# Numbers that are not JSON integers were truncated by int() before.
+BAD_CHECKER_INPUTS = [
+    ("toast", with_field(toast_spec(), ("toast", "levels", 0, 0, 0), [0.4, 0.3]),
+     "levels[0][0]: expected a list of points"),
+    ("toast", with_field(toast_spec(), ("toast", "levels", 1, 0), 5),
+     "levels[1][0]: expected a list of points"),
+    ("toast", with_field(toast_spec(), ("probes", 0), [0.7, 0]),
+     "probes[0]: expected two integers"),
+    ("toast", with_field(toast_spec(), ("probes", 0), [True, 0]),
+     "probes[0]: expected two integers"),
+    ("toast", with_field(toast_spec(), ("probes",), "00"),
+     "probes: expected a list of points"),
+    ("markers", {"demo": "shifted_stack", "a": 1.5}, "a: expected an integer"),
+    ("markers", {"demo": "shifted_stack", "a": 1, "side": 45.0}, "side: expected an integer"),
+    ("markers", with_field(partitions_spec(), ("levels", 0, "level"), 0.5),
+     "levels[0].level: expected an integer"),
+    ("markers", with_field(partitions_spec(), ("probes", 0), [0.7, 0]),
+     "probes[0]: expected two integers"),
+    ("markers", with_field(partitions_spec(), ("probes", 0), [True, 0]),
+     "probes[0]: expected two integers"),
+]
+
+
+@pytest.mark.parametrize("cmd,data,message", BAD_CHECKER_INPUTS,
+                         ids=["toast-point-float", "toast-class-int", "toast-probe-float",
+                              "toast-probe-bool", "toast-probes-string", "stack-a-float",
+                              "stack-side-float", "partition-level-float",
+                              "partition-probe-float", "partition-probe-bool"])
+def test_checker_non_integer_input_exit_2(tmp_path, capsys, cmd, data, message):
+    spec = write_spec(tmp_path / "spec.json", data)
+    code, out, err = run_cli([cmd, "--spec", spec], capsys)
+    assert code == 2 and out == ""
+    assert message in err
 
 
 def test_toast_pgm_artifact(tmp_path, capsys):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from gridwindows import markers
 from gridwindows.geometry import Rect
 from gridwindows.grid import Config
 from gridwindows.markers import (
@@ -21,6 +22,10 @@ from gridwindows.serialize import canon_dumps
 
 from oracles import (
     cells_of,
+    naive_check_segment_center_cover,
+    naive_check_toast,
+    naive_copy_centers,
+    naive_fx_profile,
     naive_shifted_stack,
     naive_stack_centers,
     rect_cells,
@@ -106,6 +111,37 @@ def test_copy_centers_are_real_copies():
     for (cx, cy) in copy_centers(a, r.rect):
         for (dx, dy) in rect_cells(-a, a, -a, a):
             assert r.value((cx + dx, cy + dy)) == p.value((dx, dy))
+
+
+def stack_case(rng):
+    """A random (a, window, length) for the centre and segment scans."""
+    a = rng.randint(0, 5)
+    m = 2 * a + 1
+    lo = (rng.randint(-30, 5), rng.randint(-30, 5))
+    width = rng.randint(1, 2 * m * m + 12)
+    height = rng.randint(1, 4 * a + 3 * m + 2)
+    win = Rect.from_bounds(lo[0], lo[0] + width - 1, lo[1], lo[1] + height - 1)
+    length = rng.choice([1, 2, m, 2 * m * m + 1, rng.randint(-1, width + 2)])
+    return a, win, length
+
+
+def outcome(f, *args):
+    try:
+        return "ok", f(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def test_copy_centers_and_segment_cover_match_cell_scans():
+    rng = random.Random(127)
+    failing = 0
+    for _ in range(3000):
+        a, win, length = stack_case(rng)
+        assert copy_centers(a, win) == naive_copy_centers(a, win)
+        got = outcome(check_segment_center_cover, a, win, length)
+        assert got == outcome(naive_check_segment_center_cover, a, win, length)
+        failing += got[0] == "ok" and not got[1][0]
+    assert failing > 300
 
 
 # ---------------------------------------------------------------- segment cover
@@ -323,3 +359,117 @@ def test_fx_strict_growth_requires_layered():
     unl = Toast(levels=t.levels, layered=False, window=t.window)
     with pytest.raises(ValueError):
         check_fx_strict_growth(unl, [(0, 0)])
+
+
+# ------------------------------------------------------- checkers vs cell scans
+
+def box_cells(a, b, c, d):
+    return frozenset(rect_cells(a, b, c, d))
+
+
+def nested_levels(rng, box, top):
+    """Levels 0..top of boxes nesting inside each other's interiors, with the
+    box itself at level ``top``; some boxes split into two children."""
+    levels = [[] for _ in range(top + 1)]
+    levels[top].append(box_cells(*box))
+    a, b, c, d = box
+    if top == 0:
+        return levels
+    a, b = a + rng.randint(0, 2), b - rng.randint(0, 2)
+    c, d = c + rng.randint(0, 2), d - rng.randint(0, 2)
+    if a > b or c > d:
+        return levels
+    kids = [(a, b, c, d)]
+    if b - a >= 2 and rng.random() < 0.4:
+        mid = rng.randint(a, b - 1)
+        kids = [(a, mid, c, d), (mid + 1, b, c, d)]
+    for kid in kids:
+        for n, level in enumerate(nested_levels(rng, kid, top - 1)):
+            levels[n].extend(level)
+    return levels
+
+
+SIDE_MOVES = (-1, 0, 0, 0, 0, 0, 0, 0, 0, 1)
+
+
+def random_toast(rng):
+    """A small toast: nested boxes (valid unless a box leaves the window) or
+    scattered cells, then a few classes emptied, grown off the window,
+    thinned, or overlapped by a copied cell."""
+    lo = (rng.randint(-4, 2), rng.randint(-4, 2))
+    win = Rect.from_bounds(lo[0], lo[0] + rng.randint(0, 10), lo[1], lo[1] + rng.randint(0, 10))
+    a, b, c, d = win.bounds()
+    top = rng.randint(0, 3)
+    if rng.random() < 0.7:
+        box = (a + rng.choice(SIDE_MOVES), b - rng.choice(SIDE_MOVES),
+               c + rng.choice(SIDE_MOVES), d - rng.choice(SIDE_MOVES))
+        levels = nested_levels(rng, box, top) if box[0] <= box[1] and box[2] <= box[3] else [[]]
+    else:
+        levels = [
+            [frozenset((rng.randint(a - 1, b + 1), rng.randint(c - 1, d + 1))
+                       for _ in range(rng.randint(1, 6)))
+             for _ in range(rng.randint(0, 4))]
+            for _ in range(top + 1)
+        ]
+    for level in levels:
+        for i, cl in enumerate(level):
+            roll = rng.random()
+            if roll < 0.02:
+                level[i] = frozenset()
+            elif roll < 0.05:
+                level[i] = cl | {(rng.randint(a - 3, b + 3), rng.randint(c - 3, d + 3))}
+            elif roll < 0.1 and len(cl) > 1:
+                level[i] = cl - {rng.choice(sorted(cl))}
+        if level and rng.random() < 0.05:
+            donor = rng.choice(level) or {(a, c)}
+            level.append(frozenset({rng.choice(sorted(donor))}))
+    return Toast(levels=tuple(map(tuple, levels)), layered=rng.random() < 0.5, window=win)
+
+
+TOASTS = 2000
+
+
+def test_toast_checkers_match_cell_scans(monkeypatch):
+    rng = random.Random(131)
+    kinds = {"structure": 0, "0": 0, "1": 0, "2": 0, "2'": 0, "ok": 0}
+    for _ in range(TOASTS):
+        t = random_toast(rng)
+        a, b, c, d = t.window.bounds()
+        probes = [(rng.randint(a, b), rng.randint(c, d)) for _ in range(3)]
+        probes += [(b + rng.randint(1, 3), rng.randint(c - 3, d + 3)), (a - 1, c - 1)]
+        want = naive_check_toast(t)
+        assert check_toast(t) == want
+        assert [fx_profile(t, g) for g in probes] == [naive_fx_profile(t, g) for g in probes]
+        got_report = toast_report(t)
+        got_growth = check_fx_strict_growth(t, probes) if t.layered else None
+        with monkeypatch.context() as mp:
+            mp.setattr(markers, "check_toast", naive_check_toast)
+            mp.setattr(markers, "fx_profile", naive_fx_profile)
+            assert got_report == toast_report(t)
+            if t.layered:
+                assert got_growth == check_fx_strict_growth(t, probes)
+        for clause in {v.clause for v in want} or {"ok"}:
+            kinds[clause] += 1
+    # Every clause is reached, and at least a quarter of the toasts are
+    # structurally broken.
+    assert min(kinds.values()) >= 50 and kinds["structure"] >= TOASTS // 4, kinds
+
+
+def test_toast_boundary_once_per_class(monkeypatch):
+    calls = []
+    real = markers.boundary
+    monkeypatch.setattr(markers, "boundary", lambda cl: calls.append(cl) or real(cl))
+    spots = [(-3, -3), (-3, 3), (3, -3), (3, 3)]
+    levels = (
+        tuple(frozenset({g}) for g in spots),
+        tuple(box_cells(x - 1, x + 1, y - 1, y + 1) for (x, y) in spots),
+        (box_cells(-5, 5, -5, 5),),
+        (box_cells(-8, 8, -8, 8),),
+    )
+    t = Toast(levels=levels, layered=True, window=Rect.from_bounds(-8, 8, -8, 8))
+    probes = spots + [(0, 0), (1, 4), (8, 8)]
+    assert toast_report(t)["ok"]
+    for g in probes:
+        fx_profile(t, g)
+    check_fx_strict_growth(t, probes)
+    assert len(calls) <= sum(len(level) for level in levels)

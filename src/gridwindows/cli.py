@@ -33,7 +33,7 @@ from .markers import (
     fx_profile,
     toast_report,
 )
-from .schedule import is_point, parse_schedule, read_int
+from .schedule import is_point, parse_schedule, read_bool, read_int
 from .serialize import canon_dumps, pgm_dumps
 
 DEFAULT_LIMITS = {"max_side": 512, "max_steps": 256}
@@ -83,7 +83,7 @@ def _build(args, kind):
             p=Config.from_json(spec["seed"]),
             shifts=(),
             patterns=(),
-            odd_mode=bool(spec.get("odd", False)),
+            odd_mode=read_bool(spec.get("odd", False), "odd"),
         )
     else:
         seed = gridperiod.GpCondition.from_json(spec["seed"])

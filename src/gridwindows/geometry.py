@@ -6,9 +6,9 @@ Points are plain ``(x, y)`` tuples throughout; all distances are taxicab.
 from __future__ import annotations
 
 import math
+from collections.abc import Set
 from dataclasses import dataclass
-
-from .schedule import is_int
+from itertools import product
 
 INFINITY = math.inf
 
@@ -85,9 +85,74 @@ class Rect:
 
     @classmethod
     def from_json(cls, data):
-        if not (isinstance(data, list) and len(data) == 4 and all(map(is_int, data))):
+        # JSON integers only: no floats, strings or bools.
+        if not (isinstance(data, list) and len(data) == 4 and {*map(type, data)} <= {int}):
             raise ValueError("rect: expected four integers")
         return cls.from_bounds(*data)
+
+
+@dataclass(frozen=True, eq=False)
+class Box(Set):
+    """The cells of [x0, x1] x [y0, y1], bounds inclusive, as an immutable
+    set of (x, y) tuples, listed in lex order (x first, then y) like
+    ``Rect.points()``. It equals, and hashes like, the frozenset of the same
+    cells. Membership and equality with another Box read the bounds only;
+    iteration and ``hash`` list the cells."""
+
+    x0: int
+    x1: int
+    y0: int
+    y1: int
+
+    def __post_init__(self):
+        if self.x0 > self.x1 or self.y0 > self.y1:
+            raise ValueError(f"inverted box bounds {self.bounds}")
+
+    @property
+    def bounds(self):
+        return (self.x0, self.x1, self.y0, self.y1)
+
+    @property
+    def area(self):
+        return (self.x1 - self.x0 + 1) * (self.y1 - self.y0 + 1)
+
+    @classmethod
+    def from_lex(cls, pts):
+        """The Box whose cells in lex order are exactly ``pts``, a list of
+        [x, y] lists of ints, else None. The bounds and the area are tested
+        before any cell is listed."""
+        if not pts:
+            return None
+        (x0, y0), (x1, y1) = pts[0], pts[-1]
+        if x0 > x1 or y0 > y1 or (x1 - x0 + 1) * (y1 - y0 + 1) != len(pts):
+            return None
+        box = cls(x0, x1, y0, y1)
+        return box if pts == list(map(list, box)) else None
+
+    def __iter__(self):
+        return product(range(self.x0, self.x1 + 1), range(self.y0, self.y1 + 1))
+
+    def __len__(self):
+        return self.area
+
+    def __contains__(self, g):
+        return (isinstance(g, tuple) and len(g) == 2
+                and self.x0 <= g[0] <= self.x1 and self.y0 <= g[1] <= self.y1)
+
+    def __eq__(self, other):
+        if isinstance(other, Box):
+            return self.bounds == other.bounds
+        if not isinstance(other, Set):
+            return NotImplemented
+        return len(other) == self.area and all(g in self for g in other)
+
+    def __hash__(self):
+        return hash(frozenset(self))
+
+    @classmethod
+    def _from_iterable(cls, it):
+        # Set operations (&, |, -, ^) give frozensets.
+        return frozenset(it)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ResourceLimitError
 from .geometry import Lattice, Rect, lattice_points_in
 from .grid import HOLE, Config
-from .schedule import Cover, certificate_class, is_int, is_point, run_schedule
+from .schedule import Cover, certificate_class, is_int, is_point, read_int, run_schedule
 
 
 def _is_power(k, n):
@@ -44,10 +44,10 @@ class GpCondition:
         return {"n": self.n, "p": self.p.to_json(), "u": [u[0], u[1]]}
 
     @classmethod
-    def from_json(cls, data):
-        if not is_int(data["n"]):
-            raise ValueError("n: expected an integer")
-        cond = cls(data["n"], Config.from_json(data["p"]))
+    def from_json(cls, data, where=""):
+        """``where`` is the condition's JSON path, named in errors."""
+        at = f"{where}." if where else ""
+        cond = cls(read_int(data["n"], f"{at}n"), Config.from_json(data["p"]))
         if "u" in data and tuple(data["u"]) != cond.u:
             raise ValueError("declared hole does not match the window")
         return cond

@@ -20,7 +20,7 @@ import numpy as np
 
 from .geometry import Rect, dist_to_set
 from .grid import boundary, Config
-from .schedule import read_int, read_points
+from .schedule import read_bool, read_int, read_points
 
 
 # ---------------------------------------------------------------- shifted stack
@@ -208,6 +208,14 @@ class Toast:
         """Per level, each class minus its boundary ring."""
         return tuple(tuple(cl - boundary(cl) for cl in level) for level in self.levels)
 
+    @cached_property
+    def rings(self):
+        """Per level, the union of its classes' boundary rings."""
+        return tuple(
+            frozenset().union(*(cl - i for cl, i in zip(level, inner)))
+            for level, inner in zip(self.levels, self.interiors)
+        )
+
     def to_json(self):
         return {
             "layered": self.layered,
@@ -225,7 +233,7 @@ class Toast:
                 tuple(read_points(cl, f"levels[{n}][{i}]") for i, cl in enumerate(level))
                 for n, level in enumerate(data["levels"])
             ),
-            layered=bool(data["layered"]),
+            layered=read_bool(data["layered"], "layered"),
             window=Rect.from_json(data["window"]),
         )
 
@@ -320,11 +328,10 @@ def fx_profile(t, g):
     distance from ``g`` to the union of that level's class boundaries."""
     g = (int(g[0]), int(g[1]))
     prof = []
-    for level, inner in zip(t.levels, t.interiors):
+    for level, ring in zip(t.levels, t.rings):
         if not any(g in cl for cl in level):
             prof.append(0)
             continue
-        ring = set().union(*(cl - i for cl, i in zip(level, inner)))
         prof.append(int(dist_to_set(g, ring)))
     return prof
 

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import Rect
+from .geometry import Box
 from .grid import HOLE, Config, tile
-from .schedule import Cover, certificate_class, is_point, read_points, run_schedule
+from .schedule import Cover, certificate_class, is_point, read_bool, read_points, run_schedule
 from .witness import (
     _differs,
     _pattern_ok_grid,
@@ -48,29 +48,34 @@ class MtCondition:
         return {
             "p": self.p.to_json(),
             "odd": self.odd_mode,
-            "shifts": [
-                {"t": [t[0], t[1]], "T": sorted([x, y] for (x, y) in T)}
-                for (t, T) in self.shifts
-            ],
-            "patterns": [
-                {"f": f.to_json(), "F": sorted([x, y] for (x, y) in F)}
-                for (f, F) in self.patterns
-            ],
+            "shifts": [{"t": [t[0], t[1]], "T": _points_json(T)} for (t, T) in self.shifts],
+            "patterns": [{"f": f.to_json(), "F": _points_json(F)} for (f, F) in self.patterns],
         }
 
     @classmethod
-    def from_json(cls, data):
+    def from_json(cls, data, where=""):
+        """``where`` is the condition's JSON path, named in errors."""
+        at = f"{where}." if where else ""
         p = Config.from_json(data["p"])
         if not all(is_point(e["t"]) for e in data["shifts"]):
-            raise ValueError("t: expected two integers")
+            raise ValueError(f"{at}t: expected two integers")
         return cls(
             p=p,
-            shifts=tuple((tuple(e["t"]), read_points(e["T"], "T")) for e in data["shifts"]),
+            shifts=tuple((tuple(e["t"]), read_points(e["T"], f"{at}T")) for e in data["shifts"]),
             patterns=tuple(
-                (Config.from_json(e["f"]), read_points(e["F"], "F")) for e in data["patterns"]
+                (Config.from_json(e["f"]), read_points(e["F"], f"{at}F"))
+                for e in data["patterns"]
             ),
-            odd_mode=bool(data["odd"]),
+            odd_mode=read_bool(data["odd"], f"{at}odd"),
         )
+
+
+def _points_json(S):
+    """A witness set as a JSON point list in lex order: a Box lists its
+    cells in that order already."""
+    if isinstance(S, Box):
+        return list(map(list, S))
+    return sorted([x, y] for (x, y) in S)
 
 
 def _first_bad(rect, mask):
@@ -174,7 +179,7 @@ def extend_shift(c, t):
     a, b, cc, d = c.p.rect.bounds()
     u = _lex_least_differing(c.p, t)
     if u is not None:
-        T = frozenset(Rect.from_bounds(u[0] - b, u[0] - a, u[1] - d, u[1] - cc).points())
+        T = Box(u[0] - b, u[0] - a, u[1] - d, u[1] - cc)
         return MtCondition(c.p, c.shifts + ((t, T),), c.patterns, c.odd_mode)
     nx, ax, cx, (tx0, tx1) = _shift_axis(t[0], a, b, c.odd_mode)
     ny, ay, cy, (ty0, ty1) = _shift_axis(t[1], cc, d, c.odd_mode)
@@ -183,7 +188,7 @@ def extend_shift(c, t):
     grown = tile(c.p, (nx, ny), lambda i, j: False, (ax, ay))
     if grown.value((cx, cy)) == grown.value(image):
         grown = tile(c.p, (nx, ny), lambda i, j: (i, j) == flipped, (ax, ay))
-    T = frozenset(Rect.from_bounds(tx0, tx1, ty0, ty1).points())
+    T = Box(tx0, tx1, ty0, ty1)
     return MtCondition(grown, c.shifts + ((t, T),), c.patterns, c.odd_mode)
 
 
@@ -210,7 +215,7 @@ def extend_pattern(c):
     newp = tile(q, (copies, 1), lambda i, j: i == 1, (a, cc))
     # Offsets reaching both polarities from every cell of any window built
     # from whole copies of the doubled block, flips included.
-    F = frozenset(Rect.from_bounds(a - 2 * b - 1, b - 2 * a + 1, -d, -cc).points())
+    F = Box(a - 2 * b - 1, b - 2 * a + 1, -d, -cc)
     return MtCondition(newp, c.shifts, c.patterns + ((q, F),), c.odd_mode)
 
 

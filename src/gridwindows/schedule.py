@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass, field, fields, make_dataclass
 from itertools import chain
 
 from .errors import ResourceLimitError
+from .geometry import Box
 
 
 @dataclass(frozen=True)
@@ -41,14 +42,23 @@ def read_int(v, where):
     return v
 
 
+def read_bool(v, where):
+    """The JSON boolean v; anything else raises ValueError naming ``where``."""
+    if type(v) is not bool:
+        raise ValueError(f"{where}: expected a boolean")
+    return v
+
+
 def read_points(v, where):
-    """The JSON list of points v as a frozenset of (x, y) tuples."""
+    """The JSON list of points v as a set of (x, y) tuples: a Box when v
+    lists exactly one box's cells in lex order, which is how witness sets
+    are written, and a frozenset otherwise."""
     # is_point over the whole list, with the loops in C: witness sets run to
     # tens of thousands of points.
     if not (isinstance(v, list) and set(map(type, v)) <= {list} and set(map(len, v)) <= {2}
             and set(map(type, chain.from_iterable(v))) <= {int}):
         raise ValueError(f"{where}: expected a list of points")
-    return frozenset(map(tuple, v))
+    return Box.from_lex(v) or frozenset(map(tuple, v))
 
 
 def _read(kind, v):
@@ -133,7 +143,7 @@ def certificate_class(name, kind, condition, extra=()):
     def from_json(cls, data):
         if data.get("kind") != kind:
             raise ValueError(f'kind: expected "{kind}"')
-        seed, final = condition.from_json(data["seed"]), condition.from_json(data["final"])
+        seed, final = (condition.from_json(data[key], key) for key in ("seed", "final"))
         return cls(seed, final, *(list(data[key]) for key in lists), dict(data["limits"]))
 
     chain = field(default=(), compare=False, repr=False)

@@ -12,7 +12,7 @@ from itertools import chain
 
 import numpy as np
 
-from .geometry import Lattice, Rect, lattice_points_in
+from .geometry import Box, Lattice, Rect, lattice_points_in
 from .grid import HOLE, _match_offsets, _offset_set
 
 
@@ -70,18 +70,24 @@ def _reach(target, srect, grid, offsets):
 
     One summed-area table of grid answers each box of offsets with one
     O(area) query, so a clause costs O(area) per box, not per offset.
-    Offsets that cannot reach srect from target are dropped first, and the
-    rest are taken relative to the least offset that can, (lx, ly), so every
-    numpy value is bounded by the sides of target and srect whatever the
-    coordinates are."""
+    Only offsets in [lx, hx] x [ly, hy] can reach srect from target. A Box
+    is clipped to that range in Python ints, without listing its cells; any
+    other offset set is filtered point by point and split by ``_boxes``.
+    The kept offsets are taken relative to (lx, ly), so every numpy value is
+    bounded by the sides of target and srect whatever the coordinates are."""
     ok = np.zeros((target.height, target.width), dtype=bool)
     if srect is None or not grid.any():
         return ok
     lx, hx = srect.lo[0] - target.hi[0], srect.hi[0] - target.lo[0]
     ly, hy = srect.lo[1] - target.hi[1], srect.hi[1] - target.lo[1]
-    boxes = _boxes(
-        (o[0] - lx, o[1] - ly) for o in offsets if lx <= o[0] <= hx and ly <= o[1] <= hy
-    )
+    if isinstance(offsets, Box):
+        x0, x1, y0, y1 = offsets.bounds
+        x0, x1, y0, y1 = max(x0, lx) - lx, min(x1, hx) - lx, max(y0, ly) - ly, min(y1, hy) - ly
+        boxes = [(x0, x1, y0, y1)] if x0 <= x1 and y0 <= y1 else []
+    else:
+        boxes = _boxes(
+            (o[0] - lx, o[1] - ly) for o in offsets if lx <= o[0] <= hx and ly <= o[1] <= hy
+        )
     sh, sw = grid.shape
     dtype = np.int32 if grid.size < 2**31 else np.int64
     sat = np.zeros((sh + 1, sw + 1), dtype=dtype)
@@ -143,9 +149,13 @@ def window_two_coloring_check(x, s, T):
     # g is admissible on [lo - min tau - min(0, s), hi - max tau - max(0, s)]
     # per axis. Python ints, so offsets of any size are accepted.
     rect = x.rect
-    txs, tys = zip(*T)
-    lo = (rect.lo[0] - min(txs) - min(0, s[0]), rect.lo[1] - min(tys) - min(0, s[1]))
-    hi = (rect.hi[0] - max(txs) - max(0, s[0]), rect.hi[1] - max(tys) - max(0, s[1]))
+    if isinstance(T, Box):
+        x0, x1, y0, y1 = T.bounds
+    else:
+        txs, tys = zip(*T)
+        x0, x1, y0, y1 = min(txs), max(txs), min(tys), max(tys)
+    lo = (rect.lo[0] - x0 - min(0, s[0]), rect.lo[1] - y0 - min(0, s[1]))
+    hi = (rect.hi[0] - x1 - max(0, s[0]), rect.hi[1] - y1 - max(0, s[1]))
     if lo[0] > hi[0] or lo[1] > hi[1]:
         return True
     region = Rect(lo, hi)

@@ -117,6 +117,14 @@ def test_build_mt_odd_mode_even_seed_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_build_mt_odd_flag_not_boolean_exit_2(tmp_path, capsys):
+    # "no" was read with bool() and built an odd-mode certificate.
+    spec = write_spec(tmp_path / "spec.json", mt_spec(odd="no"))
+    code, out, err = run_cli(["build-mt", "--spec", spec, "--out", str(tmp_path / "o")], capsys)
+    assert code == 2 and out == ""
+    assert "odd: expected a boolean" in err
+
+
 def test_build_mt_unknown_op_exit_2(tmp_path, capsys):
     data = mt_spec(schedule=[{"op": "warp"}])
     spec = write_spec(tmp_path / "spec.json", data)
@@ -486,6 +494,9 @@ BAD_CHECKER_INPUTS = [
      "probes[0]: expected two integers"),
     ("markers", with_field(partitions_spec(), ("probes", 0), [True, 0]),
      "probes[0]: expected two integers"),
+    # A flag that is not a JSON boolean was read with bool().
+    ("toast", with_field(toast_spec(), ("toast", "layered"), "no"),
+     "layered: expected a boolean"),
 ]
 
 
@@ -493,7 +504,8 @@ BAD_CHECKER_INPUTS = [
                          ids=["toast-point-float", "toast-class-int", "toast-probe-float",
                               "toast-probe-bool", "toast-probes-string", "stack-a-float",
                               "stack-side-float", "partition-level-float",
-                              "partition-probe-float", "partition-probe-bool"])
+                              "partition-probe-float", "partition-probe-bool",
+                              "toast-layered-string"])
 def test_checker_non_integer_input_exit_2(tmp_path, capsys, cmd, data, message):
     spec = write_spec(tmp_path / "spec.json", data)
     code, out, err = run_cli([cmd, "--spec", spec], capsys)

@@ -1,12 +1,13 @@
-"""The mt witness kernels against their reference loops: offset sets split
-into boxes, the summed-area reach, pattern offsets in both loop orders and
-the windowed two-coloring check, with offsets far outside the window."""
+"""The mt witness kernels against their reference loops: Box against the
+frozenset of its cells, offset sets split into boxes, the summed-area
+reach, pattern offsets in both loop orders and the windowed two-coloring
+check, with offsets far outside the window."""
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gridwindows.geometry import Rect
+from gridwindows.geometry import Box, Rect
 from gridwindows.grid import HOLE, Config, _match_offsets, _offset_set
 from gridwindows.witness import _boxes, _reach, window_two_coloring_check
 
@@ -31,6 +32,57 @@ def rand_config(rng, rect, hole_prob=0.0):
     bits[np.array([[rng.random() < hole_prob for _ in range(rect.width)]
                    for _ in range(rect.height)])] = HOLE
     return Config(rect, bits)
+
+
+# ------------------------------------------------------------------ Box
+
+SMALL = st.integers(-8, 8)
+FAR_SHIFTS = st.sampled_from([(0, 0), (10**30, 0), (0, -(10**30)), (-(10**30), 10**30)])
+
+
+def moved(box, c):
+    x0, x1, y0, y1 = box.bounds
+    return Box(x0 + c[0], x1 + c[0], y0 + c[1], y1 + c[1])
+
+
+def boxes(lo=-8, hi=8, max_side=5):
+    return st.builds(lambda x, y, w, h: Box(x, x + w - 1, y, y + h - 1),
+                     st.integers(lo, hi), st.integers(lo, hi),
+                     st.integers(1, max_side), st.integers(1, max_side))
+
+
+def rects(max_side=6):
+    return st.builds(lambda x, y, w, h: Rect((x, y), (x + w - 1, y + h - 1)),
+                     SMALL, SMALL, st.integers(1, max_side), st.integers(1, max_side))
+
+
+@given(boxes(), FAR_SHIFTS)
+def test_box_is_the_frozenset_of_its_cells(box, c):
+    box = moved(box, c)
+    x0, x1, y0, y1 = box.bounds
+    pts = Rect.from_bounds(x0, x1, y0, y1).points()
+    cells = frozenset(pts)
+    assert box == cells and cells == box
+    assert not (box != cells) and not (cells != box)
+    assert hash(box) == hash(cells)
+    assert len(box) == len(cells) == box.area
+    assert list(box) == pts
+    assert all(g in box for g in pts)
+    for g in ((x0 - 1, y0), (x1 + 1, y1), (x0, y0 - 1), (x1, y1 + 1), [x0, y0], (x0, y0, 0)):
+        assert g not in box
+    assert box == Box(x0, x1, y0, y1) and box != Box(x0, x1 + 1, y0, y1)
+    assert box != cells - {pts[-1]} and cells | {(x1 + 1, y0)} != box
+    assert box & cells == cells and not box - cells and type(box | cells) is frozenset
+    assert Box.from_lex([list(g) for g in pts]) == box
+    # Lists that are not the box's cells in lex order, some with the same
+    # first point, last point and length.
+    others = [pts[::-1], pts[1:] + pts[:1], pts[:1] + pts[-2:0:-1] + pts[-1:],
+              pts[:1] + [(x1 + 3, y1 + 3)] + pts[2:], pts[:1] + pts[:-1], pts + pts[-1:]]
+    for other in others:
+        if other != pts:
+            assert Box.from_lex([list(g) for g in other]) is None
+    # A 10**30-wide bounding box is refused by its area, never listed.
+    assert Box.from_lex([[x0, y0], [x0 + 10**30, y0]]) is None
 
 
 # ------------------------------------------------------------------ boxes
@@ -116,6 +168,36 @@ def test_reach_far_target_matches_per_offset_loop():
                 moved = [(o[0] - c[0], o[1] - c[1]) for o in offsets]
                 got = _reach(target, srect, grid, moved)
                 assert np.array_equal(got, naive_reach(target, srect, grid, moved)), kind
+
+
+@given(rects(), rects(), st.data(), FAR_SHIFTS, FAR_SHIFTS, st.integers(0, 2**32 - 1))
+def test_reach_box_matches_point_set_and_loop(target, srect, data, c, d, seed):
+    # A box around the reach range [lx, hx] x [ly, hy], overlapping it
+    # partly, wholly or not at all. Target moved by c and the box by -d:
+    # with c == d the box keeps its place relative to srect, with c != d it
+    # lies far outside the range.
+    lx, hx = srect.lo[0] - target.hi[0], srect.hi[0] - target.lo[0]
+    ly, hy = srect.lo[1] - target.hi[1], srect.hi[1] - target.lo[1]
+    x0, y0 = data.draw(st.integers(lx - 4, hx + 1)), data.draw(st.integers(ly - 4, hy + 1))
+    box = Box(x0, x0 + data.draw(st.integers(0, 5)), y0, y0 + data.draw(st.integers(0, 5)))
+    grid = np.random.default_rng(seed).random((srect.height, srect.width)) < 0.3
+    target, box = target.translate(c), moved(box, (-d[0], -d[1]))
+    want = naive_reach(target, srect, grid, list(box))
+    assert np.array_equal(_reach(target, srect, grid, box), want)
+    assert np.array_equal(_reach(target, srect, grid, frozenset(box)), want)
+
+
+@given(boxes(-3, 3, 3), FAR_SHIFTS, st.sampled_from([(1, 0), (0, 1), (-1, 2), (2, -1)]),
+       st.randoms())
+def test_window_check_box_matches_point_set_and_loop(box, c, s, rnd):
+    # The oracle runs on the box near the origin; translating T by c keeps
+    # the answer (test_window_check_far_translated_witness_set).
+    x = rand_config(rnd, rand_rect(rnd, 6), hole_prob=rnd.choice((0.0, 0.1)))
+    b, xc = cells_of(x)
+    want = naive_window_check(xc, b, s, list(box))
+    box = moved(box, c)
+    assert window_two_coloring_check(x, s, box) == want
+    assert window_two_coloring_check(x, s, frozenset(box)) == want
 
 
 # -------------------------------------------------------- pattern offsets

@@ -3,6 +3,7 @@ reports of broken finals keep their bytes, every gp stage and shift claim
 is checked against the window, and the clause kernels agree with the
 oracles."""
 
+import hashlib
 import json
 from collections import Counter
 
@@ -11,7 +12,7 @@ import pytest
 
 from gridwindows import gridperiod, mincolor, witness
 from gridwindows.cli import main
-from gridwindows.geometry import Rect
+from gridwindows.geometry import Box, Rect
 from gridwindows.grid import HOLE, Config
 from gridwindows.gridperiod import (
     GpCertificate,
@@ -32,6 +33,7 @@ from gridwindows.serialize import canon_dumps
 from gridwindows.witness import window_two_coloring_check
 
 from oracles import cells_of, naive_grid_periodicity, naive_lex_least_differing, seeded
+from test_cli import PINNED
 
 
 CHECKER = {"rect": [0, 2, 0, 2], "rows": ["010", "101", "010"], "holes": []}
@@ -394,3 +396,71 @@ def test_certificate_kind_checked():
         mincolor.Certificate.from_json(gp)
     with pytest.raises(ValueError, match='kind: expected "gp"'):
         GpCertificate.from_json(dict(gp, kind="mt"))
+
+
+# ------------------------------------------------------ mt reader round trip
+
+# The pinned mt specs with the parent report's sha256 when the first
+# witness set of the final condition loses its lex-least point.
+MT_PINNED = [(spec, report_sha) for (cmd, spec, _cert_sha, report_sha) in PINNED
+             if cmd == "build-mt"]
+MISSING_SHA = [
+    "88825598e5e3db656c5dbc9f031b5dbc534cd902f9f6494cde69a6ff4a1c5cd5",
+    "10d1aa69d3a0f81caa058b35b5fdd05f3b1b1c4686b20dd029768996e9283933",
+    "1bff1c1bda17576b7f978d2f44832503ceb999b0508bb67d06e21e470d9c6ed1",
+    "d5914976e6661201140dd74a247996f0ca4166e56e3cc53d26f73c3561505fc6",
+]
+MT_IDS = ["mt", "odd", "neg", "neg-odd"]
+
+
+def witness_sets(cond):
+    return [T for (_t, T) in cond.shifts] + [F for (_f, F) in cond.patterns]
+
+
+@pytest.mark.parametrize("spec,_sha", MT_PINNED, ids=MT_IDS)
+def test_mt_reader_reads_builder_sets_as_boxes(tmp_path, capsys, spec, _sha):
+    build_cert(tmp_path, capsys, "build-mt", spec)
+    text = (tmp_path / "out" / "certificate.json").read_text()
+    cert = mincolor.Certificate.from_json(json.loads(text))
+    sets = witness_sets(cert.seed) + witness_sets(cert.final)
+    assert sets and all(isinstance(S, Box) for S in sets)
+    assert canon_dumps(cert.to_json()) + "\n" == text
+
+
+def tamper_first_set(data, how):
+    final = data["final"]
+    entry, key = (final["shifts"][0], "T") if final["shifts"] else (final["patterns"][0], "F")
+    S = entry[key]
+    entry[key] = {
+        "reordered": S[:1] + S[-2:0:-1] + S[-1:],
+        "duplicate": S + S[:1],
+        "missing": S[1:],
+        "far": S + [[10**30, 0]],
+    }[how]
+
+
+@pytest.mark.parametrize("how", ["reordered", "duplicate", "missing", "far"])
+@pytest.mark.parametrize("spec,report_sha,missing_sha",
+                         [(*pin, sha) for pin, sha in zip(MT_PINNED, MISSING_SHA)], ids=MT_IDS)
+def test_mt_reader_non_box_list_is_a_point_set(tmp_path, capsys, spec, report_sha,
+                                               missing_sha, how):
+    data = build_cert(tmp_path, capsys, "build-mt", spec)
+    tamper_first_set(data, how)
+    final = mincolor.Certificate.from_json(data).final
+    assert not isinstance(witness_sets(final)[0], Box)
+    code, report = verify_cert(tmp_path, capsys, data)
+    want = missing_sha if how == "missing" else report_sha
+    assert hashlib.sha256(report.encode()).hexdigest() == want
+    assert code == (0 if json.loads(report)["ok"] else 4)
+
+
+# Flags that are not JSON booleans were read with bool() and verified.
+@pytest.mark.parametrize("key", ["seed", "final"])
+@pytest.mark.parametrize("value", ["yes", 1, [0]], ids=["string", "int", "list"])
+def test_mt_odd_flag_not_boolean_exit_2(tmp_path, capsys, key, value):
+    data = build_cert(tmp_path, capsys, "build-mt", ODD_SPEC)
+    data[key]["odd"] = value
+    path = tmp_path / "tampered.json"
+    path.write_text(canon_dumps(data))
+    assert main(["verify", "--spec", str(path)]) == 2
+    assert f"{key}.odd: expected a boolean" in capsys.readouterr().err

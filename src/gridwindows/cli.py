@@ -40,8 +40,18 @@ DEFAULT_LIMITS = {"max_side": 512, "max_steps": 256}
 
 
 def _load_json(path):
+    """The JSON object in the file; any other top-level value exits 2."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("expected a JSON object")
+    return data
+
+
+def _verdict(report):
+    """Print a verifier's report; exit 0 when it passes, else 4."""
+    print(canon_dumps(report))
+    return 0 if report["ok"] else 4
 
 
 def _limits(spec, args):
@@ -101,8 +111,7 @@ def _build(args, kind):
             (out / "hole_lattice.pgm").write_text(_hole_lattice_pgm(cert.final, seed))
     elif args.format == "ascii":
         (out / "window.txt").write_text(window.to_ascii())
-    print(canon_dumps(report))
-    return 0 if report["ok"] else 4
+    return _verdict(report)
 
 
 def cmd_build_mt(args):
@@ -116,9 +125,7 @@ def cmd_build_gp(args):
 def cmd_verify(args):
     data = _load_json(args.spec)
     *_, cert_cls, verify = _family(data.get("kind"))
-    report = verify(cert_cls.from_json(data))
-    print(canon_dumps(report))
-    return 0 if report["ok"] else 4
+    return _verdict(verify(cert_cls.from_json(data)))
 
 
 def _probes(spec):

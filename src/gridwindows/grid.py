@@ -204,22 +204,17 @@ def _match_offsets(p, f, flipped):
     return Rect((sx0, sy0), (sx1, sy1)), acc
 
 
-def _offset_set(srect, grid):
-    """The offsets a boolean grid over srect marks, as a set of points."""
-    if srect is None:
-        return set()
-    ys, xs = np.nonzero(grid)
-    return {(int(x) + srect.lo[0], int(y) + srect.lo[1]) for x, y in zip(xs, ys)}
-
-
 def find_occurrences(p, f, flipped):
     """Offsets s such that s + rect(f) lies in the hole-free part of p and
     p(s + u) = f(u) for every cell u of f (values complemented when
     ``flipped``). Cell coordinates of ``f`` are absolute: its own rect.
     Offsets are searched over [lo(p) - hi(f), hi(p)] per axis."""
-    hx, hy = p.rect.hi
-    occ = _offset_set(*_match_offsets(p, f, flipped))
-    return {s for s in occ if s[0] <= hx and s[1] <= hy}
+    srect, grid = _match_offsets(p, f, flipped)
+    if srect is None:
+        return set()
+    (x0, y0), (hx, hy) = srect.lo, p.rect.hi
+    ys, xs = np.nonzero(grid[: max(0, hy - y0 + 1), : max(0, hx - x0 + 1)])
+    return {(x + x0, y + y0) for x, y in zip(xs.tolist(), ys.tolist())}
 
 
 def boundary(points):

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ResourceLimitError
 from .geometry import Lattice, Rect, lattice_points_in
 from .grid import HOLE, Config
-from .schedule import Cover, certificate_class, is_int, is_point, read_int, run_schedule
+from .schedule import Cover, certificate_class, is_int, is_point, read_int, report, run_schedule
 
 
 def _is_power(k, n):
@@ -48,8 +48,11 @@ class GpCondition:
         """``where`` is the condition's JSON path, named in errors."""
         at = f"{where}." if where else ""
         cond = cls(read_int(data["n"], f"{at}n"), Config.from_json(data["p"]))
-        if "u" in data and tuple(data["u"]) != cond.u:
-            raise ValueError("declared hole does not match the window")
+        if "u" in data:
+            if not is_point(data["u"]):
+                raise ValueError(f"{at}u: expected two integers")
+            if tuple(data["u"]) != cond.u:
+                raise ValueError("declared hole does not match the window")
         return cond
 
 
@@ -318,9 +321,9 @@ def verify_gp_certificate(cert):
     every recorded step's claim."""
     seed, final = cert.seed, cert.final
     checks = [
-        {"name": "seed valid", "ok": validate_gp(seed)},
-        {"name": "final valid", "ok": validate_gp(final)},
-        {"name": "final extends seed", "ok": is_extension_gp(final, seed)},
+        ("seed valid", validate_gp(seed)),
+        ("final valid", validate_gp(final)),
+        ("final extends seed", is_extension_gp(final, seed)),
     ]
     fin = final.p
     holes = fin.holes
@@ -345,41 +348,44 @@ def verify_gp_certificate(cert):
                 and (su[1] - fu[1]) % h == 0
                 and verify_grid_periodicity(fin, w, h, su)
             )
-        checks.append(
-            {"name": f"stage[{i}] periodicity {st['w']}x{st['h']}",
-             "ok": stage_ok.get(key, False)}
-        )
-    for srec in cert.steps:
-        op = srec["req"]["op"]
+        checks.append((f"stage[{i}] periodicity {st['w']}x{st['h']}", stage_ok.get(key, False)))
+    # One check per step record; a record of no known op fails.
+    for i, srec in enumerate(cert.steps):
+        req = srec["req"]
+        op = req["op"]
         if op == "shift":
             pair = srec["pair"]
             ok = isinstance(pair, list) and len(pair) == 2 and all(map(is_point, pair))
             if ok:
                 (x1, y1), (x2, y2) = pair
                 v1, v2 = fin.value((x1, y1)), fin.value((x2, y2))
-                ok = (
-                    v1 is not None
-                    and v2 is not None
-                    and v1 != v2
-                    and [x2 - x1, y2 - y1] == srec["req"]["s"]
-                )
-            checks.append(
-                {"name": f"shift {srec['req']['s']} pair differs", "ok": ok}
-            )
+                ok = None not in (v1, v2) and v1 != v2 and [x2 - x1, y2 - y1] == req["s"]
+            checks.append((f"shift {req['s']} pair differs", ok))
         elif op == "line_clear":
-            axis, idx = srec["req"]["axis"], srec["req"]["index"]
+            axis, idx = req["axis"], req["index"]
             k = _AXIS["row" if axis == "row" else "col"]
             ok = fu is not None and is_int(idx) and (idx - fu[k]) % (W, H)[k] != 0
             if ok and fin.rect.lo[k] <= idx <= fin.rect.hi[k]:
                 per = detect_line_period(fin, ("col", "row")[k], idx)
                 ok = per is not None and (H, W)[k] % per == 0
-            checks.append({"name": f"line {axis} {idx} cleared", "ok": ok})
+            checks.append((f"line {axis} {idx} cleared", ok))
         elif op == "cover":
-            g = srec["req"]["g"]
-            checks.append(
-                {"name": f"cover {g} contained", "ok": is_point(g) and fin.rect.contains(g)}
-            )
-    return {"ok": all(ch["ok"] for ch in checks), "checks": checks}
+            g = req["g"]
+            checks.append((f"cover {g} contained", is_point(g) and fin.rect.contains(g)))
+        else:
+            checks.append((f"steps[{i}] unknown op {op!r}", False))
+    return report(checks)
+
+
+def _lattice_window(block):
+    """4 x 4 copies of a square block whose side is a power of two and whose
+    last cell is made the hole; the hole stays only in the last copy, and
+    the other copies' hole slots are filled with 0."""
+    s = len(block)
+    block = np.array(block, dtype=np.uint8)
+    block[s - 1, s - 1] = HOLE
+    seed = GpCondition(2, Config(Rect((0, 0), (s - 1, s - 1)), block))
+    return extend_tile_gp(seed, ((0, 3), (0, 3)), (3 * s, 3 * s)).p
 
 
 def lattice_demo(f):
@@ -388,35 +394,21 @@ def lattice_demo(f):
     lattice placements that fit and lists any that fail to match."""
     if not f.hole_free():
         raise ValueError("pattern must be hole-free")
-    s = 1
-    while s < max(f.rect.width, f.rect.height) + 1:
-        s *= 2
-    block = np.zeros((s, s), dtype=np.uint8)
-    block[: f.rect.height, : f.rect.width] = f.array
-    block[s - 1, s - 1] = HOLE
-    seed = GpCondition(2, Config(Rect((0, 0), (s - 1, s - 1)), block))
-    window = extend_tile_gp(seed, ((0, 3), (0, 3)), (3 * s, 3 * s), None).p
+    fh, fw = f.array.shape
+    s = 1 << max(fw, fh).bit_length()  # the least power of two above both sides
+    window = _lattice_window(np.pad(f.array, ((0, s - fh), (0, s - fw))))
     lat = Lattice((0, 0), (s, s))
-    flo = f.rect.lo
-    count = 0
-    mismatches = []
-    for g in lattice_points_in(lat, window.rect):
-        hi = (g[0] + f.rect.width - 1, g[1] + f.rect.height - 1)
-        if not window.rect.contains(hi):
-            continue
-        count += 1
-        match = all(
-            window.value((g[0] + ux - flo[0], g[1] + uy - flo[1])) == f.value((ux, uy))
-            for (ux, uy) in f.rect.points()
-        )
-        if not match:
-            mismatches.append(g)
-    report = {
-        "verified": count >= 9 and not mismatches,
-        "points": count,
+    # The placements where f fits in the window, each compared as one slice.
+    # The window's low corner is (0, 0), so a point is its own array index.
+    x1, y1 = window.rect.hi
+    fits = lattice_points_in(lat, Rect((0, 0), (x1 - fw + 1, y1 - fh + 1)))
+    mismatches = [(x, y) for x, y in fits
+                  if not np.array_equal(window.array[y : y + fh, x : x + fw], f.array)]
+    return window, lat, {
+        "verified": len(fits) >= 9 and not mismatches,
+        "points": len(fits),
         "mismatches": mismatches,
     }
-    return window, lat, report
 
 
 def constant_on_lattice_demo(rule, r):
@@ -425,26 +417,14 @@ def constant_on_lattice_demo(rule, r):
     anchors. Returns (window, lattice, value)."""
     if r < 1:
         raise ValueError("radius must be at least 1")
-    s = 1
-    while s < 2 * r + 2:
-        s *= 2
-    ys, xs = np.indices((s, s))
-    block = ((xs + ys) % 2).astype(np.uint8)
-    block[s - 1, s - 1] = HOLE
-    seed = GpCondition(2, Config(Rect((0, 0), (s - 1, s - 1)), block))
-    window = extend_tile_gp(seed, ((0, 3), (0, 3)), (3 * s, 3 * s), None).p
+    s = 1 << (2 * r + 1).bit_length()  # the least power of two >= 2r + 2
+    window = _lattice_window(np.indices((s, s)).sum(axis=0) % 2)
     lat = Lattice((r, r), (s, s))
-    values = set()
-    for g in lattice_points_in(lat, window.rect):
-        if not (
-            window.rect.contains((g[0] - r, g[1] - r))
-            and window.rect.contains((g[0] + r, g[1] + r))
-        ):
-            continue
-        patch = [
-            [window.value((g[0] + dx, g[1] + dy)) for dx in range(-r, r + 1)]
-            for dy in range(-r, r + 1)
-        ]
-        values.add(rule(patch))
+    # The anchors whose patch lies in the window; its low corner is (0, 0).
+    x1, y1 = window.rect.hi
+    values = {
+        rule(window.array[y - r : y + r + 1, x - r : x + r + 1].tolist())
+        for x, y in lattice_points_in(lat, Rect((r, r), (x1 - r, y1 - r)))
+    }
     assert len(values) == 1, "rule must be constant on the hole-free lattice"
     return window, lat, values.pop()

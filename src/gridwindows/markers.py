@@ -68,6 +68,8 @@ def check_segment_center_cover(a, win, length):
     Returns (True, None) or (False, ((x0, y0), length)) with a failing
     segment. Raises ValueError when no segment fits at all.
     """
+    if a < 0:
+        raise ValueError(f"a must be >= 0, got {a}")
     if length < 1:
         raise ValueError(f"segment length must be >= 1, got {length}")
     lo_x, lo_y = win.lo
@@ -76,12 +78,13 @@ def check_segment_center_cover(a, win, length):
     x_last = hi_x - length + 1
     if x_last < lo_x or y_first > y_last:
         raise ValueError("window holds no admissible segment of this length")
-    rows = {}
-    for x, y in sorted(copy_centers(a, win)):
-        rows.setdefault(y, []).append(x)
-    for y in range(y_first, y_last + 1):
+    m = 2 * a + 1
+    # Admissible rows hold every center of their column blocks c = a - y
+    # (mod m), m * m apart, so row y + m repeats row y: m rows decide.
+    for y in range(y_first, min(y_last, y_first + m - 1) + 1):
+        first = lo_x + a + ((a - y) % m * m - lo_x) % (m * m)
         # A segment misses every center only inside a gap wider than it.
-        stops = [lo_x - 1, *rows.get(y, ()), hi_x + 1]
+        stops = [lo_x - 1, *range(first, hi_x - a + 1, m * m), hi_x + 1]
         for p, q in zip(stops, stops[1:]):
             if q - p > length:
                 return False, ((p + 1, y), length)

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 from .geometry import Box
 from .grid import HOLE, Config, tile
-from .schedule import Cover, certificate_class, is_point, read_bool, read_points, run_schedule
+from .schedule import (Cover, certificate_class, is_point, read_bool, read_points, report,
+                       run_schedule)
 from .witness import (
     _differs,
     _pattern_ok_grid,
@@ -291,33 +292,27 @@ def verify_certificate(cert):
     "final validate" is derived from the structural check and the clause
     a/b1/b2 checks below, so it equals ``validate(final) == []``."""
     seed, final = cert.seed, cert.final
-    checks = [
-        {"name": "seed validate", "ok": validate(seed) == []},
-        {"name": "final validate", "ok": None},
-        {"name": "final extends seed", "ok": is_extension(final, seed)},
-    ]
-    clauses_ok = True
+    # The seed and extension checks run before the clauses, so a certificate
+    # that would make several of them raise gets the first one's error.
+    seed_ok = validate(seed) == []
+    extends = is_extension(final, seed)
+    checks, clauses_ok = [], True
     for i, (t, T) in enumerate(final.shifts):
         ok = check_shift_witness(final.p, t, T)
         clauses_ok &= ok
-        checks.append({"name": f"shift[{i}] t=({t[0]},{t[1]}) clause a", "ok": ok})
-        checks.append(
-            {
-                "name": f"shift[{i}] t=({t[0]},{t[1]}) window two-coloring",
-                "ok": window_two_coloring_check(final.p, t, T),
-            }
-        )
+        name = f"shift[{i}] t=({t[0]},{t[1]})"
+        checks.append((f"{name} clause a", ok))
+        checks.append((f"{name} window two-coloring", window_two_coloring_check(final.p, t, T)))
     for j, (f, F) in enumerate(final.patterns):
         for clause, flipped in (("b1", False), ("b2", True)):
             ok = check_pattern_witness(final.p, f, F, flipped)
             clauses_ok &= ok
-            checks.append({"name": f"pattern[{j}] clause {clause}", "ok": ok})
-    checks[1]["ok"] = clauses_ok and not _structure(final)
+            checks.append((f"pattern[{j}] clause {clause}", ok))
     if final.odd_mode:
-        checks.append(
-            {
-                "name": "odd sides",
-                "ok": final.p.rect.width % 2 == 1 and final.p.rect.height % 2 == 1,
-            }
-        )
-    return {"ok": all(ch["ok"] for ch in checks), "checks": checks}
+        checks.append(("odd sides", final.p.rect.width % 2 == 1 and final.p.rect.height % 2 == 1))
+    return report([
+        ("seed validate", seed_ok),
+        ("final validate", clauses_ok and not _structure(final)),
+        ("final extends seed", extends),
+        *checks,
+    ])

@@ -8,7 +8,8 @@ of the step's record; the driver alone enforces the limits, keeps the
 chain and writes the records. An apply calls its step function through a
 module global, so wrappers installed on the family module see every step.
 ``certificate_class`` makes each family's certificate type, the record of
-one build that the family's verifier re-checks.
+one build that the family's verifier re-checks, and ``report`` the
+verifier's answer.
 """
 
 from __future__ import annotations
@@ -127,6 +128,13 @@ def run_schedule(start, sched, limits, steps, **env):
         args = {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(req).items()}
         records.append({"req": {"op": op, **args}, **extra})
     return chain, records, {"max_side": max_side, "max_steps": max_steps}
+
+
+def report(checks):
+    """A verifier's report from its (name, ok) checks, in order: each check
+    by name, and ok when all of them pass."""
+    checks = [{"name": name, "ok": ok} for name, ok in checks]
+    return {"ok": all(ch["ok"] for ch in checks), "checks": checks}
 
 
 def certificate_class(name, kind, condition, extra=()):

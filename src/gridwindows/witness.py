@@ -12,8 +12,8 @@ from itertools import chain
 
 import numpy as np
 
-from .geometry import Box, Lattice, Rect, lattice_points_in
-from .grid import HOLE, _match_offsets, _offset_set
+from .geometry import Box, Lattice, Rect
+from .grid import HOLE, _match_offsets
 
 
 def _slices(rect, sub):
@@ -195,14 +195,12 @@ def recurrence_check(x, B, T):
     if ax > bx or ay > by:
         return RecurrenceReport(True, (), 0, rect.area)
     region = Rect((ax, ay), (bx, by))
-    bpos = set()
+    ok = np.zeros((region.height, region.width), dtype=bool)
     for f in B.patterns:
-        bpos |= _offset_set(*_match_offsets(x, f, False))
-    failing = tuple(
-        g
-        for g in region.points()
-        if not any((g[0] + t[0], g[1] + t[1]) in bpos for t in T)
-    )
+        ok |= _reach(region, *_match_offsets(x, f, False), T)
+    # Failing positions x-major, like region.points().
+    xs, ys = np.nonzero(~ok.T)
+    failing = tuple((i + ax, j + ay) for i, j in zip(xs.tolist(), ys.tolist()))
     inside = region.intersect(rect)
     rim = rect.area - (inside.area if inside is not None else 0)
     return RecurrenceReport(not failing, failing, region.area, rim)
@@ -251,23 +249,23 @@ def find_lattice_in(x, B, max_spacing, min_points=9):
     ``min_points`` of them. A point is testable when some pattern's cells
     fit inside the window there."""
     rect = x.rect
-    matches = [_match_offsets(x, f, False) for f in B.patterns]
-    bpos = set().union(*(_offset_set(r, occ) for r, occ in matches))
-    fit_rects = [r for r, _occ in matches if r is not None]
+    # Window grids: some pattern fits at g, and some pattern occurs at g.
+    fits = np.zeros((rect.height, rect.width), dtype=bool)
+    occurs = fits.copy()
+    for f in B.patterns:
+        srect, occ = _match_offsets(x, f, False)
+        inside = srect and srect.intersect(rect)
+        if inside:
+            fits[_slices(rect, inside)] = True
+            occurs[_slices(rect, inside)] |= occ[_slices(srect, inside)]
     for w in range(1, max_spacing + 1):
         for h in range(1, max_spacing + 1):
-            for ax in range(rect.lo[0], rect.lo[0] + w):
-                for ay in range(rect.lo[1], rect.lo[1] + h):
-                    lat = Lattice((ax, ay), (w, h))
-                    testable = [
-                        g
-                        for g in lattice_points_in(lat, rect)
-                        if any(r.contains(g) for r in fit_rects)
-                    ]
-                    if len(testable) < min_points:
-                        continue
-                    if all(g in bpos for g in testable):
-                        return lat
+            for i in range(w):
+                for j in range(h):
+                    # The lattice's window points, anchored at rect.lo + (i, j).
+                    testable = fits[j::h, i::w]
+                    if testable.sum() >= min_points and (occurs[j::h, i::w] == testable).all():
+                        return Lattice((rect.lo[0] + i, rect.lo[1] + j), (w, h))
     return None
 
 

@@ -536,6 +536,26 @@ def test_markers_report_threshold(tmp_path, capsys):
     assert report["segment_short"]["ok"] is False
 
 
+def test_markers_stack_huge_side_bounded_by_input(tmp_path, capsys):
+    # The centre set of the whole side x side window was built before.
+    spec = write_spec(tmp_path / "m.json", {"demo": "shifted_stack", "a": 1, "side": 10**6})
+    start = time.perf_counter()
+    code, out, _ = run_cli(["markers", "--spec", spec], capsys)
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    report = json.loads(out)
+    assert report["window"] == [0, 10**6 - 1, 0, 10**6 - 1]
+    assert report["segment_pass"]["ok"] is True
+    assert report["segment_short"]["ok"] is False
+
+
+def test_markers_stack_negative_a_exit_2(tmp_path, capsys):
+    spec = write_spec(tmp_path / "m.json", {"demo": "shifted_stack", "a": -1})
+    code, out, err = run_cli(["markers", "--spec", spec], capsys)
+    assert code == 2 and out == ""
+    assert "a must be >= 0" in err
+
+
 def test_markers_partitions_demo(tmp_path, capsys):
     data = {
         "demo": "partitions",
@@ -560,6 +580,23 @@ def test_markers_stack_pgm(tmp_path, capsys):
                           "--format", "pgm"], capsys)
     assert code == 0
     assert (out_dir / "stack.pgm").read_text().startswith("P2\n")
+
+
+# ------------------------------------------------------------ top-level JSON
+
+# A file whose JSON is not an object: verify and markers raised
+# AttributeError (exit 1), the others a TypeError without the reason.
+@pytest.mark.parametrize("cmd", ["build-mt", "build-gp", "verify", "toast", "markers"])
+@pytest.mark.parametrize("text", ["[1]", '"abc"'], ids=["list", "string"])
+def test_top_level_json_not_an_object_exit_2(tmp_path, capsys, cmd, text):
+    path = tmp_path / "spec.json"
+    path.write_text(text + "\n")
+    args = [cmd, "--spec", str(path)]
+    if cmd.startswith("build"):
+        args += ["--out", str(tmp_path / "out")]
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert "expected a JSON object" in err
 
 
 # ----------------------------------------------------------------- entry point

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gridwindows.geometry import Box, Rect
-from gridwindows.grid import HOLE, Config, _match_offsets, _offset_set
+from gridwindows.grid import HOLE, Config, _match_offsets
 from gridwindows.witness import _boxes, _reach, window_two_coloring_check
 
 from oracles import cells_of, naive_occurrences, naive_reach, naive_window_check, seeded
@@ -203,6 +203,14 @@ def test_window_check_box_matches_point_set_and_loop(box, c, s, rnd):
 # -------------------------------------------------------- pattern offsets
 
 
+def marked(srect, grid):
+    """The offsets a boolean grid over srect marks, as a set of points."""
+    if srect is None:
+        return set()
+    ys, xs = np.nonzero(grid)
+    return {(int(x) + srect.lo[0], int(y) + srect.lo[1]) for x, y in zip(xs, ys)}
+
+
 def check_offsets(p, f):
     """Both polarities against the oracle; True when _match_offsets loops
     over f's cells (f has no more cells than there are offsets). The oracle
@@ -212,7 +220,7 @@ def check_offsets(p, f):
     _, fc = cells_of(f.translate((-dx, -dy)))
     for flipped in (False, True):
         want = {(sx - dx, sy - dy) for sx, sy in naive_occurrences(pb, pc, fc, flipped)}
-        assert _offset_set(*_match_offsets(p, f, flipped)) == want
+        assert marked(*_match_offsets(p, f, flipped)) == want
     srect, _occ = _match_offsets(p, f, False)
     return srect is not None and f.rect.area <= srect.area
 
@@ -245,7 +253,7 @@ def test_match_offsets_large_pattern_loops_over_offsets():
             f = rand_config(rng, sub)
         f = f.translate((rng.randint(-4, 4), rng.randint(-4, 4)))
         by_offsets += not check_offsets(p, f)
-        matched += bool(_offset_set(*_match_offsets(p, f, False)))
+        matched += bool(marked(*_match_offsets(p, f, False)))
     assert by_offsets >= 100 and matched >= 50
 
 

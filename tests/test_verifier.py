@@ -3,12 +3,17 @@ reports of broken finals keep their bytes, every gp stage and shift claim
 is checked against the window, and the clause kernels agree with the
 oracles."""
 
+import copy
 import hashlib
+import io
 import json
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gridwindows import gridperiod, mincolor, witness
 from gridwindows.cli import main
@@ -33,7 +38,7 @@ from gridwindows.serialize import canon_dumps
 from gridwindows.witness import window_two_coloring_check
 
 from oracles import cells_of, naive_grid_periodicity, naive_lex_least_differing, seeded
-from test_cli import PINNED
+from test_cli import PINNED, with_field
 
 
 CHECKER = {"rect": [0, 2, 0, 2], "rows": ["010", "101", "010"], "holes": []}
@@ -309,6 +314,27 @@ def test_gp_shift_offset_claim_checked_exit_4(tmp_path, capsys):
     assert check(out, "shift [5, 7] pair differs") is False
 
 
+# Each step record gives one check: a record of an op the verifier does not
+# know was skipped, so its claim went unchecked and verify still passed.
+def test_gp_unknown_step_op_fails_its_check(tmp_path, capsys):
+    data = build_cert(tmp_path, capsys, "build-gp", GP_SPEC)
+    honest = verify_cert(tmp_path, capsys, data)[1]
+    data["steps"][0]["req"]["op"] = "warp"
+    code, out = verify_cert(tmp_path, capsys, data)
+    assert code == 4
+    checks = json.loads(out)["checks"]
+    assert len(checks) == len(json.loads(honest)["checks"]) == 10
+    assert [c["name"] for c in checks if not c["ok"]] == ["steps[0] unknown op 'warp'"]
+
+
+def test_gp_appended_unknown_step_fails(tmp_path, capsys):
+    data = build_cert(tmp_path, capsys, "build-gp", GP_SPEC)
+    data["steps"].append({"req": {"op": "teleport", "g": [1000000000, 0]}})
+    code, out = verify_cert(tmp_path, capsys, data)
+    assert code == 4
+    assert check(out, "steps[3] unknown op 'teleport'") is False
+
+
 def test_gp_duplicate_stages_checked_once(monkeypatch):
     seed = gridperiod.GpCondition.from_json(GP_SPEC["seed"])
     sched = parse_schedule(GP_SPEC["schedule"], gridperiod.STEPS)
@@ -360,6 +386,9 @@ SHAPE_TAMPERS = [
     ("build-gp", GP_SPEC, ("final", "n"), 2.9, 2),
     ("build-gp", GP_SPEC, ("final", "p", "rect"), [0.5, 15, 0, 15], 2),
     ("build-gp", GP_SPEC, ("final", "p", "holes", 0), [15.2, 15], 2),
+    # A declared hole was compared as a tuple, so 15.0 passed for 15.
+    ("build-gp", GP_SPEC, ("final", "u"), [15.0, 15], 2),
+    ("build-gp", GP_SPEC, ("seed", "u"), [1, True], 2),
 ]
 
 
@@ -369,7 +398,7 @@ SHAPE_TAMPERS = [
     ids=["t-short", "t-empty", "seed-t-short", "huge-rect",
          "pair-short", "pair-points-short", "g-short", "g-empty", "g-nested",
          "t-float", "T-float", "index-float", "w-float", "w-integral-float", "n-float",
-         "rect-float", "hole-float"],
+         "rect-float", "hole-float", "u-float", "seed-u-bool"],
 )
 def test_malformed_shape_exit_code(tmp_path, capsys, cmd, spec, path, value, code):
     data = build_cert(tmp_path, capsys, cmd, spec)
@@ -379,6 +408,16 @@ def test_malformed_shape_exit_code(tmp_path, capsys, cmd, spec, path, value, cod
         owner = owner[key]
     owner[last] = value
     assert verify_cert(tmp_path, capsys, data)[0] == code
+
+
+@pytest.mark.parametrize("key", ["seed", "final"])
+def test_gp_hole_claim_not_integers_names_path(tmp_path, capsys, key):
+    data = build_cert(tmp_path, capsys, "build-gp", GP_SPEC)
+    data[key]["u"] = [float(v) for v in data[key]["u"]]
+    path = tmp_path / "tampered.json"
+    path.write_text(canon_dumps(data))
+    assert main(["verify", "--spec", str(path)]) == 2
+    assert f"{key}.u: expected two integers" in capsys.readouterr().err
 
 
 def test_huge_seed_rect_build_exit_2(tmp_path, capsys):
@@ -464,3 +503,48 @@ def test_mt_odd_flag_not_boolean_exit_2(tmp_path, capsys, key, value):
     path.write_text(canon_dumps(data))
     assert main(["verify", "--spec", str(path)]) == 2
     assert f"{key}.odd: expected a boolean" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- totality
+
+# One JSON path of a certificate, the root included, set to one of these.
+JUNK = [None, True, 1.5, -1, 0, 10**30, "x", [], [1], [1, 2, 3], {}, [[0, 0]], [0.5, 0],
+        [10**12, 0]]
+
+
+def json_paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from json_paths(value, (*path, key))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from json_paths(value, (*path, i))
+
+
+@pytest.fixture(scope="module")
+def spec_certs(tmp_path_factory):
+    """The certificates of MT_SPEC and GP_SPEC, their JSON paths, and a file
+    path for the mutated copy."""
+    certs = {}
+    for cmd, spec in (("build-mt", MT_SPEC), ("build-gp", GP_SPEC)):
+        out = tmp_path_factory.mktemp(cmd)
+        (out / "spec.json").write_text(canon_dumps(spec))
+        with redirect_stdout(io.StringIO()):
+            assert main([cmd, "--spec", str(out / "spec.json"), "--out", str(out)]) == 0
+        data = json.loads((out / "certificate.json").read_text())
+        certs[cmd] = (data, list(json_paths(data)), out / "mutated.json")
+    return certs
+
+
+@pytest.mark.parametrize("cmd", ["build-mt", "build-gp"])
+@given(st.data())
+def test_verify_total_under_single_field_mutation(spec_certs, cmd, data):
+    """verify ends in exit 0, 2 or 4, never in a traceback."""
+    cert, paths, path = spec_certs[cmd]
+    where = data.draw(st.sampled_from(paths), label="path")
+    value = data.draw(st.sampled_from(JUNK), label="value")
+    doc = with_field(copy.deepcopy(cert), where, value) if where else value
+    path.write_text(canon_dumps(doc))
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert main(["verify", "--spec", str(path)]) in (0, 2, 4)

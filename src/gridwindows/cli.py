@@ -139,12 +139,17 @@ def _probes(spec):
     return [tuple(g) for g in probes]
 
 
-def _toast_pgm(t):
-    """Depth map of the toast: each window cell's highest level + 1, else 0."""
-    win = t.window
+def _pgm_window(win):
+    """A PGM writer's window; ResourceLimitError when a side exceeds max_side."""
     side, max_side = max(win.width, win.height), DEFAULT_LIMITS["max_side"]
     if side > max_side:
         raise ResourceLimitError(f"window side {side} exceeds max_side={max_side}")
+    return win
+
+
+def _toast_pgm(t):
+    """Depth map of the toast: each window cell's highest level + 1, else 0."""
+    win = _pgm_window(t.window)
     lo_x, hi_y = win.lo[0], win.hi[1]
     depth = np.zeros((win.height, win.width), dtype=np.int64)
     # Levels ascend, so a cell's last write is its highest level. Offsets are
@@ -174,9 +179,10 @@ def cmd_toast(args):
     else:
         report["growth"] = None
     if args.out is not None and args.format == "pgm":
+        pgm = _toast_pgm(t)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "toast.pgm").write_text(_toast_pgm(t))
+        (out / "toast.pgm").write_text(pgm)
     print(canon_dumps(report))
     return 0
 
@@ -196,11 +202,12 @@ def _markers_stack(args, spec):
         "segment_short": {"len": m, "ok": short_ok},
     }
     if args.out is not None and args.format == "pgm":
+        _pgm_window(win)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         bits = np.zeros((m, m), dtype=np.uint8)
         bits[a, a] = 1
-        marker = Config(Rect.from_bounds(-a, a, -a, a), bits)
+        marker = Config._trusted(Rect.from_bounds(-a, a, -a, a), bits)
         (out / "stack.pgm").write_text(build_shifted_stack(marker, side - 1).to_pgm())
     print(canon_dumps(report))
     return 0

@@ -74,11 +74,8 @@ class Rect:
 
     def points(self):
         """All cells, lexicographic (x first, then y)."""
-        return [
-            (x, y)
-            for x in range(self.lo[0], self.hi[0] + 1)
-            for y in range(self.lo[1], self.hi[1] + 1)
-        ]
+        (x0, y0), (x1, y1) = self.lo, self.hi
+        return list(product(range(x0, x1 + 1), range(y0, y1 + 1)))
 
     def to_json(self):
         return [self.lo[0], self.hi[0], self.lo[1], self.hi[1]]
@@ -187,8 +184,4 @@ def lattice_points_in(lat, rect):
     ax, ay = lat.anchor
     x0 = rect.lo[0] + (ax - rect.lo[0]) % sx
     y0 = rect.lo[1] + (ay - rect.lo[1]) % sy
-    return [
-        (x, y)
-        for x in range(x0, rect.hi[0] + 1, sx)
-        for y in range(y0, rect.hi[1] + 1, sy)
-    ]
+    return list(product(range(x0, rect.hi[0] + 1, sx), range(y0, rect.hi[1] + 1, sy)))

@@ -16,6 +16,8 @@ from .schedule import read_points
 from .serialize import pgm_dumps
 
 HOLE = 255
+# The hole set of every hole-free window: an empty frozenset costs 216 bytes.
+_NO_HOLES = frozenset()
 
 # Byte lookup tables of the row and PGM codecs; cell values are 0, 1 and HOLE.
 _BAD = 2
@@ -27,24 +29,43 @@ _BIT_TO_GRAY = np.zeros(256, dtype=np.uint8)
 _BIT_TO_GRAY[[0, 1, HOLE]] = (0, 2, 1)
 
 
+def _slices(rect, sub):
+    """numpy index for ``sub`` inside an array laid out over ``rect``."""
+    return (
+        slice(sub.lo[1] - rect.lo[1], sub.hi[1] - rect.lo[1] + 1),
+        slice(sub.lo[0] - rect.lo[0], sub.hi[0] - rect.lo[0] + 1),
+    )
+
+
 class Config:
     """Immutable rectangular 0/1 window, possibly with holes."""
 
-    __slots__ = ("rect", "_bits")
+    __slots__ = ("rect", "_bits", "_holes")
 
     def __init__(self, rect, bits):
-        arr = np.asarray(bits, dtype=np.uint8)
+        arr = np.array(bits, dtype=np.uint8)
         if arr.shape != (rect.height, rect.width):
             raise ValueError(
                 f"bit array shape {arr.shape} does not match rect {rect.width}x{rect.height}"
             )
-        bad = ~np.isin(arr, (0, 1, HOLE))
-        if bad.any():
+        if ((arr > 1) & (arr != HOLE)).any():
             raise ValueError("cell values must be 0, 1 or hole")
-        arr = arr.copy()
+        self._init(rect, arr, None)
+
+    @classmethod
+    def _trusted(cls, rect, arr, holes=None):
+        """A Config over a uint8 array of 0, 1 and HOLE that the package has
+        just made, taken as it is: no copy, no value check. ``holes`` is the
+        hole set, when the caller knows it."""
+        cfg = object.__new__(cls)
+        cfg._init(rect, arr, holes)
+        return cfg
+
+    def _init(self, rect, arr, holes):
         arr.setflags(write=False)
         object.__setattr__(self, "rect", rect)
         object.__setattr__(self, "_bits", arr)
+        object.__setattr__(self, "_holes", holes)
 
     def __setattr__(self, name, value):
         raise AttributeError("Config is immutable")
@@ -85,22 +106,24 @@ class Config:
 
     @property
     def holes(self):
-        ys, xs = np.nonzero(self._bits == HOLE)
-        lo = self.rect.lo
-        return frozenset((int(x) + lo[0], int(y) + lo[1]) for x, y in zip(xs, ys))
+        """The hole cells, found on first use and kept."""
+        if self._holes is None:
+            ys, xs = np.nonzero(self._bits == HOLE)
+            lo = self.rect.lo
+            holes = frozenset((int(x) + lo[0], int(y) + lo[1]) for x, y in zip(xs, ys)) or _NO_HOLES
+            object.__setattr__(self, "_holes", holes)
+        return self._holes
 
     def hole_free(self):
-        return not (self._bits == HOLE).any()
+        return not self.holes
 
     def restrict(self, rect):
         if not self.rect.contains_rect(rect):
             raise ValueError("restriction rectangle not inside the window")
-        x0 = rect.lo[0] - self.rect.lo[0]
-        y0 = rect.lo[1] - self.rect.lo[1]
-        return Config(rect, self._bits[y0 : y0 + rect.height, x0 : x0 + rect.width])
+        return Config._trusted(rect, self._bits[_slices(self.rect, rect)])
 
     def translate(self, d):
-        return Config(self.rect.translate(d), self._bits)
+        return Config._trusted(self.rect.translate(d), self._bits)
 
     def to_json(self):
         return {
@@ -142,9 +165,7 @@ class Config:
 
 def flip(p):
     """Exchange 0 and 1 everywhere; holes stay holes."""
-    arr = p.array
-    out = np.where(arr == HOLE, HOLE, 1 - arr).astype(np.uint8)
-    return Config(p.rect, out)
+    return Config._trusted(p.rect, p.array ^ (p.array != HOLE), p._holes)
 
 
 def tile(q, counts, flip_mask, anchor):
@@ -168,7 +189,7 @@ def tile(q, counts, flip_mask, anchor):
         for i in range(nx):
             out[j * h : (j + 1) * h, i * w : (i + 1) * w] = qf if flip_mask(i, j) else qa
     rect = Rect(anchor, (anchor[0] + nx * w - 1, anchor[1] + ny * h - 1))
-    return Config(rect, out)
+    return Config._trusted(rect, out, _NO_HOLES)
 
 
 def _match_offsets(p, f, flipped):

@@ -40,8 +40,7 @@ class GpCondition:
         return next(iter(holes))
 
     def to_json(self):
-        u = self.u
-        return {"n": self.n, "p": self.p.to_json(), "u": [u[0], u[1]]}
+        return {"n": self.n, "p": self.p.to_json(), "u": list(self.u)}
 
     @classmethod
     def from_json(cls, data, where=""):
@@ -128,7 +127,7 @@ def extend_tile_gp(q, ranges, t_star, hole_fills=None):
         out[y - lo[1], x - lo[0]] = v
     out[new_hole[1] - lo[1], new_hole[0] - lo[0]] = HOLE
     rect = Rect(lo, (lo[0] + (i1 - i0 + 1) * w - 1, lo[1] + (j1 - j0 + 1) * h - 1))
-    return GpCondition(q.n, Config(rect, out))
+    return GpCondition(q.n, Config._trusted(rect, out, frozenset({new_hole})))
 
 
 def _span(b, count):
@@ -140,13 +139,16 @@ def _span(b, count):
 _AXIS = {"col": 0, "row": 1}
 
 
-def _grow(q, ranges, lines, skip=(), fills=None):
+def _grow(q, ranges, lines, skip=(), fills=None, max_side=None):
     """Tile q over the block ranges, moving the hole to the lex-greatest
     block offset outside skip whose hole dodges every scheduled line in the
-    grown window; if none can, ignore the schedule."""
+    grown window; if none can, ignore the schedule. A grown side above
+    max_side raises ResourceLimitError before anything is built."""
     u = q.u
     sides = (q.p.rect.width, q.p.rect.height)
     grown = [side * (hi - lo + 1) for side, (lo, hi) in zip(sides, ranges)]
+    if max_side is not None and max(grown) > max_side:
+        raise ResourceLimitError(f"window side {max(grown)} exceeds max_side={max_side}")
     (i0, i1), (j0, j1) = ranges
     cands = [t for i in range(i1, i0 - 1, -1) for j in range(j1, j0 - 1, -1)
              if (t := (i * sides[0], j * sides[1])) not in skip]
@@ -155,13 +157,14 @@ def _grow(q, ranges, lines, skip=(), fills=None):
     return extend_tile_gp(q, ranges, next(clean, cands[0]), fills)
 
 
-def discriminate_shift_gp(q, s, avoid_lines=()):
+def discriminate_shift_gp(q, s, avoid_lines=(), max_side=None):
     """Grow the window so that u and u+s are both defined and differ.
 
     The hole slot at u+s (reduced into the block) gets filled with the
     complement of the value already there; when u+s falls back onto u's own
     slot, both cells are displaced hole slots and get opposite fills.
-    Returns the new condition and the differing pair (u, u+s).
+    Returns the new condition and the differing pair (u, u+s). A grown side
+    above max_side, when given, raises ResourceLimitError before any tiling.
     """
     s = (int(s[0]), int(s[1]))
     if s == (0, 0):
@@ -187,7 +190,7 @@ def discriminate_shift_gp(q, s, avoid_lines=()):
     while counts[0] * counts[1] <= len(skip):
         counts[0] *= q.n
     ranges = [_span(b, cnt) for b, cnt in zip((bi, bj), counts)]
-    return _grow(q, ranges, avoid_lines, skip, fills), (u, target)
+    return _grow(q, ranges, avoid_lines, skip, fills, max_side), (u, target)
 
 
 def detect_line_period(cfg, axis, index):
@@ -249,11 +252,10 @@ GpCertificate = certificate_class("GpCertificate", "gp", GpCondition, extra=("st
 
 
 def _stage(c):
-    u = c.u
-    return {"w": c.p.rect.width, "h": c.p.rect.height, "u": [u[0], u[1]]}
+    return {"w": c.p.rect.width, "h": c.p.rect.height, "u": list(c.u)}
 
 
-def _clear_line(cur, axis, index, lines):
+def _clear_line(cur, axis, index, lines, max_side):
     """Tile along the line's axis so the hole leaves the line. No-op when
     the line already misses the hole's residue class."""
     k = _AXIS[axis]
@@ -264,7 +266,7 @@ def _clear_line(cur, axis, index, lines):
     counts = [1, 1]
     counts[k] = cur.n
     on_line = tuple(m % cnt * side for cnt, side in zip(counts, sides))
-    return _grow(cur, [(0, cnt - 1) for cnt in counts], lines, skip={on_line})
+    return _grow(cur, [(0, cnt - 1) for cnt in counts], lines, {on_line}, max_side=max_side)
 
 
 def _cover_gp(cur, g, lines, max_side):
@@ -272,19 +274,18 @@ def _cover_gp(cur, g, lines, max_side):
         rect = cur.p.rect
         counts = [1, 1]
         counts[int(rect.lo[0] <= g[0] <= rect.hi[0])] = cur.n
-        if max(rect.width * counts[0], rect.height * counts[1]) > max_side:
-            raise ResourceLimitError(f"cover of {g} would exceed max_side={max_side}")
-        cur = _grow(cur, [_span(x - hi, cnt) for x, hi, cnt in zip(g, rect.hi, counts)], lines)
+        ranges = [_span(x - hi, cnt) for x, hi, cnt in zip(g, rect.hi, counts)]
+        cur = _grow(cur, ranges, lines, max_side=max_side)
     return cur
 
 
 def _grow_shift(q, req, env):
-    out, (u, v) = discriminate_shift_gp(q, req.s, avoid_lines=env["lines"])
+    out, (u, v) = discriminate_shift_gp(q, req.s, env["lines"], env["max_side"])
     return out, {"pair": [list(u), list(v)]}
 
 
 def _grow_line(q, req, env):
-    return _clear_line(q, req.axis, req.index, env["lines"]), {}
+    return _clear_line(q, req.axis, req.index, env["lines"], env["max_side"]), {}
 
 
 def _grow_cover(q, req, env):
@@ -384,7 +385,7 @@ def _lattice_window(block):
     s = len(block)
     block = np.array(block, dtype=np.uint8)
     block[s - 1, s - 1] = HOLE
-    seed = GpCondition(2, Config(Rect((0, 0), (s - 1, s - 1)), block))
+    seed = GpCondition(2, Config._trusted(Rect((0, 0), (s - 1, s - 1)), block))
     return extend_tile_gp(seed, ((0, 3), (0, 3)), (3 * s, 3 * s)).p
 
 

@@ -19,7 +19,7 @@ from itertools import product
 import numpy as np
 
 from .geometry import Rect, dist_to_set
-from .grid import boundary, Config
+from .grid import _slices, boundary, Config
 from .schedule import read_bool, read_int, read_points
 
 
@@ -44,7 +44,7 @@ def build_shifted_stack(p, b):
     cols = xs // m
     # copy at column block c is dropped by c mod m rows
     out = p.array[(ys + cols) % m, xs % m]
-    return Config(Rect.from_bounds(0, b, 0, b), out)
+    return Config._trusted(Rect.from_bounds(0, b, 0, b), out)
 
 
 def copy_centers(a, win):
@@ -123,9 +123,7 @@ def _validate_partition(part):
     for r in part.rects:
         if not win.contains_rect(r):
             raise ValueError(f"rect {r} leaves the window {win}")
-        x0 = r.lo[0] - win.lo[0]
-        y0 = r.lo[1] - win.lo[1]
-        paint[y0 : y0 + r.height, x0 : x0 + r.width] += 1
+        paint[_slices(win, r)] += 1
     if not (paint == 1).all():
         raise ValueError("rects must cover the window exactly once")
 
@@ -195,13 +193,10 @@ class Toast:
     window: Rect
 
     def __post_init__(self):
+        # Cells are (x, y) int tuples already (read_points checks JSON ones).
+        # Each level lists its classes by least cell, empty classes first.
         norm = tuple(
-            tuple(
-                sorted(
-                    (frozenset((int(x), int(y)) for (x, y) in cl) for cl in level),
-                    key=lambda cl: sorted(cl)[:1],
-                )
-            )
+            tuple(sorted(map(frozenset, level), key=lambda cl: [min(cl)] if cl else []))
             for level in self.levels
         )
         object.__setattr__(self, "levels", norm)
@@ -354,8 +349,7 @@ def check_fx_strict_growth(t, probes):
         raise ValueError("strict growth is defined for layered toasts only")
     failures = []
     uncovered = []
-    for probe in probes:
-        g = (int(probe[0]), int(probe[1]))
+    for g in map(tuple, probes):
         in_level = [any(g in cl for cl in level) for level in t.levels]
         if not any(in_level):
             uncovered.append(g)

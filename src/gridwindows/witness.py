@@ -13,15 +13,7 @@ from itertools import chain
 import numpy as np
 
 from .geometry import Box, Lattice, Rect
-from .grid import HOLE, _match_offsets
-
-
-def _slices(rect, sub):
-    """numpy index for ``sub`` inside an array laid out over ``rect``."""
-    return (
-        slice(sub.lo[1] - rect.lo[1], sub.hi[1] - rect.lo[1] + 1),
-        slice(sub.lo[0] - rect.lo[0], sub.hi[0] - rect.lo[0] + 1),
-    )
+from .grid import HOLE, _match_offsets, _slices
 
 
 def _differs(p, t):
@@ -184,14 +176,11 @@ def recurrence_check(x, B, T):
     T = [tuple(t) for t in T]
     if not T:
         return RecurrenceReport(False, (), 0, rect.area)
-    umin_x = min(f.rect.lo[0] for f in B.patterns)
-    umax_x = max(f.rect.hi[0] for f in B.patterns)
-    umin_y = min(f.rect.lo[1] for f in B.patterns)
-    umax_y = max(f.rect.hi[1] for f in B.patterns)
-    ax = rect.lo[0] - umin_x - min(t[0] for t in T)
-    bx = rect.hi[0] - umax_x - max(t[0] for t in T)
-    ay = rect.lo[1] - umin_y - min(t[1] for t in T)
-    by = rect.hi[1] - umax_y - max(t[1] for t in T)
+    # Per axis k: every probe g + tau + u stays inside the window.
+    ax, ay = (rect.lo[k] - min(f.rect.lo[k] for f in B.patterns) - min(t[k] for t in T)
+              for k in (0, 1))
+    bx, by = (rect.hi[k] - max(f.rect.hi[k] for f in B.patterns) - max(t[k] for t in T)
+              for k in (0, 1))
     if ax > bx or ay > by:
         return RecurrenceReport(True, (), 0, rect.area)
     region = Rect((ax, ay), (bx, by))
@@ -299,11 +288,12 @@ def chromatic_check(c, k):
     arr = np.asarray(c.colors, dtype=np.int64)
     if arr.size and (arr.min() < 0 or arr.max() >= k):
         raise ValueError(f"colors out of range for k={k}")
-    if arr.shape[1] > 1 and (arr[:, 1:] == arr[:, :-1]).any():
-        return False
-    if arr.shape[0] > 1 and (arr[1:, :] == arr[:-1, :]).any():
-        return False
-    return True
+    return _proper(arr)
+
+
+def _proper(arr):
+    """No two 4-adjacent cells of the color array agree."""
+    return not ((arr[:, 1:] == arr[:, :-1]).any() or (arr[1:] == arr[:-1]).any())
 
 
 def largest_two_colored_rect(c):
@@ -317,15 +307,8 @@ def largest_two_colored_rect(c):
         for b in range(a, rect.hi[0] + 1):
             for cc in range(rect.lo[1], rect.hi[1] + 1):
                 for d in range(cc, rect.hi[1] + 1):
-                    sub = arr[
-                        cc - rect.lo[1] : d - rect.lo[1] + 1,
-                        a - rect.lo[0] : b - rect.lo[0] + 1,
-                    ]
-                    if len(np.unique(sub)) > 2:
-                        continue
-                    if sub.shape[1] > 1 and (sub[:, 1:] == sub[:, :-1]).any():
-                        continue
-                    if sub.shape[0] > 1 and (sub[1:, :] == sub[:-1, :]).any():
+                    sub = arr[_slices(rect, Rect((a, cc), (b, d)))]
+                    if len(np.unique(sub)) > 2 or not _proper(sub):
                         continue
                     w, h = b - a + 1, d - cc + 1
                     key = (min(w, h), w * h, (-a, -cc, -b, -d))

@@ -13,8 +13,7 @@ import json
 import random
 import time
 
-from gridwindows.errors import ResourceLimitError
-from gridwindows.geometry import Lattice, Rect, lattice_points_in, taxicab_norm
+from gridwindows.geometry import Lattice, Rect, taxicab_norm
 from gridwindows.grid import Config, PatternSet, find_occurrences, flip, tile
 from gridwindows.mincolor import (
     Certificate,

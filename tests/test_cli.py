@@ -1,11 +1,15 @@
 import hashlib
 import json
+import os
+import resource
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import gridwindows
 from gridwindows.cli import main
 from gridwindows.serialize import canon_dumps
 
@@ -52,6 +56,19 @@ def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_cli_bounded(args, mem_bytes=1536 * 2**20, timeout=20):
+    """The CLI in a child process with its address space capped and a time
+    limit, for inputs that an unbounded program would answer by allocating
+    gigabytes or by looping for ever. Returns (exit code, stderr)."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (mem_bytes, mem_bytes))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(gridwindows.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "gridwindows.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=timeout, preexec_fn=cap)
+    return proc.returncode, proc.stderr
 
 
 # -------------------------------------------------------------------- build-mt
@@ -203,6 +220,17 @@ def test_build_gp_resource_limit_exit_3(tmp_path, capsys):
     spec = write_spec(tmp_path / "spec.json", data)
     assert run_cli(["build-gp", "--spec", spec, "--out", str(tmp_path / "o"),
                     "--max-side", "128"], capsys)[0] == 3
+
+
+# A far shift used to size the tiling from s alone: [10**6, 10**6] ended in a
+# MemoryError, and [10**30, 0] listed 10**29 candidate blocks.
+@pytest.mark.parametrize("s", [[10**6, 10**6], [10**30, 0], [-(10**30), 10**30]],
+                         ids=["1e6", "1e30", "far-diagonal"])
+def test_build_gp_far_shift_exit_3_before_allocation(tmp_path, s):
+    spec = write_spec(tmp_path / "spec.json", gp_spec(schedule=[{"op": "shift", "s": s}]))
+    code, err = run_cli_bounded(["build-gp", "--spec", spec, "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert "exceeds max_side=256" in err
 
 
 def test_gp_certificate_tamper_exit_4(tmp_path, capsys):
@@ -442,6 +470,8 @@ def test_toast_pgm_side_limit(tmp_path, capsys, window, code):
                            "--format", "pgm"], capsys)
     assert got == code
     assert code == 0 or "exceeds max_side=512" in err
+    # A refused image leaves no output directory behind.
+    assert (tmp_path / "o").exists() == (code == 0)
 
 
 def test_toast_pgm_far_coordinates(tmp_path, capsys):
@@ -571,6 +601,26 @@ def test_markers_partitions_demo(tmp_path, capsys):
     report = json.loads(out)
     assert report["v"] == [8]
     assert report["phi"][0] == [3]
+
+
+@pytest.mark.parametrize("side,code", [(512, 0), (513, 3)])
+def test_markers_stack_pgm_side_limit(tmp_path, capsys, side, code):
+    spec = write_spec(tmp_path / "m.json", {"demo": "shifted_stack", "a": 1, "side": side})
+    got, _, err = run_cli(["markers", "--spec", spec, "--out", str(tmp_path / "o"),
+                           "--format", "pgm"], capsys)
+    assert got == code
+    assert code == 0 or "exceeds max_side=512" in err
+    assert (tmp_path / "o").exists() == (code == 0)
+
+
+def test_markers_stack_pgm_default_side_exit_3_before_allocation(tmp_path):
+    # a = 40 gives the default side 5 * 81**2 = 32805: an 8 GiB stack before.
+    spec = write_spec(tmp_path / "m.json", {"demo": "shifted_stack", "a": 40})
+    code, err = run_cli_bounded(["markers", "--spec", spec, "--out", str(tmp_path / "o"),
+                                 "--format", "pgm"])
+    assert code == 3
+    assert "window side 32805 exceeds max_side=512" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_markers_stack_pgm(tmp_path, capsys):

@@ -223,6 +223,14 @@ def test_detect_line_period_columns():
     assert detect_line_period(cfg, "col", 1) == 1
 
 
+@pytest.mark.parametrize("s", [(10**30, 0), (0, -(10**6)), (300, 0)])
+def test_discriminate_shift_gp_refuses_oversized_growth(s):
+    with pytest.raises(ResourceLimitError, match="exceeds max_side=256"):
+        discriminate_shift_gp(SEED, s, max_side=256)
+    out, _pair = discriminate_shift_gp(SEED, (100, 0), max_side=256)
+    assert out.p.rect.width <= 256
+
+
 def test_detect_line_period_rejects_holes():
     cfg = Config.from_rows(Rect.from_bounds(0, 2, 0, 0), ["0.0"])
     with pytest.raises(ValueError):

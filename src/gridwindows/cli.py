@@ -57,10 +57,9 @@ def _verdict(report):
 def _limits(spec, args):
     limits = dict(DEFAULT_LIMITS)
     limits.update(spec.get("limits") or {})
-    if args.max_side is not None:
-        limits["max_side"] = args.max_side
-    if args.max_steps is not None:
-        limits["max_steps"] = args.max_steps
+    for key in DEFAULT_LIMITS:
+        if getattr(args, key) is not None:
+            limits[key] = getattr(args, key)
     return limits
 
 
@@ -139,17 +138,17 @@ def _probes(spec):
     return [tuple(g) for g in probes]
 
 
-def _pgm_window(win):
-    """A PGM writer's window; ResourceLimitError when a side exceeds max_side."""
-    side, max_side = max(win.width, win.height), DEFAULT_LIMITS["max_side"]
+def _check_pgm_side(side):
+    """ResourceLimitError when a PGM writer would lay out a window side above
+    max_side; called before any array is allocated."""
+    max_side = DEFAULT_LIMITS["max_side"]
     if side > max_side:
         raise ResourceLimitError(f"window side {side} exceeds max_side={max_side}")
-    return win
 
 
 def _toast_pgm(t):
     """Depth map of the toast: each window cell's highest level + 1, else 0."""
-    win = _pgm_window(t.window)
+    win = t.window
     lo_x, hi_y = win.lo[0], win.hi[1]
     depth = np.zeros((win.height, win.width), dtype=np.int64)
     # Levels ascend, so a cell's last write is its highest level. Offsets are
@@ -179,10 +178,10 @@ def cmd_toast(args):
     else:
         report["growth"] = None
     if args.out is not None and args.format == "pgm":
-        pgm = _toast_pgm(t)
+        _check_pgm_side(max(t.window.width, t.window.height))
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "toast.pgm").write_text(pgm)
+        (out / "toast.pgm").write_text(_toast_pgm(t))
     print(canon_dumps(report))
     return 0
 
@@ -202,7 +201,8 @@ def _markers_stack(args, spec):
         "segment_short": {"len": m, "ok": short_ok},
     }
     if args.out is not None and args.format == "pgm":
-        _pgm_window(win)
+        # The segment checks above need side > 2m^2, so the marker is smaller.
+        _check_pgm_side(side)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         bits = np.zeros((m, m), dtype=np.uint8)

@@ -73,9 +73,8 @@ class Rect:
         return Rect((self.lo[0] + dx, self.lo[1] + dy), (self.hi[0] + dx, self.hi[1] + dy))
 
     def points(self):
-        """All cells, lexicographic (x first, then y)."""
-        (x0, y0), (x1, y1) = self.lo, self.hi
-        return list(product(range(x0, x1 + 1), range(y0, y1 + 1)))
+        """All cells, lexicographic (x first, then y): the cells of its Box."""
+        return list(Box(*self.bounds()))
 
     def to_json(self):
         return [self.lo[0], self.hi[0], self.lo[1], self.hi[1]]
@@ -184,4 +183,8 @@ def lattice_points_in(lat, rect):
     ax, ay = lat.anchor
     x0 = rect.lo[0] + (ax - rect.lo[0]) % sx
     y0 = rect.lo[1] + (ay - rect.lo[1]) % sy
-    return list(product(range(x0, rect.hi[0] + 1, sx), range(y0, rect.hi[1] + 1, sy)))
+    return [
+        (x, y)
+        for x in range(x0, rect.hi[0] + 1, sx)
+        for y in range(y0, rect.hi[1] + 1, sy)
+    ]

@@ -42,7 +42,7 @@ class Config:
 
     __slots__ = ("rect", "_bits", "_holes")
 
-    def __init__(self, rect, bits):
+    def __new__(cls, rect, bits):
         arr = np.array(bits, dtype=np.uint8)
         if arr.shape != (rect.height, rect.width):
             raise ValueError(
@@ -50,7 +50,7 @@ class Config:
             )
         if ((arr > 1) & (arr != HOLE)).any():
             raise ValueError("cell values must be 0, 1 or hole")
-        self._init(rect, arr, None)
+        return cls._trusted(rect, arr)
 
     @classmethod
     def _trusted(cls, rect, arr, holes=None):
@@ -58,14 +58,11 @@ class Config:
         just made, taken as it is: no copy, no value check. ``holes`` is the
         hole set, when the caller knows it."""
         cfg = object.__new__(cls)
-        cfg._init(rect, arr, holes)
-        return cfg
-
-    def _init(self, rect, arr, holes):
         arr.setflags(write=False)
-        object.__setattr__(self, "rect", rect)
-        object.__setattr__(self, "_bits", arr)
-        object.__setattr__(self, "_holes", holes)
+        object.__setattr__(cfg, "rect", rect)
+        object.__setattr__(cfg, "_bits", arr)
+        object.__setattr__(cfg, "_holes", holes)
+        return cfg
 
     def __setattr__(self, name, value):
         raise AttributeError("Config is immutable")
@@ -183,7 +180,7 @@ def tile(q, counts, flip_mask, anchor):
         raise ValueError("cannot tile a window with holes")
     w, h = q.rect.width, q.rect.height
     qa = q.array
-    qf = (1 - qa).astype(np.uint8)
+    qf = flip(q).array
     out = np.empty((ny * h, nx * w), dtype=np.uint8)
     for j in range(ny):
         for i in range(nx):
@@ -206,9 +203,7 @@ def _match_offsets(p, f, flipped):
     if sx0 > sx1 or sy0 > sy1:
         return None, None
     nsx, nsy = sx1 - sx0 + 1, sy1 - sy0 + 1
-    fa = f.array
-    if flipped:
-        fa = (1 - fa).astype(np.uint8)
+    fa = (flip(f) if flipped else f).array
     fh, fw = fa.shape
     # Offset (sx0, sy0) puts f's low corner on p's low corner. Loop over
     # f's cells or over the offsets, whichever are fewer.

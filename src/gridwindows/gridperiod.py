@@ -40,7 +40,8 @@ class GpCondition:
         return next(iter(holes))
 
     def to_json(self):
-        return {"n": self.n, "p": self.p.to_json(), "u": list(self.u)}
+        u = self.u
+        return {"n": self.n, "p": self.p.to_json(), "u": [u[0], u[1]]}
 
     @classmethod
     def from_json(cls, data, where=""):
@@ -139,7 +140,7 @@ def _span(b, count):
 _AXIS = {"col": 0, "row": 1}
 
 
-def _grow(q, ranges, lines, skip=(), fills=None, max_side=None):
+def _grow(q, ranges, lines, max_side, skip=(), fills=None):
     """Tile q over the block ranges, moving the hole to the lex-greatest
     block offset outside skip whose hole dodges every scheduled line in the
     grown window; if none can, ignore the schedule. A grown side above
@@ -147,7 +148,7 @@ def _grow(q, ranges, lines, skip=(), fills=None, max_side=None):
     u = q.u
     sides = (q.p.rect.width, q.p.rect.height)
     grown = [side * (hi - lo + 1) for side, (lo, hi) in zip(sides, ranges)]
-    if max_side is not None and max(grown) > max_side:
+    if max(grown) > max_side:
         raise ResourceLimitError(f"window side {max(grown)} exceeds max_side={max_side}")
     (i0, i1), (j0, j1) = ranges
     cands = [t for i in range(i1, i0 - 1, -1) for j in range(j1, j0 - 1, -1)
@@ -157,14 +158,14 @@ def _grow(q, ranges, lines, skip=(), fills=None, max_side=None):
     return extend_tile_gp(q, ranges, next(clean, cands[0]), fills)
 
 
-def discriminate_shift_gp(q, s, avoid_lines=(), max_side=None):
+def discriminate_shift_gp(q, s, max_side, avoid_lines=()):
     """Grow the window so that u and u+s are both defined and differ.
 
     The hole slot at u+s (reduced into the block) gets filled with the
     complement of the value already there; when u+s falls back onto u's own
     slot, both cells are displaced hole slots and get opposite fills.
     Returns the new condition and the differing pair (u, u+s). A grown side
-    above max_side, when given, raises ResourceLimitError before any tiling.
+    above max_side raises ResourceLimitError before any tiling.
     """
     s = (int(s[0]), int(s[1]))
     if s == (0, 0):
@@ -190,7 +191,7 @@ def discriminate_shift_gp(q, s, avoid_lines=(), max_side=None):
     while counts[0] * counts[1] <= len(skip):
         counts[0] *= q.n
     ranges = [_span(b, cnt) for b, cnt in zip((bi, bj), counts)]
-    return _grow(q, ranges, avoid_lines, skip, fills, max_side), (u, target)
+    return _grow(q, ranges, avoid_lines, max_side, skip, fills), (u, target)
 
 
 def detect_line_period(cfg, axis, index):
@@ -252,7 +253,8 @@ GpCertificate = certificate_class("GpCertificate", "gp", GpCondition, extra=("st
 
 
 def _stage(c):
-    return {"w": c.p.rect.width, "h": c.p.rect.height, "u": list(c.u)}
+    u = c.u
+    return {"w": c.p.rect.width, "h": c.p.rect.height, "u": [u[0], u[1]]}
 
 
 def _clear_line(cur, axis, index, lines, max_side):
@@ -266,7 +268,7 @@ def _clear_line(cur, axis, index, lines, max_side):
     counts = [1, 1]
     counts[k] = cur.n
     on_line = tuple(m % cnt * side for cnt, side in zip(counts, sides))
-    return _grow(cur, [(0, cnt - 1) for cnt in counts], lines, {on_line}, max_side=max_side)
+    return _grow(cur, [(0, cnt - 1) for cnt in counts], lines, max_side, skip={on_line})
 
 
 def _cover_gp(cur, g, lines, max_side):
@@ -275,12 +277,12 @@ def _cover_gp(cur, g, lines, max_side):
         counts = [1, 1]
         counts[int(rect.lo[0] <= g[0] <= rect.hi[0])] = cur.n
         ranges = [_span(x - hi, cnt) for x, hi, cnt in zip(g, rect.hi, counts)]
-        cur = _grow(cur, ranges, lines, max_side=max_side)
+        cur = _grow(cur, ranges, lines, max_side)
     return cur
 
 
 def _grow_shift(q, req, env):
-    out, (u, v) = discriminate_shift_gp(q, req.s, env["lines"], env["max_side"])
+    out, (u, v) = discriminate_shift_gp(q, req.s, env["max_side"], avoid_lines=env["lines"])
     return out, {"pair": [list(u), list(v)]}
 
 

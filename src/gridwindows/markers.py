@@ -259,12 +259,14 @@ def check_toast(t):
     """
     vs = []
     covered = set()
+    margin = 0
     for n, level in enumerate(t.levels):
         seen = set()
         for cl in level:
             if not cl:
                 vs.append(ToastViolation("structure", n, None))
                 continue
+            margin = max(margin, _taxicab_diameter(cl))
             outside = [g for g in cl if not t.window.contains(g)]
             if outside:
                 vs.append(ToastViolation("structure", n, min(outside)))
@@ -274,11 +276,6 @@ def check_toast(t):
             seen |= cl
             covered |= cl
 
-    margin = 0
-    for level in t.levels:
-        for cl in level:
-            if cl:
-                margin = max(margin, _taxicab_diameter(cl))
     a, b, c, d = t.window.bounds()
     # Cells with rim >= margin, x-major: at most len(covered) + 1 are visited.
     cells = product(range(a + margin, b - margin + 1), range(c + margin, d - margin + 1))
@@ -322,9 +319,8 @@ def toast_report(t):
 
 
 def fx_profile(t, g):
-    """Per level: 0 when ``g`` is in no class there, else the taxicab
-    distance from ``g`` to the union of that level's class boundaries."""
-    g = (int(g[0]), int(g[1]))
+    """Per level: 0 when the (x, y) tuple ``g`` is in no class there, else
+    the taxicab distance from ``g`` to the union of that level's class rings."""
     prof = []
     for level, ring in zip(t.levels, t.rings):
         if not any(g in cl for cl in level):

@@ -176,11 +176,14 @@ def recurrence_check(x, B, T):
     T = [tuple(t) for t in T]
     if not T:
         return RecurrenceReport(False, (), 0, rect.area)
-    # Per axis k: every probe g + tau + u stays inside the window.
-    ax, ay = (rect.lo[k] - min(f.rect.lo[k] for f in B.patterns) - min(t[k] for t in T)
-              for k in (0, 1))
-    bx, by = (rect.hi[k] - max(f.rect.hi[k] for f in B.patterns) - max(t[k] for t in T)
-              for k in (0, 1))
+    umin_x = min(f.rect.lo[0] for f in B.patterns)
+    umax_x = max(f.rect.hi[0] for f in B.patterns)
+    umin_y = min(f.rect.lo[1] for f in B.patterns)
+    umax_y = max(f.rect.hi[1] for f in B.patterns)
+    ax = rect.lo[0] - umin_x - min(t[0] for t in T)
+    bx = rect.hi[0] - umax_x - max(t[0] for t in T)
+    ay = rect.lo[1] - umin_y - min(t[1] for t in T)
+    by = rect.hi[1] - umax_y - max(t[1] for t in T)
     if ax > bx or ay > by:
         return RecurrenceReport(True, (), 0, rect.area)
     region = Rect((ax, ay), (bx, by))

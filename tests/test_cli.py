@@ -623,6 +623,17 @@ def test_markers_stack_pgm_default_side_exit_3_before_allocation(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+def test_markers_stack_pgm_large_marker_small_side_exit_2(tmp_path):
+    # A 10 x 10 window holds no segment of 2m^2 + 1 cells, so the request is
+    # refused before the 100001 x 100001 marker of a = 50000 is allocated.
+    spec = write_spec(tmp_path / "m.json", {"demo": "shifted_stack", "a": 50000, "side": 10})
+    code, err = run_cli_bounded(["markers", "--spec", spec, "--out", str(tmp_path / "o"),
+                                 "--format", "pgm"])
+    assert code == 2
+    assert "no admissible segment" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_markers_stack_pgm(tmp_path, capsys):
     spec = write_spec(tmp_path / "m.json", {"demo": "shifted_stack", "a": 1})
     out_dir = tmp_path / "o"

@@ -158,7 +158,7 @@ def test_extend_tile_gp_matches_per_block_oracle():
                                         ((-4, 2), (-6, 1, 0, 3), (1, 3))])
 def test_discriminate_onto_displaced_hole_slot(s, bounds, u):
     # u + s is a copy of the hole slot: both cells get opposite fills.
-    out, pair = discriminate_shift_gp(SEED, s)
+    out, pair = discriminate_shift_gp(SEED, s, 256)
     assert pair == ((1, 1), (1 + s[0], 1 + s[1]))
     assert out.p.rect == Rect.from_bounds(*bounds)
     assert out.u == u
@@ -167,7 +167,7 @@ def test_discriminate_onto_displaced_hole_slot(s, bounds, u):
 
 
 def test_discriminate_small_shift():
-    out, pair = discriminate_shift_gp(SEED, (1, 0))
+    out, pair = discriminate_shift_gp(SEED, (1, 0), 256)
     assert pair == ((1, 1), (2, 1))
     assert out.p.rect == Rect.from_bounds(0, 3, 0, 1)
     assert out.u == (3, 1)
@@ -180,7 +180,7 @@ def test_discriminate_small_shift():
 
 def test_discriminate_rejects_zero():
     with pytest.raises(ValueError):
-        discriminate_shift_gp(SEED, (0, 0))
+        discriminate_shift_gp(SEED, (0, 0), 256)
 
 
 def test_discriminate_random_shifts():
@@ -193,7 +193,7 @@ def test_discriminate_random_shifts():
         s = (0, 0)
         while s == (0, 0):
             s = (rng.randint(-3, 3), rng.randint(-3, 3))
-        out, pair = discriminate_shift_gp(q, s)
+        out, pair = discriminate_shift_gp(q, s, 256)
         assert pair[0] == q.u
         assert pair[1] == (q.u[0] + s[0], q.u[1] + s[1])
         a = out.p.value(pair[0])
@@ -226,8 +226,8 @@ def test_detect_line_period_columns():
 @pytest.mark.parametrize("s", [(10**30, 0), (0, -(10**6)), (300, 0)])
 def test_discriminate_shift_gp_refuses_oversized_growth(s):
     with pytest.raises(ResourceLimitError, match="exceeds max_side=256"):
-        discriminate_shift_gp(SEED, s, max_side=256)
-    out, _pair = discriminate_shift_gp(SEED, (100, 0), max_side=256)
+        discriminate_shift_gp(SEED, s, 256)
+    out, _pair = discriminate_shift_gp(SEED, (100, 0), 256)
     assert out.p.rect.width <= 256
 
 

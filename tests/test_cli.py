@@ -613,24 +613,19 @@ def test_markers_stack_pgm_side_limit(tmp_path, capsys, side, code):
     assert (tmp_path / "o").exists() == (code == 0)
 
 
-def test_markers_stack_pgm_default_side_exit_3_before_allocation(tmp_path):
-    # a = 40 gives the default side 5 * 81**2 = 32805: an 8 GiB stack before.
-    spec = write_spec(tmp_path / "m.json", {"demo": "shifted_stack", "a": 40})
-    code, err = run_cli_bounded(["markers", "--spec", spec, "--out", str(tmp_path / "o"),
-                                 "--format", "pgm"])
-    assert code == 3
-    assert "window side 32805 exceeds max_side=512" in err
-    assert not (tmp_path / "o").exists()
-
-
-def test_markers_stack_pgm_large_marker_small_side_exit_2(tmp_path):
-    # A 10 x 10 window holds no segment of 2m^2 + 1 cells, so the request is
-    # refused before the 100001 x 100001 marker of a = 50000 is allocated.
-    spec = write_spec(tmp_path / "m.json", {"demo": "shifted_stack", "a": 50000, "side": 10})
-    code, err = run_cli_bounded(["markers", "--spec", spec, "--out", str(tmp_path / "o"),
-                                 "--format", "pgm"])
-    assert code == 2
-    assert "no admissible segment" in err
+# a = 40 gives the default side 5 * 81**2 = 32805: an 8 GiB stack before. A
+# 10 x 10 window holds no segment of 2m^2 + 1 cells, so a = 50000 is refused
+# before its 100001 x 100001 marker is allocated.
+@pytest.mark.parametrize("spec,code,msg", [
+    ({"a": 40}, 3, "window side 32805 exceeds max_side=512"),
+    ({"a": 50000, "side": 10}, 2, "no admissible segment"),
+], ids=["default-side", "large-marker"])
+def test_markers_stack_pgm_refused_before_allocation(tmp_path, spec, code, msg):
+    spec = write_spec(tmp_path / "m.json", {"demo": "shifted_stack", **spec})
+    got, err = run_cli_bounded(["markers", "--spec", spec, "--out", str(tmp_path / "o"),
+                                "--format", "pgm"])
+    assert got == code
+    assert msg in err
     assert not (tmp_path / "o").exists()
 
 

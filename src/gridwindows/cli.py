@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gridperiod, mincolor
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, check_side
 from .geometry import Rect
 from .grid import Config
 from .markers import (
@@ -33,7 +33,7 @@ from .markers import (
     fx_profile,
     toast_report,
 )
-from .schedule import is_point, parse_schedule, read_bool, read_int
+from .schedule import parse_schedule, read_bool, read_int, read_point
 from .serialize import canon_dumps, pgm_dumps
 
 DEFAULT_LIMITS = {"max_side": 512, "max_steps": 256}
@@ -132,18 +132,7 @@ def _probes(spec):
     probes = spec.get("probes", [])
     if not isinstance(probes, list):
         raise ValueError("probes: expected a list of points")
-    for i, g in enumerate(probes):
-        if not is_point(g):
-            raise ValueError(f"probes[{i}]: expected two integers")
-    return [tuple(g) for g in probes]
-
-
-def _check_pgm_side(side):
-    """ResourceLimitError when a PGM writer would lay out a window side above
-    max_side; called before any array is allocated."""
-    max_side = DEFAULT_LIMITS["max_side"]
-    if side > max_side:
-        raise ResourceLimitError(f"window side {side} exceeds max_side={max_side}")
+    return [read_point(g, f"probes[{i}]") for i, g in enumerate(probes)]
 
 
 def _toast_pgm(t):
@@ -178,7 +167,7 @@ def cmd_toast(args):
     else:
         report["growth"] = None
     if args.out is not None and args.format == "pgm":
-        _check_pgm_side(max(t.window.width, t.window.height))
+        check_side(max(t.window.width, t.window.height), DEFAULT_LIMITS["max_side"])
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "toast.pgm").write_text(_toast_pgm(t))
@@ -202,7 +191,7 @@ def _markers_stack(args, spec):
     }
     if args.out is not None and args.format == "pgm":
         # The segment checks above need side > 2m^2, so the marker is smaller.
-        _check_pgm_side(side)
+        check_side(side, DEFAULT_LIMITS["max_side"])
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         bits = np.zeros((m, m), dtype=np.uint8)

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import check_side
 from .geometry import Lattice, Rect, lattice_points_in
 from .grid import HOLE, Config
-from .schedule import Cover, certificate_class, is_int, is_point, read_int, report, run_schedule
+from .schedule import (Cover, certificate_class, is_int, is_point, read_int, read_point, report,
+                       run_schedule)
 
 
 def _is_power(k, n):
@@ -48,11 +49,8 @@ class GpCondition:
         """``where`` is the condition's JSON path, named in errors."""
         at = f"{where}." if where else ""
         cond = cls(read_int(data["n"], f"{at}n"), Config.from_json(data["p"]))
-        if "u" in data:
-            if not is_point(data["u"]):
-                raise ValueError(f"{at}u: expected two integers")
-            if tuple(data["u"]) != cond.u:
-                raise ValueError("declared hole does not match the window")
+        if "u" in data and read_point(data["u"], f"{at}u") != cond.u:
+            raise ValueError("declared hole does not match the window")
         return cond
 
 
@@ -148,8 +146,7 @@ def _grow(q, ranges, lines, max_side, skip=(), fills=None):
     u = q.u
     sides = (q.p.rect.width, q.p.rect.height)
     grown = [side * (hi - lo + 1) for side, (lo, hi) in zip(sides, ranges)]
-    if max(grown) > max_side:
-        raise ResourceLimitError(f"window side {max(grown)} exceeds max_side={max_side}")
+    check_side(max(grown), max_side)
     (i0, i1), (j0, j1) = ranges
     cands = [t for i in range(i1, i0 - 1, -1) for j in range(j1, j0 - 1, -1)
              if (t := (i * sides[0], j * sides[1])) not in skip]

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 from .geometry import Box
 from .grid import HOLE, Config, tile
-from .schedule import (Cover, certificate_class, is_point, read_bool, read_points, report,
+from .errors import check_side
+from .schedule import (Cover, certificate_class, read_bool, read_point, read_points, report,
                        run_schedule)
 from .witness import (
     _differs,
@@ -58,11 +59,10 @@ class MtCondition:
         """``where`` is the condition's JSON path, named in errors."""
         at = f"{where}." if where else ""
         p = Config.from_json(data["p"])
-        if not all(is_point(e["t"]) for e in data["shifts"]):
-            raise ValueError(f"{at}t: expected two integers")
+        ts = [read_point(e["t"], f"{at}t") for e in data["shifts"]]
         return cls(
             p=p,
-            shifts=tuple((tuple(e["t"]), read_points(e["T"], f"{at}T")) for e in data["shifts"]),
+            shifts=tuple((t, read_points(e["T"], f"{at}T")) for t, e in zip(ts, data["shifts"])),
             patterns=tuple(
                 (Config.from_json(e["f"]), read_points(e["F"], f"{at}F"))
                 for e in data["patterns"]
@@ -184,11 +184,12 @@ def extend_shift(c, t):
         return MtCondition(c.p, c.shifts + ((t, T),), c.patterns, c.odd_mode)
     nx, ax, cx, (tx0, tx1) = _shift_axis(t[0], a, b, c.odd_mode)
     ny, ay, cy, (ty0, ty1) = _shift_axis(t[1], cc, d, c.odd_mode)
+    w, h = c.p.rect.width, c.p.rect.height
     image = (cx + t[0], cy + t[1])
-    flipped = ((image[0] - ax) // c.p.rect.width, (image[1] - ay) // c.p.rect.height)
-    grown = tile(c.p, (nx, ny), lambda i, j: False, (ax, ay))
-    if grown.value((cx, cy)) == grown.value(image):
-        grown = tile(c.p, (nx, ny), lambda i, j: (i, j) == flipped, (ax, ay))
+    # Unflipped, the image shows the window's value at the image reduced into it.
+    same = c.p.value((cx, cy)) == c.p.value((a + (image[0] - a) % w, cc + (image[1] - cc) % h))
+    flipped = ((image[0] - ax) // w, (image[1] - ay) // h) if same else None
+    grown = tile(c.p, (nx, ny), lambda i, j: (i, j) == flipped, (ax, ay))
     T = Box(tx0, tx1, ty0, ty1)
     return MtCondition(grown, c.shifts + ((t, T),), c.patterns, c.odd_mode)
 
@@ -246,11 +247,16 @@ class DuplicateOdd:
 
 
 def _grow_shift(c, req, env):
+    # A window with a witness for t holds a pair at offset t: a side above max |t_k|.
+    check_side(max(map(abs, req.t)) + 1, env["max_side"])
     out = extend_shift(c, req.t)
     return out, {"mode": "noop" if len(out.shifts) == len(c.shifts) else "extend"}
 
 
 def _grow_cover(c, req, env):
+    # The grown window spans both the window and g.
+    a, b, cc, d = c.p.rect.bounds()
+    check_side(max(req.g[0] - a, b - req.g[0], req.g[1] - cc, d - req.g[1]) + 1, env["max_side"])
     return extend_cover(c, req.g), {}
 
 

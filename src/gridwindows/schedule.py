@@ -4,12 +4,14 @@ A family lists its grow operations in a table ``STEPS: op name ->
 (request class, apply)``. ``parse_schedule`` reads a spec's JSON schedule
 through that table and ``run_schedule`` applies the requests in order.
 ``apply(cur, req, env)`` returns the grown condition and the extra fields
-of the step's record; the driver alone enforces the limits, keeps the
-chain and writes the records. An apply calls its step function through a
-module global, so wrappers installed on the family module see every step.
-``certificate_class`` makes each family's certificate type, the record of
-one build that the family's verifier re-checks, and ``report`` the
-verifier's answer.
+of the step's record. The driver reads the limits, checks the step count
+and every grown side, keeps the chain and writes the records. An apply
+whose request could ask for a far larger window checks the side it asks
+for before building, with the same ``errors.check_side``. An apply calls
+its step function through a module global, so wrappers installed on the
+family module see every step. ``certificate_class`` makes each family's
+certificate type, the record of one build that the family's verifier
+re-checks, and ``report`` the verifier's answer.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, fields, make_dataclass
 from itertools import chain
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, check_side
 from .geometry import Box
 
 
@@ -43,6 +45,13 @@ def read_int(v, where):
     return v
 
 
+def read_point(v, where):
+    """The JSON point v as (x, y); anything else raises ValueError naming ``where``."""
+    if not is_point(v):
+        raise ValueError(f"{where}: expected two integers")
+    return tuple(v)
+
+
 def read_bool(v, where):
     """The JSON boolean v; anything else raises ValueError naming ``where``."""
     if type(v) is not bool:
@@ -62,15 +71,13 @@ def read_points(v, where):
     return Box.from_lex(v) or frozenset(map(tuple, v))
 
 
-def _read(kind, v):
+def _read(kind, v, where):
     """A request field's JSON value (None when missing), checked against the
     field's annotation. String fields are checked by their request class."""
     if kind == "tuple":
-        if is_point(v):
-            return tuple(v)
-        raise ValueError("expected two integers")
-    if kind == "int" and not is_int(v):
-        raise ValueError("expected an integer")
+        return read_point(v, where)
+    if kind == "int":
+        return read_int(v, where)
     return v
 
 
@@ -89,12 +96,8 @@ def parse_schedule(entries, steps):
         if not isinstance(op, str) or op not in steps:
             raise ValueError(f"{where}.op: unknown op {op!r}")
         cls = steps[op][0]
-        args = {}
-        for f in fields(cls):
-            try:
-                args[f.name] = _read(f.type, entry.get(f.name))
-            except ValueError as exc:
-                raise ValueError(f"{where}.{f.name}: {exc}") from None
+        args = {f.name: _read(f.type, entry.get(f.name), f"{where}.{f.name}")
+                for f in fields(cls)}
         try:
             sched.append(cls(**args))
         except ValueError as exc:
@@ -106,8 +109,8 @@ def run_schedule(start, sched, limits, steps, **env):
     """Apply the requests in order, starting from ``start``; ``env`` goes
     to every apply, with ``max_side`` added. Returns the chain of
     conditions, the step records and the limits as used."""
-    max_side = int(limits["max_side"])
-    max_steps = int(limits["max_steps"])
+    max_side = read_int(limits["max_side"], "limits.max_side")
+    max_steps = read_int(limits["max_steps"], "limits.max_steps")
     if len(sched) > max_steps:
         raise ResourceLimitError(
             f"schedule has {len(sched)} steps, limit is {max_steps}"
@@ -121,9 +124,7 @@ def run_schedule(start, sched, limits, steps, **env):
             raise ValueError(f"unknown build step {req!r}")
         op, apply = by_class[type(req)]
         cur, extra = apply(chain[-1], req, env)
-        side = max(cur.p.rect.width, cur.p.rect.height)
-        if side > max_side:
-            raise ResourceLimitError(f"window side {side} exceeds max_side={max_side}")
+        check_side(max(cur.p.rect.width, cur.p.rect.height), max_side)
         chain.append(cur)
         args = {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(req).items()}
         records.append({"req": {"op": op, **args}, **extra})

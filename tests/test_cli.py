@@ -164,6 +164,33 @@ def test_build_mt_resource_limit_exit_3(tmp_path, capsys):
     assert code == 3
 
 
+# A far mt request used to be tiled first and checked against max_side only
+# afterwards: 9.31 GiB for the cover, 931 GiB for the shift.
+@pytest.mark.parametrize("step,side", [({"op": "cover", "g": [100000, 100000]}, 100001),
+                                       ({"op": "shift", "t": [1000000, 1000000]}, 1000001)],
+                         ids=["cover", "shift"])
+def test_build_mt_far_request_exit_3_before_tiling(tmp_path, step, side):
+    spec = write_spec(tmp_path / "spec.json", mt_spec(schedule=[step]))
+    code, err = run_cli_bounded(["build-mt", "--spec", spec, "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert f"window side {side} exceeds max_side=128" in err
+
+
+# Limits were read with int(): Infinity ended in an OverflowError traceback,
+# and "100", true and 2.9 were taken as 100, 1 and 2.
+@pytest.mark.parametrize("cmd,spec", [("build-mt", mt_spec()), ("build-gp", gp_spec())],
+                         ids=["mt", "gp"])
+@pytest.mark.parametrize("key", ["max_side", "max_steps"])
+@pytest.mark.parametrize("value", [float("inf"), "100", True, 2.9],
+                         ids=["Infinity", "string", "true", "float"])
+def test_build_limit_not_an_integer_exit_2(tmp_path, capsys, cmd, spec, key, value):
+    spec = dict(spec, limits=dict(spec["limits"], **{key: value}))
+    code, _, err = run_cli([cmd, "--spec", write_spec(tmp_path / "spec.json", spec),
+                            "--out", str(tmp_path / "o")], capsys)
+    assert code == 2
+    assert f"limits.{key}: expected an integer" in err
+
+
 def test_verify_tampered_exit_4(tmp_path, capsys):
     spec = write_spec(tmp_path / "spec.json", mt_spec())
     out_dir = tmp_path / "out"
@@ -296,6 +323,13 @@ def test_build_gp_three_element_shift_exit_2(tmp_path, capsys):
     code, err = build_err(tmp_path, capsys, "build-gp", [{"op": "shift", "s": [1, 0, 3]}])
     assert code == 2
     assert "schedule[0].s: expected two integers" in err
+
+
+def test_build_gp_float_line_index_exit_2(tmp_path, capsys):
+    sched = [{"op": "line_clear", "axis": "row", "index": 1.0}]
+    code, err = build_err(tmp_path, capsys, "build-gp", sched)
+    assert code == 2
+    assert "schedule[0].index: expected an integer" in err
 
 
 # ------------------------------------------------------------- byte identity

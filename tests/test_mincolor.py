@@ -375,6 +375,27 @@ def test_build_generic_resource_limit():
         build_generic(start, [Shift((1, 0))] * 5, {"max_side": 64, "max_steps": 3})
 
 
+def test_build_generic_side_checks_refuse_no_fitting_step():
+    """The side checks made before a cover or a shift tiles refuse no step
+    whose grown window fits: with max_side set to its grown side, it runs."""
+    rng = random.Random(89)
+    for _ in range(400):
+        odd = rng.random() < 0.4
+        w, h = (rng.choice((1, 3, 5) if odd else (1, 2, 3, 4)) for _ in range(2))
+        a, c = rng.randint(-4, 4), rng.randint(-4, 4)
+        rows = ["".join(str(rng.randrange(2)) for _ in range(w)) for _ in range(h)]
+        cond = bare(Config.from_rows(Rect.from_bounds(a, a + w - 1, c, c + h - 1), rows), odd)
+        if rng.random() < 0.5:
+            cond = extend_shift(cond, (rng.randint(1, 4), rng.randint(-4, 4)))
+        v = (rng.randint(-12, 12), rng.randint(-12, 12))
+        if v == (0, 0):
+            continue
+        req, grow = rng.choice([(Cover(v), extend_cover), (Shift(v), extend_shift)])
+        rect = grow(cond, v).p.rect
+        limits = {"max_side": max(rect.width, rect.height), "max_steps": 1}
+        assert build_generic(cond, [req], limits).final.p.rect == rect
+
+
 def test_build_generic_rejects_duplicate_odd_outside_odd_mode():
     start = bare(checkerboard(0, 2, 0, 2))
     with pytest.raises(ValueError):

@@ -420,6 +420,20 @@ def test_gp_hole_claim_not_integers_names_path(tmp_path, capsys, key):
     assert f"{key}.u: expected two integers" in capsys.readouterr().err
 
 
+# Every shift's t is read before any T, so a bad t further down the list is
+# the error named.
+@pytest.mark.parametrize("key", ["seed", "final"])
+def test_mt_shift_claim_not_integers_named_before_witness_sets(tmp_path, capsys, key):
+    data = build_cert(tmp_path, capsys, "build-mt", MT_SPEC)
+    final = data["final"]
+    final["shifts"] = [dict(final["shifts"][0], T="x"), dict(final["shifts"][0], t=[0.5, 0])]
+    data[key] = final
+    path = tmp_path / "tampered.json"
+    path.write_text(canon_dumps(data))
+    assert main(["verify", "--spec", str(path)]) == 2
+    assert f"{key}.t: expected two integers" in capsys.readouterr().err
+
+
 def test_huge_seed_rect_build_exit_2(tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(canon_dumps(dict(MT_SPEC, seed=dict(CHECKER, rect=[0, 10**12, 0, 2]))))
@@ -507,9 +521,10 @@ def test_mt_odd_flag_not_boolean_exit_2(tmp_path, capsys, key, value):
 
 # ---------------------------------------------------------------- totality
 
-# One JSON path of a certificate, the root included, set to one of these.
+# One JSON path of a certificate or a build spec, the root included, set to
+# one of these. canon_dumps writes inf as Infinity, which json.load reads back.
 JUNK = [None, True, 1.5, -1, 0, 10**30, "x", [], [1], [1, 2, 3], {}, [[0, 0]], [0.5, 0],
-        [10**12, 0]]
+        [10**12, 0], float("inf")]
 
 
 def json_paths(node, path=()):
@@ -548,3 +563,23 @@ def test_verify_total_under_single_field_mutation(spec_certs, cmd, data):
     path.write_text(canon_dumps(doc))
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         assert main(["verify", "--spec", str(path)]) in (0, 2, 4)
+
+
+@pytest.fixture(scope="module")
+def mutated_dir(tmp_path_factory):
+    """A directory for the mutated spec and the artifacts of its build."""
+    return tmp_path_factory.mktemp("mutated-spec")
+
+
+@pytest.mark.parametrize("cmd,spec", [("build-mt", MT_SPEC), ("build-gp", GP_SPEC)],
+                         ids=["build-mt", "build-gp"])
+@given(st.data())
+def test_build_total_under_single_field_mutation(mutated_dir, cmd, spec, data):
+    """A build ends in exit 0, 2 or 3, never in a traceback or exit 4."""
+    where = data.draw(st.sampled_from(list(json_paths(spec))), label="path")
+    value = data.draw(st.sampled_from(JUNK), label="value")
+    doc = with_field(copy.deepcopy(spec), where, value) if where else value
+    path = mutated_dir / "spec.json"
+    path.write_text(canon_dumps(doc))
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert main([cmd, "--spec", str(path), "--out", str(mutated_dir / "out")]) in (0, 2, 3)

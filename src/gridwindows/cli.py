@@ -27,10 +27,8 @@ from .markers import (
     RectPartition,
     Toast,
     build_shifted_stack,
-    check_fx_strict_growth,
     check_partition_props,
     check_segment_center_cover,
-    fx_profile,
     toast_report,
 )
 from .schedule import parse_schedule, read_bool, read_int, read_point
@@ -55,8 +53,10 @@ def _verdict(report):
 
 
 def _limits(spec, args):
-    limits = dict(DEFAULT_LIMITS)
-    limits.update(spec.get("limits") or {})
+    given = spec.get("limits", {})
+    if not isinstance(given, dict):
+        raise ValueError("limits: expected an object")
+    limits = {**DEFAULT_LIMITS, **given}
     for key in DEFAULT_LIMITS:
         if getattr(args, key) is not None:
             limits[key] = getattr(args, key)
@@ -152,20 +152,7 @@ def _toast_pgm(t):
 def cmd_toast(args):
     spec = _load_json(args.spec)
     t = Toast.from_json(spec["toast"])
-    probes = _probes(spec)
-    report = toast_report(t)
-    report["fx"] = [
-        {"probe": [gx, gy], "profile": fx_profile(t, (gx, gy))} for (gx, gy) in probes
-    ]
-    if t.layered:
-        growth = check_fx_strict_growth(t, probes)
-        report["growth"] = {
-            "ok": growth.ok,
-            "failures": [[[gx, gy], n] for ((gx, gy), n) in growth.failures],
-            "uncovered": [[gx, gy] for (gx, gy) in growth.uncovered],
-        }
-    else:
-        report["growth"] = None
+    report = toast_report(t, _probes(spec))
     if args.out is not None and args.format == "pgm":
         check_side(max(t.window.width, t.window.height), DEFAULT_LIMITS["max_side"])
         out = Path(args.out)

@@ -88,7 +88,7 @@ class Config:
         bad = data == _BAD
         if bad.any():
             raise ValueError(f"bad cell character {text[int(bad.argmax())]!r}")
-        return cls(rect, data.reshape(rect.height, rect.width))
+        return cls._trusted(rect, data.reshape(rect.height, rect.width))
 
     def rows(self):
         """Low-y row first, as strings over 0/1/'.'."""

@@ -359,12 +359,14 @@ def verify_gp_certificate(cert):
             if ok:
                 (x1, y1), (x2, y2) = pair
                 v1, v2 = fin.value((x1, y1)), fin.value((x2, y2))
-                ok = None not in (v1, v2) and v1 != v2 and [x2 - x1, y2 - y1] == req["s"]
+                ok = (None not in (v1, v2) and v1 != v2 and is_point(req["s"])
+                      and [x2 - x1, y2 - y1] == req["s"])
             checks.append((f"shift {req['s']} pair differs", ok))
         elif op == "line_clear":
             axis, idx = req["axis"], req["index"]
-            k = _AXIS["row" if axis == "row" else "col"]
-            ok = fu is not None and is_int(idx) and (idx - fu[k]) % (W, H)[k] != 0
+            # Tuple membership compares without hashing, so any JSON axis is safe.
+            k = _AXIS[axis] if axis in ("col", "row") else None
+            ok = k is not None and fu is not None and is_int(idx) and (idx - fu[k]) % (W, H)[k] != 0
             if ok and fin.rect.lo[k] <= idx <= fin.rect.hi[k]:
                 per = detect_line_period(fin, ("col", "row")[k], idx)
                 ok = per is not None and (H, W)[k] % per == 0

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 
@@ -83,9 +82,10 @@ def check_segment_center_cover(a, win, length):
     # (mod m), m * m apart, so row y + m repeats row y: m rows decide.
     for y in range(y_first, min(y_last, y_first + m - 1) + 1):
         first = lo_x + a + ((a - y) % m * m - lo_x) % (m * m)
-        # A segment misses every center only inside a gap wider than it.
-        stops = [lo_x - 1, *range(first, hi_x - a + 1, m * m), hi_x + 1]
-        for p, q in zip(stops, stops[1:]):
+        # A segment misses every center only inside a gap wider than it. Inner
+        # gaps all equal m * m, so the edge gaps and the first inner one decide.
+        centers = range(first, hi_x - a + 1, m * m)
+        for p, q in zip([lo_x - 1, *centers[:1], *centers[-1:]], [*centers[:2], hi_x + 1]):
             if q - p > length:
                 return False, ((p + 1, y), length)
     return True, None
@@ -214,6 +214,11 @@ class Toast:
             for level, inner in zip(self.levels, self.interiors)
         )
 
+    @cached_property
+    def exempt(self):
+        """Per level, whether each class is excused from nesting (_rim_exempt)."""
+        return tuple(tuple(_rim_exempt(self, cl) for cl in level) for level in self.levels)
+
     def to_json(self):
         return {
             "layered": self.layered,
@@ -278,18 +283,20 @@ def check_toast(t):
 
     a, b, c, d = t.window.bounds()
     # Cells with rim >= margin, x-major: at most len(covered) + 1 are visited.
-    cells = product(range(a + margin, b - margin + 1), range(c + margin, d - margin + 1))
+    # The ranges are walked lazily, and not at all when no row is left.
+    xs, ys = range(a + margin, b - margin + 1), range(c + margin, d - margin + 1)
+    cells = ((x, y) for x in xs for y in ys) if ys else ()
     gap = next((g for g in cells if g not in covered), None)
     if gap is not None:
         vs.append(ToastViolation("0", None, gap))
 
     strict = "2'" if t.layered else "2"
-    for n, level in enumerate(t.levels):
+    for n, (level, exempt) in enumerate(zip(t.levels, t.exempt)):
         up = slice(n + 1, n + 2 if t.layered else None)
         above = [sup for lv in t.levels[up] for sup in lv]
         inner = [sup for lv in t.interiors[up] for sup in lv]
-        for cl in level:
-            if not cl or _rim_exempt(t, cl):
+        for cl, ex in zip(level, exempt):
+            if not cl or ex:
                 continue
             if not any(cl <= sup for sup in above):
                 vs.append(ToastViolation("1", n, min(cl)))
@@ -298,11 +305,12 @@ def check_toast(t):
     return vs
 
 
-def toast_report(t):
+def toast_report(t, probes):
+    """The toast checker's report: clause violations, rim-exempt classes,
+    each (x, y) probe's fx profile and, when layered, their strict growth."""
     vs = check_toast(t)
-    exempt = sum(
-        1 for level in t.levels for cl in level if cl and _rim_exempt(t, cl)
-    )
+    profiles = [fx_profile(t, g) for g in probes]
+    growth = _fx_growth(t, probes, profiles) if t.layered else None
     return {
         "ok": not vs,
         "violations": [
@@ -313,21 +321,24 @@ def toast_report(t):
             }
             for v in vs
         ],
-        "rim_exempt": exempt,
+        "rim_exempt": sum(map(sum, t.exempt)),
         "levels": len(t.levels),
+        "fx": [{"probe": list(g), "profile": prof} for g, prof in zip(probes, profiles)],
+        "growth": None if growth is None else {
+            "ok": growth.ok,
+            "failures": [[list(g), n] for (g, n) in growth.failures],
+            "uncovered": [list(g) for g in growth.uncovered],
+        },
     }
 
 
 def fx_profile(t, g):
     """Per level: 0 when the (x, y) tuple ``g`` is in no class there, else
     the taxicab distance from ``g`` to the union of that level's class rings."""
-    prof = []
-    for level, ring in zip(t.levels, t.rings):
-        if not any(g in cl for cl in level):
-            prof.append(0)
-            continue
-        prof.append(int(dist_to_set(g, ring)))
-    return prof
+    return [
+        int(dist_to_set(g, ring)) if any(g in cl for cl in level) else 0
+        for level, ring in zip(t.levels, t.rings)
+    ]
 
 
 @dataclass(frozen=True)
@@ -337,22 +348,27 @@ class FxReport:
     uncovered: tuple = ()
 
 
+def _fx_growth(t, probes, profiles):
+    """FxReport of the (x, y) probes, given their fx profiles."""
+    failures = []
+    uncovered = []
+    for g, prof in zip(probes, profiles):
+        in_level = [any(g in cl for cl in level) for level in t.levels]
+        if not any(in_level):
+            uncovered.append(g)
+            continue
+        k0 = in_level.index(True)
+        for n in range(k0, len(prof) - 1):
+            if prof[n + 1] <= prof[n]:
+                failures.append((g, n))
+    return FxReport(ok=not failures, failures=tuple(failures), uncovered=tuple(uncovered))
+
+
 def check_fx_strict_growth(t, probes):
     """From the first level covering each probe upward, the fx profile must
     grow strictly. Failures record (probe, level) for the lower level of each
     non-increasing step; probes covered nowhere are reported separately."""
     if not t.layered:
         raise ValueError("strict growth is defined for layered toasts only")
-    failures = []
-    uncovered = []
-    for g in map(tuple, probes):
-        in_level = [any(g in cl for cl in level) for level in t.levels]
-        if not any(in_level):
-            uncovered.append(g)
-            continue
-        prof = fx_profile(t, g)
-        k0 = in_level.index(True)
-        for n in range(k0, len(prof) - 1):
-            if prof[n + 1] <= prof[n]:
-                failures.append((g, n))
-    return FxReport(ok=not failures, failures=tuple(failures), uncovered=tuple(uncovered))
+    probes = list(map(tuple, probes))
+    return _fx_growth(t, probes, [fx_profile(t, g) for g in probes])

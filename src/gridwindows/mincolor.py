@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .geometry import Box
-from .grid import HOLE, Config, tile
+from .grid import Config, tile
 from .errors import check_side
 from .schedule import (Cover, certificate_class, read_bool, read_point, read_points, report,
                        run_schedule)
@@ -110,14 +110,13 @@ def validate(c):
     vs = _structure(c)
     if vs:
         return vs
-    defined = c.p.array != HOLE
     for i, (t, T) in enumerate(c.shifts):
-        g = _first_bad(c.p.rect, defined & ~_shift_ok_grid(c.p, t, T))
+        g = _first_bad(c.p.rect, ~_shift_ok_grid(c.p, t, T))
         if g is not None:
             vs.append(Violation("a", i, g))
     for j, (f, F) in enumerate(c.patterns):
         for clause, flipped in (("b1", False), ("b2", True)):
-            g = _first_bad(c.p.rect, defined & ~_pattern_ok_grid(c.p, f, F, flipped))
+            g = _first_bad(c.p.rect, ~_pattern_ok_grid(c.p, f, F, flipped))
             if g is not None:
                 vs.append(Violation(clause, j, g))
     return vs

@@ -191,6 +191,28 @@ def test_build_limit_not_an_integer_exit_2(tmp_path, capsys, cmd, spec, key, val
     assert f"limits.{key}: expected an integer" in err
 
 
+# A limits value that is not an object was read through `or {}` and
+# dict.update: a list of pairs set the limits, and any false value fell
+# back to the defaults.
+@pytest.mark.parametrize("value", [[["max_side", 5]], False, 0, "", [], None],
+                         ids=["pairs", "false", "zero", "empty-string", "empty-list", "null"])
+def test_build_limits_not_an_object_exit_2(tmp_path, capsys, value):
+    spec = write_spec(tmp_path / "spec.json", mt_spec(limits=value))
+    code, _, err = run_cli(["build-mt", "--spec", spec, "--out", str(tmp_path / "o")], capsys)
+    assert code == 2
+    assert "limits: expected an object" in err
+
+
+def test_build_without_limits_uses_defaults(tmp_path, capsys):
+    spec = mt_spec()
+    del spec["limits"]
+    code, _, _ = run_cli(["build-mt", "--spec", write_spec(tmp_path / "spec.json", spec),
+                          "--out", str(tmp_path / "o")], capsys)
+    assert code == 0
+    cert = json.loads((tmp_path / "o" / "certificate.json").read_text())
+    assert cert["limits"] == {"max_side": 512, "max_steps": 256}
+
+
 def test_verify_tampered_exit_4(tmp_path, capsys):
     spec = write_spec(tmp_path / "spec.json", mt_spec())
     out_dir = tmp_path / "out"
@@ -494,6 +516,17 @@ def test_toast_huge_window_bounded_by_input(tmp_path, capsys):
     ]
 
 
+# The clause-0 scan stored its whole x-range as a tuple before yielding a
+# cell: MemoryError at 10**12, OverflowError at 10**30. Here the y-range is
+# empty, so not a single cell is scanned.
+@pytest.mark.parametrize("hi_x", [10**12, 10**30], ids=["1e12", "1e30"])
+def test_toast_far_window_edge_bounded(tmp_path, hi_x):
+    data = toast_spec()
+    data["toast"]["window"][1] = hi_x
+    code, err = run_cli_bounded(["toast", "--spec", write_spec(tmp_path / "toast.json", data)])
+    assert (code, err) == (0, "")
+
+
 @pytest.mark.parametrize("window,code", [([0, 511, 0, 0], 0), ([0, 512, 0, 0], 3),
                                          ([0, 10**6, 0, 10**6], 3)])
 def test_toast_pgm_side_limit(tmp_path, capsys, window, code):
@@ -611,6 +644,15 @@ def test_markers_stack_huge_side_bounded_by_input(tmp_path, capsys):
     assert report["window"] == [0, 10**6 - 1, 0, 10**6 - 1]
     assert report["segment_pass"]["ok"] is True
     assert report["segment_short"]["ok"] is False
+
+
+# Each scanned row listed all of its centres: MemoryError at side 10**12.
+# Three gaps decide a row, so the side no longer sets the cost.
+@pytest.mark.parametrize("side", [10**12, 10**30], ids=["1e12", "1e30"])
+def test_markers_stack_far_side_bounded(tmp_path, side):
+    spec = write_spec(tmp_path / "m.json", {"demo": "shifted_stack", "a": 1, "side": side})
+    code, err = run_cli_bounded(["markers", "--spec", spec])
+    assert (code, err) == (0, "")
 
 
 def test_markers_stack_negative_a_exit_2(tmp_path, capsys):

@@ -183,6 +183,6 @@ def test_toast_levels_and_reports_unchanged():
     assert [len(cl) for cl in t.levels[0]] == [0, 0, 1, 3, 2]
     again = Toast(levels=tuple(map(tuple, raw)), layered=True, window=t.window)
     assert again.levels == t.levels
-    report = toast_report(t)
-    assert report == toast_report(again)
+    report = toast_report(t, [])
+    assert report == toast_report(again, [])
     assert report["violations"][0] == {"clause": "structure", "level": 0, "where": None}

@@ -1,9 +1,11 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 
 from gridwindows import markers
+from gridwindows.cli import main
 from gridwindows.geometry import Rect
 from gridwindows.grid import Config
 from gridwindows.markers import (
@@ -250,7 +252,7 @@ def concentric_toast(levels=9, half=8):
 def test_concentric_toast_passes():
     t = concentric_toast()
     assert check_toast(t) == []
-    rep = toast_report(t)
+    rep = toast_report(t, [])
     assert rep["ok"]
     assert rep["rim_exempt"] == 1     # the outermost square cannot dilate
 
@@ -440,12 +442,12 @@ def test_toast_checkers_match_cell_scans(monkeypatch):
         want = naive_check_toast(t)
         assert check_toast(t) == want
         assert [fx_profile(t, g) for g in probes] == [naive_fx_profile(t, g) for g in probes]
-        got_report = toast_report(t)
+        got_report = toast_report(t, probes)
         got_growth = check_fx_strict_growth(t, probes) if t.layered else None
         with monkeypatch.context() as mp:
             mp.setattr(markers, "check_toast", naive_check_toast)
             mp.setattr(markers, "fx_profile", naive_fx_profile)
-            assert got_report == toast_report(t)
+            assert got_report == toast_report(t, probes)
             if t.layered:
                 assert got_growth == check_fx_strict_growth(t, probes)
         for clause in {v.clause for v in want} or {"ok"}:
@@ -455,21 +457,48 @@ def test_toast_checkers_match_cell_scans(monkeypatch):
     assert min(kinds.values()) >= 50 and kinds["structure"] >= TOASTS // 4, kinds
 
 
+SPOTS = [(-3, -3), (-3, 3), (3, -3), (3, 3)]
+
+
+def spotted_toast():
+    """Four single cells, their 3x3 boxes, then two nested squares."""
+    levels = (
+        tuple(frozenset({g}) for g in SPOTS),
+        tuple(box_cells(x - 1, x + 1, y - 1, y + 1) for (x, y) in SPOTS),
+        (box_cells(-5, 5, -5, 5),),
+        (box_cells(-8, 8, -8, 8),),
+    )
+    return Toast(levels=levels, layered=True, window=Rect.from_bounds(-8, 8, -8, 8))
+
+
 def test_toast_boundary_once_per_class(monkeypatch):
     calls = []
     real = markers.boundary
     monkeypatch.setattr(markers, "boundary", lambda cl: calls.append(cl) or real(cl))
-    spots = [(-3, -3), (-3, 3), (3, -3), (3, 3)]
-    levels = (
-        tuple(frozenset({g}) for g in spots),
-        tuple(box_cells(x - 1, x + 1, y - 1, y + 1) for (x, y) in spots),
-        (box_cells(-5, 5, -5, 5),),
-        (box_cells(-8, 8, -8, 8),),
-    )
-    t = Toast(levels=levels, layered=True, window=Rect.from_bounds(-8, 8, -8, 8))
-    probes = spots + [(0, 0), (1, 4), (8, 8)]
-    assert toast_report(t)["ok"]
+    t = spotted_toast()
+    probes = SPOTS + [(0, 0), (1, 4), (8, 8)]
+    assert toast_report(t, probes)["ok"]
     for g in probes:
         fx_profile(t, g)
     check_fx_strict_growth(t, probes)
-    assert len(calls) <= sum(len(level) for level in levels)
+    assert len(calls) <= sum(len(level) for level in t.levels)
+
+
+def test_toast_run_profiles_each_probe_and_scans_each_class_once(tmp_path, monkeypatch, capsys):
+    """A ``gridwin toast`` run profiles each probe once (the ring scan runs
+    once per covering level) and tests each class against the rim once."""
+    calls = Counter()
+    for name in ("fx_profile", "dist_to_set", "_rim_exempt"):
+        real = getattr(markers, name)
+        monkeypatch.setattr(markers, name,
+                            lambda *args, name=name, real=real: calls.update([name]) or real(*args))
+    t = spotted_toast()
+    probes = SPOTS + [(0, 0), (1, 4), (8, 8), (20, 20)]
+    spec = tmp_path / "toast.json"
+    spec.write_text(canon_dumps({"toast": t.to_json(), "probes": [list(g) for g in probes]}))
+    assert main(["toast", "--spec", str(spec)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] and report["growth"]["uncovered"] == [[20, 20]]
+    covering = sum(any(g in cl for cl in level) for g in probes for level in t.levels)
+    assert calls == {"fx_profile": len(probes), "dist_to_set": covering,
+                     "_rim_exempt": sum(len(level) for level in t.levels)}

@@ -38,7 +38,7 @@ from gridwindows.serialize import canon_dumps
 from gridwindows.witness import window_two_coloring_check
 
 from oracles import cells_of, naive_grid_periodicity, naive_lex_least_differing, seeded
-from test_cli import PINNED, with_field
+from test_cli import PINNED, toast_spec, with_field
 
 
 CHECKER = {"rect": [0, 2, 0, 2], "rows": ["010", "101", "010"], "holes": []}
@@ -314,6 +314,22 @@ def test_gp_shift_offset_claim_checked_exit_4(tmp_path, capsys):
     assert check(out, "shift [5, 7] pair differs") is False
 
 
+# A line_clear axis other than "row" was checked as a column, and a shift's
+# s was compared with ==, so a float or a bool passed as the integer.
+@pytest.mark.parametrize("step,key,value,name", [
+    (1, "axis", "diag", "line diag 0 cleared"),
+    (1, "axis", 7, "line 7 0 cleared"),
+    (0, "s", [1.0, 0], "shift [1.0, 0] pair differs"),
+    (0, "s", [True, 0], "shift [True, 0] pair differs"),
+], ids=["axis-diag", "axis-int", "s-float", "s-bool"])
+def test_gp_step_claim_read_strictly_exit_4(tmp_path, capsys, step, key, value, name):
+    data = build_cert(tmp_path, capsys, "build-gp", GP_SPEC)
+    data["steps"][step]["req"][key] = value
+    code, out = verify_cert(tmp_path, capsys, data)
+    assert code == 4
+    assert [c["name"] for c in json.loads(out)["checks"] if not c["ok"]] == [name]
+
+
 # Each step record gives one check: a record of an op the verifier does not
 # know was skipped, so its claim went unchecked and verify still passed.
 def test_gp_unknown_step_op_fails_its_check(tmp_path, capsys):
@@ -583,3 +599,16 @@ def test_build_total_under_single_field_mutation(mutated_dir, cmd, spec, data):
     path.write_text(canon_dumps(doc))
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         assert main([cmd, "--spec", str(path), "--out", str(mutated_dir / "out")]) in (0, 2, 3)
+
+
+@given(st.data())
+def test_toast_total_under_single_field_mutation(mutated_dir, data):
+    """gridwin toast ends in exit 0, 2 or 3, never in a traceback or exit 4."""
+    spec = toast_spec()
+    where = data.draw(st.sampled_from(list(json_paths(spec))), label="path")
+    value = data.draw(st.sampled_from(JUNK), label="value")
+    doc = with_field(copy.deepcopy(spec), where, value) if where else value
+    path = mutated_dir / "toast.json"
+    path.write_text(canon_dumps(doc))
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert main(["toast", "--spec", str(path)]) in (0, 2, 3)

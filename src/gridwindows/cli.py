@@ -102,8 +102,10 @@ def _build(args, kind):
     window = cert.final.p
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "window.json").write_text(canon_dumps(window.to_json()) + "\n")
-    (out / "certificate.json").write_text(canon_dumps(cert.to_json()) + "\n")
+    # The certificate holds the final window's JSON; its rows are encoded once.
+    data = cert.to_json()
+    (out / "window.json").write_text(canon_dumps(data["final"]["p"]) + "\n")
+    (out / "certificate.json").write_text(canon_dumps(data) + "\n")
     if args.format == "pgm":
         (out / "window.pgm").write_text(window.to_pgm())
         if kind == "gp":

@@ -92,7 +92,9 @@ class Config:
 
     def rows(self):
         """Low-y row first, as strings over 0/1/'.'."""
-        return [_BIT_TO_CHAR[row].tobytes().decode("ascii") for row in self._bits]
+        h, w = self._bits.shape
+        text = _BIT_TO_CHAR[self._bits].tobytes().decode("ascii")
+        return [text[j * w : (j + 1) * w] for j in range(h)]
 
     def value(self, g):
         """0/1 at a defined cell, None at holes and outside the window."""

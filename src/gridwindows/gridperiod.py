@@ -216,18 +216,21 @@ def verify_grid_periodicity(x, w, h, u):
     class containing u. Holes are skipped."""
     if w < 1 or h < 1:
         raise ValueError(f"period sides must be >= 1, got {w}x{h}")
-    # Pad with holes so that row and column 0 are residue 0 and the blocks
-    # are whole; cell [ry, rx] of a block reduction is then class (rx, ry).
+    # Classes are counted from the window's low corner, the same partition
+    # as absolute residues. A side at or beyond the window's puts each line
+    # in a class of its own, so the fold is never wider than the window.
     rows, cols = x.array.shape
-    ox, oy = x.rect.lo[0] % w, x.rect.lo[1] % h
-    ny, nx = -(-(oy + rows) // h), -(-(ox + cols) // w)
-    pad = np.full((ny * h, nx * w), HOLE, dtype=np.uint8)
-    pad[oy : oy + rows, ox : ox + cols] = x.array
-    blocks = pad.reshape(ny, h, nx, w)
-    # A class holds both bits when its largest bit (holes as 0) exceeds its
-    # least value (holes as 255).
-    mixed = np.where(blocks == HOLE, 0, blocks).max(axis=(0, 2)) > blocks.min(axis=(0, 2))
-    mixed[u[1] % h, u[0] % w] = False
+    fw, fh = min(w, cols), min(h, rows)
+    ny, nx = -(-rows // fh), -(-cols // fw)
+    # Cells as bits in uint8: 0 -> 1, 1 -> 2 and HOLE wraps to 0, like the
+    # padding that makes the blocks whole. A class holding both values ORs to 3.
+    bits = np.zeros((ny * fh, nx * fw), dtype=np.uint8)
+    np.add(x.array, 1, out=bits[:rows, :cols])
+    fold = np.bitwise_or.reduce(bits.reshape(ny, fh, nx * fw), axis=0)
+    mixed = np.bitwise_or.reduce(fold.reshape(fh, nx, fw), axis=1) == 3
+    ey, ex = (u[1] - x.rect.lo[1]) % h, (u[0] - x.rect.lo[0]) % w
+    if ey < fh and ex < fw:
+        mixed[ey, ex] = False
     return not mixed.any()
 
 

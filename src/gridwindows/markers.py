@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import Rect, dist_to_set
-from .grid import _slices, boundary, Config
+from .grid import boundary, Config
 from .schedule import read_bool, read_int, read_points
 
 
@@ -119,11 +119,19 @@ class RectPartition:
 
 def _validate_partition(part):
     win = part.window
-    paint = np.zeros((win.height, win.width), dtype=np.int32)
     for r in part.rects:
         if not win.contains_rect(r):
             raise ValueError(f"rect {r} leaves the window {win}")
-        paint[_slices(win, r)] += 1
+    # Paint on the grid cut by the window's and the rects' edges, which is
+    # never larger than the window: each of its cells lies wholly inside or
+    # outside every rect. at[k] maps an edge coordinate to its grid index.
+    at = []
+    for k in (0, 1):
+        edges = sorted({e for r in (win, *part.rects) for e in (r.lo[k], r.hi[k] + 1)})
+        at.append({e: i for i, e in enumerate(edges)})
+    paint = np.zeros((len(at[1]) - 1, len(at[0]) - 1), dtype=np.int32)
+    for r in part.rects:
+        paint[at[1][r.lo[1]] : at[1][r.hi[1] + 1], at[0][r.lo[0]] : at[0][r.hi[0] + 1]] += 1
     if not (paint == 1).all():
         raise ValueError("rects must cover the window exactly once")
 

@@ -9,6 +9,7 @@ keep the loops the library used before it vectorized them.
 
 import bisect
 import random
+from collections import Counter
 
 import numpy as np
 
@@ -495,6 +496,13 @@ def naive_copy_centers(a, win):
             if (cy - r) % m == 0:
                 out.add((cx, cy))
     return out
+
+
+def naive_partition_exact(win, rects):
+    """Every cell of the window lies in exactly one of the rects, which all
+    lie inside it: a count per cell."""
+    counts = Counter(g for r in rects for g in rect_cells(*r.bounds()))
+    return all(counts[g] == 1 for g in rect_cells(*win.bounds()))
 
 
 def naive_check_segment_center_cover(a, win, length):

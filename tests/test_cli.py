@@ -58,16 +58,22 @@ def run_cli(args, capsys):
     return code, out.out, out.err
 
 
-def run_cli_bounded(args, mem_bytes=1536 * 2**20, timeout=20):
-    """The CLI in a child process with its address space capped and a time
-    limit, for inputs that an unbounded program would answer by allocating
-    gigabytes or by looping for ever. Returns (exit code, stderr)."""
+def run_bounded(args, mem_bytes=1536 * 2**20, timeout=20):
+    """Python with these arguments in a child process with its address
+    space capped and a time limit, for inputs that an unbounded program
+    would answer by allocating gigabytes or by looping for ever. Returns
+    the finished process, its output captured as text."""
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (mem_bytes, mem_bytes))
 
     env = dict(os.environ, PYTHONPATH=str(Path(gridwindows.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "gridwindows.cli", *args], env=env,
-                          capture_output=True, text=True, timeout=timeout, preexec_fn=cap)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=timeout, preexec_fn=cap)
+
+
+def run_cli_bounded(args):
+    """The CLI under run_bounded. Returns (exit code, stderr)."""
+    proc = run_bounded(["-m", "gridwindows.cli", *args])
     return proc.returncode, proc.stderr
 
 
@@ -677,6 +683,21 @@ def test_markers_partitions_demo(tmp_path, capsys):
     report = json.loads(out)
     assert report["v"] == [8]
     assert report["phi"][0] == [3]
+
+
+# The partition check painted a cell array over the whole window: 3.64 TiB
+# for this one. Either verdict is now reached within the child's memory cap.
+@pytest.mark.parametrize("rects,code,msg", [
+    ([[0, 1000000, 0, 1000000]], 0, ""),
+    ([[0, 999999, 0, 1000000], [999999, 1000000, 0, 1000000]], 2, "exactly once"),
+], ids=["cover", "overlap"])
+def test_markers_partitions_far_window_bounded(tmp_path, rects, code, msg):
+    spec = write_spec(tmp_path / "m.json", {
+        "demo": "partitions", "window": [0, 1000000, 0, 1000000],
+        "levels": [{"level": 0, "rects": rects}], "probes": [[3, 3]]})
+    got, err = run_cli_bounded(["markers", "--spec", spec])
+    assert got == code
+    assert msg in err
 
 
 @pytest.mark.parametrize("side,code", [(512, 0), (513, 3)])

@@ -28,6 +28,7 @@ from oracles import (
     naive_check_toast,
     naive_copy_centers,
     naive_fx_profile,
+    naive_partition_exact,
     naive_shifted_stack,
     naive_stack_centers,
     rect_cells,
@@ -202,6 +203,34 @@ def test_partition_validation():
     )
     with pytest.raises(ValueError):
         check_partition_props([overlapping], [])
+
+
+def test_partition_validation_matches_oracle():
+    rng = random.Random(53)
+    win = Rect.from_bounds(-2, 3, 1, 5)
+    verdicts = Counter()
+    for _ in range(400):
+        rects = []
+        for _r in range(rng.randint(0, 5)):
+            x0, y0 = rng.randint(-3, 3), rng.randint(0, 5)
+            rects.append(Rect.from_bounds(x0, x0 + rng.randint(0, 6), y0, y0 + rng.randint(0, 5)))
+        if rng.random() < 0.3:
+            # Cut the window in two along a random column, so exact covers occur.
+            x = rng.randint(-2, 2)
+            rects = [Rect.from_bounds(-2, x, 1, 5), Rect.from_bounds(x + 1, 3, 1, 5)] + rects[:1]
+        part = RectPartition(level=0, rects=tuple(rects), window=win)
+        try:
+            check_partition_props([part], [])
+            got = "ok"
+        except ValueError as exc:
+            got = "leaves" if "leaves the window" in str(exc) else "cover"
+        if any(not win.contains_rect(r) for r in rects):
+            want = "leaves"
+        else:
+            want = "ok" if naive_partition_exact(win, rects) else "cover"
+        assert got == want, rects
+        verdicts[got] += 1
+    assert len(verdicts) == 3
 
 
 def test_partition_props_single_level():

@@ -4,6 +4,7 @@ is checked against the window, and the clause kernels agree with the
 oracles."""
 
 import copy
+import dataclasses
 import hashlib
 import io
 import json
@@ -38,7 +39,7 @@ from gridwindows.serialize import canon_dumps
 from gridwindows.witness import window_two_coloring_check
 
 from oracles import cells_of, naive_grid_periodicity, naive_lex_least_differing, seeded
-from test_cli import PINNED, toast_spec, with_field
+from test_cli import PINNED, run_bounded, toast_spec, with_field
 
 
 CHECKER = {"rect": [0, 2, 0, 2], "rows": ["010", "101", "010"], "holes": []}
@@ -249,7 +250,8 @@ def test_lex_least_differing_matches_oracle():
 def test_grid_periodicity_matches_oracle():
     rng = seeded(43)
     for _ in range(2000):
-        w, h = rng.randint(1, 5), rng.randint(1, 5)
+        # Sides up to 20 also reach past the window's sides (up to 13).
+        w, h = (rng.randint(1, rng.choice((5, 5, 20))) for _ in range(2))
         cols, rows = rng.randint(1, 13), rng.randint(1, 13)
         lo = (rng.randint(-9, 9), rng.randint(-9, 9))
         block = [[rng.randrange(2) for _ in range(w)] for _ in range(h)]
@@ -271,6 +273,72 @@ def test_grid_periodicity_rejects_nonpositive_sides(w, h):
     x = Config.from_json(CHECKER)
     with pytest.raises(ValueError):
         verify_grid_periodicity(x, w, h, (0, 0))
+
+
+# Sides were padded to whole blocks in full: 10**6 x 10**6 on a 4 x 4 window
+# asked for 931 GiB. A side at or past the window's puts each line in a
+# class of its own, and the exempt class may then lie outside the window.
+FAR_SIDES = """
+import numpy as np
+from gridwindows.geometry import Rect
+from gridwindows.grid import HOLE, Config
+from gridwindows.gridperiod import verify_grid_periodicity as v
+bits = np.zeros((4, 4), dtype=np.uint8)
+bits[2, 1], bits[3, 3] = 1, HOLE
+x = Config(Rect((5, 5), (8, 8)), bits)
+print(v(x, 10**6, 10**6, (0, 0)), v(x, 10**6, 2, (6, 5)), v(x, 10**6, 2, (7, 5)),
+      v(x, 2, 10**6, (0, 0)))
+"""
+
+
+def test_grid_periodicity_far_sides_bounded():
+    proc = run_bounded(["-c", FAR_SIDES])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "True", "False", "False"]
+
+
+# Each stage's periodicity verdict in the certificate's verify report, in order.
+def stage_verdicts(cert):
+    report = verify_gp_certificate(cert)
+    names = {c["name"]: c["ok"] for c in report["checks"]}
+    return [names[f"stage[{i}] periodicity {st['w']}x{st['h']}"]
+            for i, st in enumerate(cert.stages)]
+
+
+GP3_SPEC = {
+    "seed": {"n": 3, "p": {"rect": [0, 2, 0, 2], "rows": ["010", "110", "01."],
+                           "holes": [[2, 2]]}},
+    "schedule": [
+        {"op": "shift", "s": [4, 1]},
+        {"op": "line_clear", "axis": "col", "index": 2},
+        {"op": "cover", "g": [-20, 30]},
+    ],
+    "limits": {"max_side": 256, "max_steps": 64},
+}
+
+
+@pytest.mark.parametrize("spec", [GP_SPEC, GP3_SPEC], ids=["readme-n2", "n3"])
+def test_gp_stage_verdicts_match_oracle_under_flips(spec):
+    seed = gridperiod.GpCondition.from_json(spec["seed"])
+    sched = parse_schedule(spec["schedule"], gridperiod.STEPS)
+    cert = gridperiod.build_generic_gp(seed, sched, spec["limits"])
+    fin = cert.final.p
+    assert all(stage_verdicts(cert))
+    rng = seeded(47)
+    rows, cols = fin.array.shape
+    failed = 0
+    for _ in range(40):
+        bits = fin.array.copy()
+        for _flip in range(rng.choice((1, 1, 2))):
+            j, i = rng.randrange(rows), rng.randrange(cols)
+            if bits[j, i] != HOLE:
+                bits[j, i] ^= 1
+        x = Config(fin.rect, bits)
+        got = stage_verdicts(dataclasses.replace(cert, final=gridperiod.GpCondition(seed.n, x)))
+        want = [naive_grid_periodicity(x, st["w"], st["h"], st["u"]) for st in cert.stages]
+        assert got == want
+        failed += not all(got)
+    assert failed
 
 
 # ------------------------------------------------------------ gp claims

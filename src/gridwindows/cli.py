@@ -13,6 +13,7 @@ report), 2 bad spec or invalid request, 3 a resource limit was hit,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -82,7 +83,7 @@ def _hole_lattice_pgm(final, seed):
     w, h = seed.p.rect.width, seed.p.rect.height
     xs = (np.arange(rect.lo[0], rect.hi[0] + 1) - ux) % w == 0
     ys = (np.arange(rect.hi[1], rect.lo[1] - 1, -1) - uy) % h == 0
-    return pgm_dumps(np.outer(ys, xs).astype(np.uint8), 1)
+    return pgm_dumps(np.outer(ys, xs), 1)
 
 
 def _build(args, kind):
@@ -215,7 +216,9 @@ def cmd_markers(args):
     raise ValueError(f"unknown markers demo {demo!r}")
 
 
+@functools.cache
 def build_parser():
+    """The parser of the process: built on the first call, then reused."""
     parser = argparse.ArgumentParser(
         prog="gridwin",
         description="Build, check and render certified window extensions.",
@@ -229,9 +232,9 @@ def build_parser():
         p.add_argument("--format", choices=("json", "pgm", "ascii"),
                        default="json", help="extra window rendering")
 
-    for name, func, helptext in (
-        ("build-mt", cmd_build_mt, "run a two-coloring build schedule"),
-        ("build-gp", cmd_build_gp, "run a grid-periodicity build schedule"),
+    for name, helptext in (
+        ("build-mt", "run a two-coloring build schedule"),
+        ("build-gp", "run a grid-periodicity build schedule"),
     ):
         p = sub.add_parser(name, help=helptext)
         common(p, True)
@@ -239,26 +242,27 @@ def build_parser():
                        help="override the spec's window side limit")
         p.add_argument("--max-steps", type=int, default=None,
                        help="override the spec's schedule length limit")
-        p.set_defaults(func=func)
 
     p = sub.add_parser("verify", help="re-check a saved certificate")
     p.add_argument("--spec", required=True, help="path to certificate.json")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("toast", help="check a toast spec")
     common(p, False)
-    p.set_defaults(func=cmd_toast)
 
     p = sub.add_parser("markers", help="run a marker demo")
     common(p, False)
-    p.set_defaults(func=cmd_markers)
     return parser
 
 
 def main(argv=None):
+    """Run one ``gridwin`` command and return its exit code. Can be called
+    any number of times in one process."""
     args = build_parser().parse_args(argv)
+    # Subcommand x-y runs cmd_x_y, looked up at call time like ``_family``,
+    # so wrappers installed on this module after the first call apply.
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -78,16 +78,37 @@ def check_segment_center_cover(a, win, length):
     if x_last < lo_x or y_first > y_last:
         raise ValueError("window holds no admissible segment of this length")
     m = 2 * a + 1
-    # Admissible rows hold every center of their column blocks c = a - y
-    # (mod m), m * m apart, so row y + m repeats row y: m rows decide.
-    for y in range(y_first, min(y_last, y_first + m - 1) + 1):
-        first = lo_x + a + ((a - y) % m * m - lo_x) % (m * m)
-        # A segment misses every center only inside a gap wider than it. Inner
-        # gaps all equal m * m, so the edge gaps and the first inner one decide.
-        centers = range(first, hi_x - a + 1, m * m)
+    mm = m * m
+
+    def miss(f):
+        """x0 of a segment that misses every center of a row whose first
+        center is lo_x + a + f, or None."""
+        # Centers are m * m apart, so the edge gaps and the first inner one decide.
+        centers = range(lo_x + a + f, hi_x - a + 1, mm)
         for p, q in zip([lo_x - 1, *centers[:1], *centers[-1:]], [*centers[:2], hi_x + 1]):
             if q - p > length:
-                return False, ((p + 1, y), length)
+                return p + 1
+        return None
+
+    # Row y holds its first center at lo_x + a + f, f = ((a - y) % m * m - lo_x)
+    # % m^2, and row y + 1 has f - m (mod m^2). So the admissible rows take
+    # f = s + m * t for t = t0, t0 - 1, ... (mod m), and m rows decide. With
+    # span = hi_x - lo_x - 2a, miss(f) changes only where f reaches length - a
+    # (the left gap), where (span - f) % m^2 wraps (the number of centers,
+    # at f = wrap) and where that reaches length - a (the right gap). Each
+    # cut is the least t whose f reaches an edge.
+    f0 = ((a - y_first) % m * m - lo_x) % mm
+    t0, s = divmod(f0, m)
+    rows = min(y_last - y_first + 1, m)
+    free, wrap = length - a, (hi_x - lo_x - 2 * a) % mm + 1
+    edges = (free, wrap, wrap - free, wrap + mm - free)
+    cuts = sorted({0, m, *(-((s - e) // m) for e in edges if 0 < e < mm)})
+    # The first row of each failing run [ta, tb) of t.
+    firsts = [0 if ta <= t0 < tb else (t0 - tb + 1) % m
+              for ta, tb in zip(cuts, cuts[1:]) if miss(s + m * ta) is not None]
+    j = min(firsts, default=rows)
+    if j < rows:
+        return False, ((miss(s + m * ((t0 - j) % m)), y_first + j), length)
     return True, None
 
 

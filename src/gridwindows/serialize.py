@@ -16,17 +16,28 @@ def canon_dumps(data):
 
 def pgm_dumps(rows, maxval):
     """Plain-text PGM (P2). ``rows`` is a 2-D array, or a list of rows, of
-    non-negative ints, the first row being the TOP line of the image."""
+    non-negative ints or bools, the first row being the TOP line of the image."""
     img = np.asarray(rows)
     if img.ndim != 2 or img.size == 0:
         raise ValueError(f"expected a non-empty rectangular image, got shape {img.shape}")
-    if img.min() < 0 or img.max() > maxval:
+    if img.dtype.kind not in "biu":
+        raise ValueError(f"gray levels must be integers, got dtype {img.dtype}")
+    top = int(img.max())
+    if img.min() < 0 or top > maxval:
         raise ValueError(f"gray levels must lie in 0..{maxval}")
-    # One fixed-width entry per gray level: its digits and a separator,
-    # padded with zero bytes that are dropped after the lookup.
-    table = np.array([f"{v} ".encode() for v in range(int(img.max()) + 1)])
-    cells = table[img].view(np.uint8).reshape(*img.shape, -1)
-    last = cells[:, -1]
-    last[last == ord(" ")] = ord("\n")
-    body = cells[cells != 0].tobytes().decode("ascii")
+    if top < 10:
+        # Every level is one digit: each cell is that digit and a separator.
+        cells = np.empty((*img.shape, 2), dtype=np.uint8)
+        np.add(img, ord("0"), out=cells[..., 0], casting="unsafe")
+        cells[..., 1] = ord(" ")
+        cells[:, -1, 1] = ord("\n")
+    else:
+        # One fixed-width entry per gray level: its digits and a separator,
+        # padded with zero bytes that are dropped after the lookup.
+        table = np.array([f"{v} ".encode() for v in range(top + 1)])
+        cells = np.ascontiguousarray(table[img]).view(np.uint8).reshape(*img.shape, -1)
+        last = cells[:, -1]
+        last[last == ord(" ")] = ord("\n")
+        cells = cells[cells != 0]
+    body = cells.tobytes().decode("ascii")
     return f"P2\n{img.shape[1]} {img.shape[0]}\n{maxval}\n" + body

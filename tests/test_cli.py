@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import gridwindows
+from gridwindows import cli
 from gridwindows.cli import main
 from gridwindows.serialize import canon_dumps
 
@@ -661,6 +662,17 @@ def test_markers_stack_far_side_bounded(tmp_path, side):
     assert (code, err) == (0, "")
 
 
+# The rows were scanned one by one, 2a + 1 of them: a = 10**30 never ended.
+# The first failing row is now found from the gap conditions.
+def test_markers_stack_far_a_bounded(tmp_path):
+    spec = write_spec(tmp_path / "m.json", {"demo": "shifted_stack", "a": 10**30})
+    proc = run_bounded(["-m", "gridwindows.cli", "markers", "--spec", spec], timeout=5)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = json.loads(proc.stdout)
+    assert report["segment_pass"]["ok"] is True
+    assert report["segment_short"]["ok"] is False
+
+
 def test_markers_stack_negative_a_exit_2(tmp_path, capsys):
     spec = write_spec(tmp_path / "m.json", {"demo": "shifted_stack", "a": -1})
     code, out, err = run_cli(["markers", "--spec", spec], capsys)
@@ -755,10 +767,7 @@ def test_top_level_json_not_an_object_exit_2(tmp_path, capsys, cmd, text):
 # ----------------------------------------------------------------- entry point
 
 def test_module_entry_point_help():
-    proc = subprocess.run(
-        [sys.executable, "-m", "gridwindows.cli", "--help"],
-        capture_output=True, text=True,
-    )
+    proc = run_bounded(["-m", "gridwindows.cli", "--help"])
     assert proc.returncode == 0
     assert "build-mt" in proc.stdout
 
@@ -766,3 +775,62 @@ def test_module_entry_point_help():
 def test_missing_subcommand_exit_2(capsys):
     with pytest.raises(SystemExit):
         main([])
+
+
+# ------------------------------------------------------- one parser per process
+
+def artifacts(out_dir):
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+def test_repeated_main_matches_fresh_processes(tmp_path, capsys):
+    gp = write_spec(tmp_path / "gp.json", gp_spec())
+    mt = write_spec(tmp_path / "mt.json", mt_spec())
+    toast = write_spec(tmp_path / "toast.json", toast_spec())
+    stack = write_spec(tmp_path / "stack.json", {"demo": "shifted_stack", "a": 1})
+
+    def commands(out):
+        return [
+            ["build-gp", "--spec", gp, "--out", str(out / "gp"), "--format", "pgm",
+             "--max-side", "200"],
+            ["build-mt", "--spec", mt, "--out", str(out / "mt")],
+            ["verify", "--spec", str(out / "gp" / "certificate.json")],
+            ["toast", "--spec", toast, "--out", str(out / "toast"), "--format", "pgm"],
+            ["markers", "--spec", stack, "--out", str(out / "stack"), "--format", "pgm"],
+        ]
+
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    for mine, theirs in zip(commands(here), commands(fresh)):
+        code, out, err = run_cli(mine, capsys)
+        proc = run_bounded(["-m", "gridwindows.cli", *theirs])
+        assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr)
+    for name in ("gp", "mt", "toast", "stack"):
+        assert artifacts(here / name) == artifacts(fresh / name)
+
+
+def test_handler_wrapped_after_first_call_is_used(tmp_path, capsys, monkeypatch):
+    spec = write_spec(tmp_path / "gp.json", gp_spec())
+    out_dir = tmp_path / "out"
+    assert run_cli(["build-gp", "--spec", spec, "--out", str(out_dir)], capsys)[0] == 0
+    cert = str(out_dir / "certificate.json")
+    assert run_cli(["verify", "--spec", cert], capsys)[0] == 0
+    seen = []
+
+    def wrapped(args):
+        seen.append(args.spec)
+        return original(args)
+
+    original = cli.cmd_verify
+    monkeypatch.setattr(cli, "cmd_verify", wrapped)
+    assert run_cli(["verify", "--spec", cert], capsys)[0] == 0
+    assert seen == [cert]
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["nope"], ["verify", "--spec"],
+                                  ["build-gp", "--spec", "x.json", "--format", "gif"]])
+def test_bad_argv_after_good_call_exit_2(tmp_path, capsys, argv):
+    spec = write_spec(tmp_path / "m.json", {"demo": "shifted_stack", "a": 1})
+    assert run_cli(["markers", "--spec", spec], capsys)[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

@@ -36,6 +36,29 @@ def test_pgm_dumps_matches_reference(maxval):
         assert pgm_dumps(np.array(img), maxval) == expected
 
 
+# One-digit images are written by arithmetic, wider ones through a table, so
+# the cases straddle the digit boundary in both the levels and the header.
+LEVEL_CASES = [(bool, 1, 1), (bool, 1, 10)] + [
+    (dtype, top, maxval)
+    for dtype in (np.uint8, np.int64)
+    for top, maxval in [(9, 9), (10, 10), (2, 10), (9, 255), (12, 255)]
+]
+
+
+@pytest.mark.parametrize("dtype,top,maxval", LEVEL_CASES,
+                         ids=[f"{np.dtype(d).name}-{t}-of-{v}" for d, t, v in LEVEL_CASES])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 17), (17, 1), (5, 7), (200, 300)],
+                         ids=["1x1", "1xn", "nx1", "5x7", "200x300"])
+def test_pgm_dumps_dtypes_and_shapes_match_reference(dtype, top, maxval, shape):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1] + top)
+    img = rng.integers(0, top + 1, size=shape)
+    img.flat[0] = top
+    img = img.astype(dtype)
+    expected = ref_pgm_dumps(img.tolist(), maxval)
+    assert pgm_dumps(img, maxval) == expected
+    assert pgm_dumps(np.asfortranarray(img), maxval) == expected
+
+
 def test_toast_pgm_with_two_digit_levels_matches_reference(tmp_path, capsys):
     # Level n holds the column x = n - 6 for y <= 3, so cell (x, y) sits at
     # depth x + 7 (2..12) below row 4 and at depth 0 above it.

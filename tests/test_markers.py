@@ -147,6 +147,25 @@ def test_copy_centers_and_segment_cover_match_cell_scans():
     assert failing > 300
 
 
+# The first failing row is found from the gap conditions, not by a scan. With
+# fewer admissible rows than m it often lies just past the last one.
+def test_segment_cover_few_rows_matches_cell_scan():
+    rng = random.Random(131)
+    verdicts = Counter()
+    for _ in range(1500):
+        a = rng.randint(1, 5)
+        m = 2 * a + 1
+        lo = (rng.randint(-30, 5), rng.randint(-30, 5))
+        width = rng.randint(m, 2 * m * m + 2)
+        height = 4 * a + rng.randint(1, m - 1)
+        win = Rect.from_bounds(lo[0], lo[0] + width - 1, lo[1], lo[1] + height - 1)
+        length = rng.randint(1, width)
+        got = check_segment_center_cover(a, win, length)
+        assert got == naive_check_segment_center_cover(a, win, length)
+        verdicts[got[0]] += 1
+    assert min(verdicts[True], verdicts[False]) > 300
+
+
 # ---------------------------------------------------------------- segment cover
 
 def test_segment_cover_a1_frozen():

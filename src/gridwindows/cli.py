@@ -32,7 +32,7 @@ from .markers import (
     check_segment_center_cover,
     toast_report,
 )
-from .schedule import parse_schedule, read_bool, read_int, read_point
+from .schedule import parse_schedule, read_bool, read_int, read_limits, read_point
 from .serialize import canon_dumps, pgm_dumps
 
 DEFAULT_LIMITS = {"max_side": 512, "max_steps": 256}
@@ -54,10 +54,7 @@ def _verdict(report):
 
 
 def _limits(spec, args):
-    given = spec.get("limits", {})
-    if not isinstance(given, dict):
-        raise ValueError("limits: expected an object")
-    limits = {**DEFAULT_LIMITS, **given}
+    limits = read_limits(spec.get("limits", {}), DEFAULT_LIMITS)
     for key in DEFAULT_LIMITS:
         if getattr(args, key) is not None:
             limits[key] = getattr(args, key)

@@ -16,8 +16,8 @@ import numpy as np
 from .errors import check_side
 from .geometry import Lattice, Rect, lattice_points_in
 from .grid import HOLE, Config
-from .schedule import (Cover, certificate_class, is_int, is_point, read_int, read_point, report,
-                       run_schedule)
+from .schedule import (Cover, certificate_class, check_steps, covered, is_int, is_point, read_int,
+                       read_point, report, run_schedule, within_limits)
 
 
 def _is_power(k, n):
@@ -257,47 +257,59 @@ def _stage(c):
     return {"w": c.p.rect.width, "h": c.p.rect.height, "u": [u[0], u[1]]}
 
 
-def _clear_line(cur, axis, index, lines, max_side):
-    """Tile along the line's axis so the hole leaves the line. No-op when
-    the line already misses the hole's residue class."""
-    k = _AXIS[axis]
-    sides = (cur.p.rect.width, cur.p.rect.height)
-    m, r = divmod(index - cur.u[k], sides[k])
-    if r:
-        return cur
-    counts = [1, 1]
-    counts[k] = cur.n
-    on_line = tuple(m % cnt * side for cnt, side in zip(counts, sides))
-    return _grow(cur, [(0, cnt - 1) for cnt in counts], lines, max_side, skip={on_line})
-
-
-def _cover_gp(cur, g, lines, max_side):
-    while not cur.p.rect.contains(g):
-        rect = cur.p.rect
-        counts = [1, 1]
-        counts[int(rect.lo[0] <= g[0] <= rect.hi[0])] = cur.n
-        ranges = [_span(x - hi, cnt) for x, hi, cnt in zip(g, rect.hi, counts)]
-        cur = _grow(cur, ranges, lines, max_side)
-    return cur
-
-
 def _grow_shift(q, req, env):
     out, (u, v) = discriminate_shift_gp(q, req.s, env["max_side"], avoid_lines=env["lines"])
     return out, {"pair": [list(u), list(v)]}
 
 
+def _check_shift(final, req, rec, env):
+    pair = rec.get("pair")
+    if not (isinstance(pair, list) and len(pair) == 2 and all(map(is_point, pair))):
+        return False
+    (x1, y1), (x2, y2) = pair
+    return (x2 - x1, y2 - y1) == req.s and {final.p.value(g) for g in pair} == {0, 1}
+
+
 def _grow_line(q, req, env):
-    return _clear_line(q, req.axis, req.index, env["lines"], env["max_side"]), {}
+    """Tile along the line's axis so the hole leaves the line. No-op when
+    the line already misses the hole's residue class."""
+    k = _AXIS[req.axis]
+    sides = (q.p.rect.width, q.p.rect.height)
+    m, r = divmod(req.index - q.u[k], sides[k])
+    if r:
+        return q, {}
+    counts = [1, 1]
+    counts[k] = q.n
+    on_line = tuple(m % cnt * side for cnt, side in zip(counts, sides))
+    ranges = [(0, cnt - 1) for cnt in counts]
+    return _grow(q, ranges, env["lines"], env["max_side"], skip={on_line}), {}
+
+
+def _check_line(final, req, rec, env):
+    """The line misses the hole's class; across the window, its period divides the side."""
+    k, fu, sides = _AXIS[req.axis], env["u"], env["sides"]
+    if fu is None or (req.index - fu[k]) % sides[k] == 0:
+        return False
+    if not final.p.rect.lo[k] <= req.index <= final.p.rect.hi[k]:
+        return True
+    per = detect_line_period(final.p, req.axis, req.index)
+    return per is not None and sides[1 - k] % per == 0
 
 
 def _grow_cover(q, req, env):
-    return _cover_gp(q, req.g, env["lines"], env["max_side"]), {}
+    while not q.p.rect.contains(req.g):
+        rect = q.p.rect
+        counts = [1, 1]
+        counts[int(rect.lo[0] <= req.g[0] <= rect.hi[0])] = q.n
+        ranges = [_span(x - hi, cnt) for x, hi, cnt in zip(req.g, rect.hi, counts)]
+        q = _grow(q, ranges, env["lines"], env["max_side"])
+    return q, {}
 
 
 STEPS = {
-    "shift": (Shift, _grow_shift),
-    "line_clear": (LineClear, _grow_line),
-    "cover": (Cover, _grow_cover),
+    "shift": (Shift, _grow_shift, "shift {s} pair differs", _check_shift),
+    "line_clear": (LineClear, _grow_line, "line {axis} {index} cleared", _check_line),
+    "cover": (Cover, _grow_cover, "cover {g} contained", covered),
 }
 
 
@@ -321,20 +333,25 @@ def build_generic_gp(seed, sched, limits):
 
 def verify_gp_certificate(cert):
     """Recheck the final window against every stage's block structure and
-    every recorded step's claim."""
-    seed, final = cert.seed, cert.final
+    every recorded step's claim. The stages are the chain of the build:
+    one per condition, from the seed's to the final's, each stage's sides
+    dividing the next one's. A chain verdict lands in its stage's check,
+    and the stage count and the limits in "final extends seed"."""
+    seed, final, stages = cert.seed, cert.final, cert.stages
     checks = [
         ("seed valid", validate_gp(seed)),
         ("final valid", validate_gp(final)),
-        ("final extends seed", is_extension_gp(final, seed)),
+        ("final extends seed", is_extension_gp(final, seed)
+         and len(stages) == len(cert.steps) + 1 and within_limits(cert)),
     ]
     fin = final.p
     holes = fin.holes
     fu = next(iter(holes)) if len(holes) == 1 else None
     W, H = fin.rect.width, fin.rect.height
+    first, last = (_stage(c) if len(c.p.holes) == 1 else None for c in (seed, final))
     # A no-op line_clear repeats its stage; each distinct stage is checked once.
     stage_ok = {}
-    for i, st in enumerate(cert.stages):
+    for i, st in enumerate(stages):
         w, h, su = st["w"], st["h"], st["u"]
         # Non-integer claims fail here, before 2.0 could share the entry of 2.
         key = (w, h, tuple(su)) if is_int(w) and is_int(h) and is_point(su) else None
@@ -351,34 +368,14 @@ def verify_gp_certificate(cert):
                 and (su[1] - fu[1]) % h == 0
                 and verify_grid_periodicity(fin, w, h, su)
             )
-        checks.append((f"stage[{i}] periodicity {st['w']}x{st['h']}", stage_ok.get(key, False)))
-    # One check per step record; a record of no known op fails.
-    for i, srec in enumerate(cert.steps):
-        req = srec["req"]
-        op = req["op"]
-        if op == "shift":
-            pair = srec["pair"]
-            ok = isinstance(pair, list) and len(pair) == 2 and all(map(is_point, pair))
-            if ok:
-                (x1, y1), (x2, y2) = pair
-                v1, v2 = fin.value((x1, y1)), fin.value((x2, y2))
-                ok = (None not in (v1, v2) and v1 != v2 and is_point(req["s"])
-                      and [x2 - x1, y2 - y1] == req["s"])
-            checks.append((f"shift {req['s']} pair differs", ok))
-        elif op == "line_clear":
-            axis, idx = req["axis"], req["index"]
-            # Tuple membership compares without hashing, so any JSON axis is safe.
-            k = _AXIS[axis] if axis in ("col", "row") else None
-            ok = k is not None and fu is not None and is_int(idx) and (idx - fu[k]) % (W, H)[k] != 0
-            if ok and fin.rect.lo[k] <= idx <= fin.rect.hi[k]:
-                per = detect_line_period(fin, ("col", "row")[k], idx)
-                ok = per is not None and (H, W)[k] % per == 0
-            checks.append((f"line {axis} {idx} cleared", ok))
-        elif op == "cover":
-            g = req["g"]
-            checks.append((f"cover {g} contained", is_point(g) and fin.rect.contains(g)))
+        ok = stage_ok.get(key, False) and (i > 0 or st == first)
+        if i + 1 < len(stages):
+            nw, nh = stages[i + 1]["w"], stages[i + 1]["h"]
+            ok = ok and is_int(nw) and is_int(nh) and nw % w == 0 and nh % h == 0
         else:
-            checks.append((f"steps[{i}] unknown op {op!r}", False))
+            ok = ok and st == last
+        checks.append((f"stage[{i}] periodicity {st['w']}x{st['h']}", ok))
+    checks += check_steps(cert.steps, STEPS, final, {"u": fu, "sides": (W, H)})
     return report(checks)
 
 

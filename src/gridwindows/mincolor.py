@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from .geometry import Box
 from .grid import Config, tile
 from .errors import check_side
-from .schedule import (Cover, certificate_class, read_bool, read_point, read_points, report,
-                       run_schedule)
+from .schedule import (Cover, certificate_class, check_steps, covered, is_int, is_point, read_bool,
+                       read_point, read_points, report, run_schedule, within_limits)
 from .witness import (
     _differs,
     _pattern_ok_grid,
@@ -252,6 +252,16 @@ def _grow_shift(c, req, env):
     return out, {"mode": "noop" if len(out.shifts) == len(c.shifts) else "extend"}
 
 
+def _check_shift(final, req, rec, env):
+    """The mode is "noop" exactly when t is already installed; an "extend"
+    installs it, in the order ``env["shifts"]`` keeps."""
+    mode = rec.get("mode")
+    ok = mode == ("noop" if req.t in env["shifts"] else "extend")
+    if mode == "extend":
+        env["shifts"].append(req.t)
+    return ok
+
+
 def _grow_cover(c, req, env):
     # The grown window spans both the window and g.
     a, b, cc, d = c.p.rect.bounds()
@@ -264,16 +274,33 @@ def _grow_pattern(c, req, env):
     return out, {"pattern_index": len(out.patterns) - 1}
 
 
+def _check_pattern(final, req, rec, env):
+    """The pattern's index is the count of patterns before it."""
+    index = env["patterns"]
+    env["patterns"] += 1
+    return is_int(rec.get("pattern_index")) and rec["pattern_index"] == index
+
+
 def _grow_odd(c, req, env):
     out, (dx, dy) = duplicate_odd(c)
     return out, {"offset": [dx, dy], "placements": [[0, 0], [dx, dy]]}
 
 
+def _check_odd(final, req, rec, env):
+    """Three plain copies of an odd-mode window side by side: the offset is
+    that window's width, so it divides the final width."""
+    off, placements = rec.get("offset"), rec.get("placements")
+    return (final.odd_mode and is_point(off) and off[0] >= 1 and off[1] == 0
+            and final.p.rect.width % off[0] == 0
+            and placements == [[0, 0], off] and all(map(is_point, placements)))
+
+
+# An mt step's claim is part of an existing check, named in its row.
 STEPS = {
-    "shift": (Shift, _grow_shift),
-    "cover": (Cover, _grow_cover),
-    "self_pattern": (SelfPattern, _grow_pattern),
-    "duplicate_odd": (DuplicateOdd, _grow_odd),
+    "shift": (Shift, _grow_shift, "final extends seed", _check_shift),
+    "cover": (Cover, _grow_cover, "final extends seed", covered),
+    "self_pattern": (SelfPattern, _grow_pattern, "final extends seed", _check_pattern),
+    "duplicate_odd": (DuplicateOdd, _grow_odd, "odd sides", _check_odd),
 }
 
 
@@ -295,12 +322,26 @@ def build_generic(start, sched, limits):
 def verify_certificate(cert):
     """Recompute every witness clause on the final window, each once.
     "final validate" is derived from the structural check and the clause
-    a/b1/b2 checks below, so it equals ``validate(final) == []``."""
+    a/b1/b2 checks below, so it equals ``validate(final) == []``. The step
+    records are tied to the final condition: the shifts their "extend"
+    steps install and the patterns their self_pattern steps add are the
+    final's beyond the seed's, and the limits hold. Each record's claim
+    lands in the check its row names; a record of no known op gets its own."""
     seed, final = cert.seed, cert.final
     # The seed and extension checks run before the clauses, so a certificate
     # that would make several of them raise gets the first one's error.
     seed_ok = validate(seed) == []
-    extends = is_extension(final, seed)
+    env = {"shifts": [t for (t, _T) in seed.shifts], "patterns": len(seed.patterns)}
+    claims = {}
+    for name, ok in check_steps(cert.steps, STEPS, final, env):
+        claims[name] = claims.get(name, True) and ok
+    extends = (
+        claims.pop("final extends seed", True)
+        and is_extension(final, seed)
+        and [t for (t, _T) in final.shifts] == env["shifts"]
+        and len(final.patterns) == env["patterns"]
+        and within_limits(cert)
+    )
     checks, clauses_ok = [], True
     for i, (t, T) in enumerate(final.shifts):
         ok = check_shift_witness(final.p, t, T)
@@ -313,11 +354,13 @@ def verify_certificate(cert):
             ok = check_pattern_witness(final.p, f, F, flipped)
             clauses_ok &= ok
             checks.append((f"pattern[{j}] clause {clause}", ok))
-    if final.odd_mode:
-        checks.append(("odd sides", final.p.rect.width % 2 == 1 and final.p.rect.height % 2 == 1))
+    if final.odd_mode or "odd sides" in claims:
+        odd = final.p.rect.width % 2 == 1 and final.p.rect.height % 2 == 1
+        checks.append(("odd sides", claims.pop("odd sides", True) and odd))
     return report([
         ("seed validate", seed_ok),
         ("final validate", clauses_ok and not _structure(final)),
         ("final extends seed", extends),
         *checks,
+        *claims.items(),
     ])

@@ -1,17 +1,18 @@
 """Build schedules shared by both condition families.
 
-A family lists its grow operations in a table ``STEPS: op name ->
-(request class, apply)``. ``parse_schedule`` reads a spec's JSON schedule
-through that table and ``run_schedule`` applies the requests in order.
-``apply(cur, req, env)`` returns the grown condition and the extra fields
-of the step's record. The driver reads the limits, checks the step count
-and every grown side, keeps the chain and writes the records. An apply
-whose request could ask for a far larger window checks the side it asks
-for before building, with the same ``errors.check_side``. An apply calls
-its step function through a module global, so wrappers installed on the
-family module see every step. ``certificate_class`` makes each family's
-certificate type, the record of one build that the family's verifier
-re-checks, and ``report`` the verifier's answer.
+A family declares each grow operation once, as a row of its table ``STEPS:
+op name -> (request class, grow, claim name, claim check)``.
+``parse_schedule`` reads a spec's JSON schedule through that table,
+``run_schedule`` applies the requests in order and writes the step records,
+and ``check_steps`` reads the records back for the verifier. ``grow(cur,
+req, env)`` returns the grown condition and the extra fields of the step's
+record. ``run_schedule`` reads the limits, checks the step count and every
+grown side and keeps the chain. A grow whose request could ask for a far
+larger window checks that side before building, with ``errors.check_side``,
+and calls its step function through a module global, so wrappers installed
+on the family module see every step. ``certificate_class`` makes each
+family's certificate type, the record of one build that the family's
+verifier re-checks, and ``report`` the verifier's answer.
 """
 
 from __future__ import annotations
@@ -26,6 +27,10 @@ from .geometry import Box
 @dataclass(frozen=True)
 class Cover:
     g: tuple
+
+
+def covered(final, req, rec, env):
+    return final.p.rect.contains(req.g)
 
 
 def is_int(v):
@@ -59,6 +64,23 @@ def read_bool(v, where):
     return v
 
 
+def read_list(v, where):
+    """The JSON list v; anything else raises ValueError naming ``where``."""
+    if not isinstance(v, list):
+        raise ValueError(f"{where}: expected a list")
+    return list(v)
+
+
+def read_limits(v, defaults=None):
+    """The JSON limits object v as {"max_side": int, "max_steps": int}, a
+    missing limit taken from ``defaults``. Anything else raises ValueError
+    naming its path, e.g. ``limits.max_side: expected an integer``."""
+    if not isinstance(v, dict):
+        raise ValueError("limits: expected an object")
+    v = {**(defaults or {}), **v}
+    return {key: read_int(v.get(key), f"limits.{key}") for key in ("max_side", "max_steps")}
+
+
 def read_points(v, where):
     """The JSON list of points v as a set of (x, y) tuples: a Box when v
     lists exactly one box's cells in lex order, which is how witness sets
@@ -81,54 +103,80 @@ def _read(kind, v, where):
     return v
 
 
+def _request(entry, steps, where):
+    """The request object of one JSON schedule entry; a malformed entry raises
+    ValueError naming ``where``, e.g. ``schedule[0].t: expected two integers``."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"{where}: expected an object with an 'op'")
+    op = entry.get("op")
+    if not isinstance(op, str) or op not in steps:
+        raise ValueError(f"{where}.op: unknown op {op!r}")
+    cls = steps[op][0]
+    args = {f.name: _read(f.type, entry.get(f.name), f"{where}.{f.name}") for f in fields(cls)}
+    try:
+        return cls(**args)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def parse_schedule(entries, steps):
-    """Request objects for a spec's JSON schedule. A malformed entry raises
-    ValueError naming its path, e.g. ``schedule[0].t: expected two
-    integers``."""
+    """Request objects for a spec's JSON schedule, read by ``_request``."""
     if not isinstance(entries, list):
         raise ValueError("schedule: expected a list of steps")
-    sched = []
-    for i, entry in enumerate(entries):
-        where = f"schedule[{i}]"
-        if not isinstance(entry, dict):
-            raise ValueError(f"{where}: expected an object with an 'op'")
-        op = entry.get("op")
-        if not isinstance(op, str) or op not in steps:
-            raise ValueError(f"{where}.op: unknown op {op!r}")
-        cls = steps[op][0]
-        args = {f.name: _read(f.type, entry.get(f.name), f"{where}.{f.name}")
-                for f in fields(cls)}
-        try:
-            sched.append(cls(**args))
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
-    return sched
+    return [_request(entry, steps, f"schedule[{i}]") for i, entry in enumerate(entries)]
 
 
 def run_schedule(start, sched, limits, steps, **env):
     """Apply the requests in order, starting from ``start``; ``env`` goes
-    to every apply, with ``max_side`` added. Returns the chain of
+    to every grow, with ``max_side`` added. Returns the chain of
     conditions, the step records and the limits as used."""
-    max_side = read_int(limits["max_side"], "limits.max_side")
-    max_steps = read_int(limits["max_steps"], "limits.max_steps")
+    limits = read_limits(limits)
+    max_side, max_steps = limits["max_side"], limits["max_steps"]
     if len(sched) > max_steps:
         raise ResourceLimitError(
             f"schedule has {len(sched)} steps, limit is {max_steps}"
         )
     env["max_side"] = max_side
-    by_class = {cls: (op, apply) for op, (cls, apply) in steps.items()}
+    by_class = {cls: (op, grow) for op, (cls, grow, *_claim) in steps.items()}
     chain = [start]
     records = []
     for req in sched:
         if type(req) not in by_class:
             raise ValueError(f"unknown build step {req!r}")
-        op, apply = by_class[type(req)]
-        cur, extra = apply(chain[-1], req, env)
+        op, grow = by_class[type(req)]
+        cur, extra = grow(chain[-1], req, env)
         check_side(max(cur.p.rect.width, cur.p.rect.height), max_side)
         chain.append(cur)
         args = {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(req).items()}
         records.append({"req": {"op": op, **args}, **extra})
-    return chain, records, {"max_side": max_side, "max_steps": max_steps}
+    return chain, records, limits
+
+
+def check_steps(records, steps, final, env):
+    """One (name, ok) check per step record: its request read back by
+    ``_request``, then its row's claim ``check(final, req, record, env)``.
+    The name is the row's claim name formatted with the request's JSON
+    fields. A record of no known op, or whose request does not read, fails."""
+    for i, rec in enumerate(records):
+        entry = rec.get("req") if isinstance(rec, dict) else None
+        op = entry.get("op") if isinstance(entry, dict) else None
+        if not isinstance(op, str) or op not in steps:
+            yield f"steps[{i}] unknown op {op!r}", False
+            continue
+        cls, _grow, name, claim = steps[op]
+        try:
+            req = _request(entry, steps, f"steps[{i}].req")
+        except ValueError:
+            req = None
+        ok = req is not None and claim(final, req, rec, env)
+        yield name.format(**{f.name: entry.get(f.name) for f in fields(cls)}), ok
+
+
+def within_limits(cert):
+    """The certificate's final window and step count are within its limits."""
+    rect = cert.final.p.rect
+    return (max(rect.width, rect.height) <= cert.limits["max_side"]
+            and len(cert.steps) <= cert.limits["max_steps"])
 
 
 def report(checks):
@@ -153,7 +201,8 @@ def certificate_class(name, kind, condition, extra=()):
         if data.get("kind") != kind:
             raise ValueError(f'kind: expected "{kind}"')
         seed, final = (condition.from_json(data[key], key) for key in ("seed", "final"))
-        return cls(seed, final, *(list(data[key]) for key in lists), dict(data["limits"]))
+        return cls(seed, final, *(read_list(data.get(key), key) for key in lists),
+                   read_limits(data.get("limits")))
 
     chain = field(default=(), compare=False, repr=False)
     cert_fields = [("seed", condition), ("final", condition), *((k, list) for k in lists),

@@ -32,12 +32,19 @@ def pgm_dumps(rows, maxval):
         cells[..., 1] = ord(" ")
         cells[:, -1, 1] = ord("\n")
     else:
-        # One fixed-width entry per gray level: its digits and a separator,
-        # padded with zero bytes that are dropped after the lookup.
-        table = np.array([f"{v} ".encode() for v in range(top + 1)])
-        cells = np.ascontiguousarray(table[img]).view(np.uint8).reshape(*img.shape, -1)
-        last = cells[:, -1]
-        last[last == ord(" ")] = ord("\n")
-        cells = cells[cells != 0]
+        # Each cell as ``digits`` columns, most significant first, and a
+        # separator; a leading zero column is dropped after the fill.
+        digits = len(str(top))
+        levels = img.astype(np.uint64)
+        cells = np.empty((*img.shape, digits + 1), dtype=np.uint8)
+        keep = np.ones(cells.shape, dtype=bool)
+        for j in range(digits):
+            power = np.uint64(10 ** (digits - 1 - j))
+            np.add(levels // power % 10, ord("0"), out=cells[..., j], casting="unsafe")
+            if j < digits - 1:
+                keep[..., j] = levels >= power
+        cells[..., -1] = ord(" ")
+        cells[:, -1, -1] = ord("\n")
+        cells = cells[keep]
     body = cells.tobytes().decode("ascii")
     return f"P2\n{img.shape[1]} {img.shape[0]}\n{maxval}\n" + body

@@ -10,6 +10,7 @@ keep the loops the library used before it vectorized them.
 import bisect
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -595,3 +596,281 @@ def naive_fx_profile(t, g):
             ring |= naive_boundary(cl)
         prof.append(int(naive_dist_to_set(g, ring)))
     return prof
+
+
+# Whole-certificate verifiers. Each reads a certificate's JSON directly,
+# with none of the library's readers or checks, and writes down what the
+# certificate claims. A malformed field rejects, as ``gridwin verify``
+# exits 2; a claim that fails rejects, as it exits 4.
+
+class _Reject(Exception):
+    """The certificate is malformed or one of its claims fails."""
+
+
+def _need(ok):
+    if not ok:
+        raise _Reject
+
+
+def _json_field(obj, key):
+    _need(isinstance(obj, dict) and key in obj)
+    return obj[key]
+
+
+def _json_int(v):
+    return type(v) is int
+
+
+def _json_point(v):
+    _need(isinstance(v, list) and len(v) == 2 and all(map(_json_int, v)))
+    return (v[0], v[1])
+
+
+def _json_points(v):
+    _need(isinstance(v, list))
+    return {_json_point(g) for g in v}
+
+
+def _json_window(v):
+    """(bounds, cells, holes): cells maps each defined point to its bit, and
+    the declared holes must be exactly the '.' cells."""
+    rect = _json_field(v, "rect")
+    _need(isinstance(rect, list) and len(rect) == 4 and all(map(_json_int, rect)))
+    a, b, c, d = rect
+    _need(a <= b and c <= d)
+    rows = _json_field(v, "rows")
+    _need(isinstance(rows, list) and len(rows) == d - c + 1)
+    cells, holes = {}, set()
+    for j, row in enumerate(rows):
+        _need(isinstance(row, str) and len(row) == b - a + 1 and set(row) <= set("01."))
+        for i, ch in enumerate(row):
+            if ch == ".":
+                holes.add((a + i, c + j))
+            else:
+                cells[(a + i, c + j)] = int(ch)
+    _need(_json_points(v.get("holes", [])) == holes)
+    return (a, b, c, d), cells, holes
+
+
+def _json_limits(cert):
+    limits = _json_field(cert, "limits")
+    side, steps = _json_field(limits, "max_side"), _json_field(limits, "max_steps")
+    _need(_json_int(side) and _json_int(steps))
+    return side, steps
+
+
+def _json_records(cert, key):
+    records = _json_field(cert, key)
+    _need(isinstance(records, list))
+    return records
+
+
+def _step_request(rec):
+    """The record's request object and its op."""
+    req = _json_field(rec, "req")
+    _need(isinstance(req, dict))
+    return req, req.get("op")
+
+
+def _json_mt_condition(v):
+    shifts, patterns = _json_field(v, "shifts"), _json_field(v, "patterns")
+    _need(isinstance(shifts, list) and isinstance(patterns, list))
+    odd = _json_field(v, "odd")
+    _need(type(odd) is bool)
+    return {
+        "p": _json_window(_json_field(v, "p")),
+        "shifts": [(_json_point(_json_field(e, "t")), _json_points(_json_field(e, "T")))
+                   for e in shifts],
+        "patterns": [(_json_window(_json_field(e, "f")), _json_points(_json_field(e, "F")))
+                     for e in patterns],
+        "odd": odd,
+    }
+
+
+def _naive_mt_valid(cond):
+    """No holes, odd sides in odd mode, no zero shift, hole-free patterns,
+    and every clause a, b1 and b2 on the window."""
+    (a, b, c, d), cells, holes = cond["p"]
+    _need(not holes)
+    _need(not cond["odd"] or ((b - a) % 2 == 0 and (d - c) % 2 == 0))
+    for t, T in cond["shifts"]:
+        _need(t != (0, 0) and naive_shift_ok(cells, t, T))
+    for (_bounds, f_cells, f_holes), F in cond["patterns"]:
+        _need(not f_holes)
+        _need(naive_pattern_ok(cells, f_cells, F, False))
+        _need(naive_pattern_ok(cells, f_cells, F, True))
+
+
+def naive_verify_mt(cert):
+    """True when the mt certificate JSON holds:
+    - seed and final are valid conditions, in the same mode;
+    - the seed's shifts and patterns are a prefix of the final's, and the
+      final window agrees with the seed's on the seed rectangle;
+    - each final shift passes the windowed two-coloring check;
+    - the step records tie the seed to the final: a shift step is "noop"
+      exactly when its t is already installed, and the shifts its "extend"
+      steps install, in order, are the final's after the seed's; each
+      self_pattern step's pattern_index counts the patterns before it, and
+      the final has no others; a cover step's g lies in the final window; a
+      duplicate_odd step is in odd mode, with an offset [w, 0] whose w
+      divides the final width and placements [[0, 0], offset];
+    - the final sides are at most limits.max_side and the step count at
+      most limits.max_steps."""
+    try:
+        _need(_json_field(cert, "kind") == "mt")
+        seed, final = (_json_mt_condition(_json_field(cert, k)) for k in ("seed", "final"))
+        steps = _json_records(cert, "steps")
+        max_side, max_steps = _json_limits(cert)
+        _naive_mt_valid(seed)
+        _naive_mt_valid(final)
+        (a, b, c, d), cells, _holes = final["p"]
+        (sa, sb, sc, sd), seed_cells, _seed_holes = seed["p"]
+        _need(seed["odd"] == final["odd"])
+        _need(final["shifts"][: len(seed["shifts"])] == seed["shifts"])
+        _need(final["patterns"][: len(seed["patterns"])] == seed["patterns"])
+        _need(a <= sa and sb <= b and c <= sc and sd <= d)
+        # Both windows are hole-free by now.
+        for g in rect_cells(sa, sb, sc, sd):
+            _need(cells.get(g) == seed_cells[g])
+        for t, T in final["shifts"]:
+            _need(naive_window_check(cells, (a, b, c, d), t, T))
+        shifts = [t for t, _T in seed["shifts"]]
+        patterns = len(seed["patterns"])
+        for rec in steps:
+            req, op = _step_request(rec)
+            if op == "shift":
+                t = _json_point(req.get("t"))
+                _need(rec.get("mode") == ("noop" if t in shifts else "extend"))
+                if rec["mode"] == "extend":
+                    shifts.append(t)
+            elif op == "cover":
+                gx, gy = _json_point(req.get("g"))
+                _need(a <= gx <= b and c <= gy <= d)
+            elif op == "self_pattern":
+                _need(_json_int(rec.get("pattern_index")) and rec["pattern_index"] == patterns)
+                patterns += 1
+            elif op == "duplicate_odd":
+                w, dy = _json_point(rec.get("offset"))
+                _need(final["odd"] and dy == 0 and w >= 1 and (b - a + 1) % w == 0)
+                placements = rec.get("placements")
+                _need(isinstance(placements, list) and len(placements) == 2)
+                _need([_json_point(g) for g in placements] == [(0, 0), (w, 0)])
+            else:
+                raise _Reject
+        _need([t for t, _T in final["shifts"]] == shifts and len(final["patterns"]) == patterns)
+        _need(max(b - a, d - c) + 1 <= max_side and len(steps) <= max_steps)
+    except _Reject:
+        return False
+    return True
+
+
+def _naive_is_power(k, n):
+    m = 1
+    while m < k:
+        m *= n
+    return m == k
+
+
+def _json_gp_condition(v):
+    n = _json_field(v, "n")
+    _need(_json_int(n))
+    p = _json_window(_json_field(v, "p"))
+    if "u" in v:
+        _need(p[2] == {_json_point(v["u"])})
+    return n, p
+
+
+def _naive_gp_valid(cond):
+    """Base at least 2, sides powers of it, exactly one hole."""
+    n, ((a, b, c, d), _cells, holes) = cond
+    _need(n >= 2 and _naive_is_power(b - a + 1, n) and _naive_is_power(d - c + 1, n))
+    _need(len(holes) == 1)
+
+
+def _gp_stage(cond):
+    _n, ((a, b, c, d), _cells, holes) = cond
+    (u,) = holes
+    return {"w": b - a + 1, "h": d - c + 1, "u": list(u)}
+
+
+def naive_verify_gp(cert):
+    """True when the gp certificate JSON holds:
+    - seed and final are valid conditions of the same base n;
+    - the final window is tiled by aligned copies of the seed's block that
+      agree with the seed off its hole, the holes in the same block slot;
+    - there is one stage per step and one more; stage 0 is the seed's sides
+      and hole, the last stage the final's, and each stage's sides divide
+      the next stage's;
+    - each stage's sides are powers of n dividing the final sides, its hole
+      lies in the final hole's class, and every other residue class modulo
+      its sides is constant on the final window;
+    - a shift step's pair is two defined cells of different values, s
+      apart; a line_clear step's row or column misses the final hole's
+      class and, where it crosses the window, its least period divides its
+      length (at least 2); a cover step's g lies in the final window;
+    - the final sides are at most limits.max_side and the step count at
+      most limits.max_steps."""
+    try:
+        _need(_json_field(cert, "kind") == "gp")
+        seed, final = (_json_gp_condition(_json_field(cert, k)) for k in ("seed", "final"))
+        steps, stages = _json_records(cert, "steps"), _json_records(cert, "stages")
+        max_side, max_steps = _json_limits(cert)
+        _naive_gp_valid(seed)
+        _naive_gp_valid(final)
+        n, ((a, b, c, d), cells, (fu,)) = final
+        (sa, sb, sc, sd), seed_cells, (su,) = seed[1]
+        W, H, w, h = b - a + 1, d - c + 1, sb - sa + 1, sd - sc + 1
+        _need(seed[0] == n and a <= sa and sb <= b and c <= sc and sd <= d)
+        _need((sa - a) % w == 0 and (sc - c) % h == 0 and W % w == 0 and H % h == 0)
+        _need((fu[0] - su[0]) % w == 0 and (fu[1] - su[1]) % h == 0)
+        for x, y in rect_cells(a, b, c, d):
+            home = (sa + (x - sa) % w, sc + (y - sc) % h)
+            _need(home not in seed_cells or cells.get((x, y)) == seed_cells[home])
+        _need(len(stages) == len(steps) + 1)
+        # naive_grid_periodicity reads a window's array and low corner only.
+        grid = SimpleNamespace(
+            array=np.array([[cells.get((x, y), REF_HOLE) for x in range(a, b + 1)]
+                            for y in range(c, d + 1)], dtype=np.uint8),
+            rect=SimpleNamespace(lo=(a, c)),
+        )
+        for i, st in enumerate(stages):
+            sw, sh = _json_field(st, "w"), _json_field(st, "h")
+            u = _json_point(_json_field(st, "u"))
+            _need(_json_int(sw) and _json_int(sh))
+            _need(_naive_is_power(sw, n) and _naive_is_power(sh, n) and W % sw == 0 and H % sh == 0)
+            _need((u[0] - fu[0]) % sw == 0 and (u[1] - fu[1]) % sh == 0)
+            _need(naive_grid_periodicity(grid, sw, sh, u))
+            _need(i > 0 or st == _gp_stage(seed))
+            if i + 1 < len(stages):
+                nw, nh = _json_field(stages[i + 1], "w"), _json_field(stages[i + 1], "h")
+                _need(_json_int(nw) and _json_int(nh) and nw % sw == 0 and nh % sh == 0)
+            else:
+                _need(st == _gp_stage(final))
+        for rec in steps:
+            req, op = _step_request(rec)
+            if op == "shift":
+                s = _json_point(req.get("s"))
+                pair = rec.get("pair")
+                _need(isinstance(pair, list) and len(pair) == 2)
+                g1, g2 = map(_json_point, pair)
+                _need({cells.get(g1), cells.get(g2)} == {0, 1})
+                _need((g2[0] - g1[0], g2[1] - g1[1]) == s)
+            elif op == "line_clear":
+                axis, index = req.get("axis"), req.get("index")
+                _need(axis in ("col", "row") and _json_int(index))
+                if axis == "col":
+                    _need((index - fu[0]) % W != 0)
+                    line = [cells[(index, y)] for y in range(c, d + 1)] if a <= index <= b else None
+                else:
+                    _need((index - fu[1]) % H != 0)
+                    line = [cells[(x, index)] for x in range(a, b + 1)] if c <= index <= d else None
+                _need(line is None or (len(line) >= 2 and len(line) % naive_min_period(line) == 0))
+            elif op == "cover":
+                gx, gy = _json_point(req.get("g"))
+                _need(a <= gx <= b and c <= gy <= d)
+            else:
+                raise _Reject
+        _need(max(W, H) <= max_side and len(steps) <= max_steps)
+    except _Reject:
+        return False
+    return True

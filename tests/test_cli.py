@@ -210,6 +210,22 @@ def test_build_limits_not_an_object_exit_2(tmp_path, capsys, value):
     assert "limits: expected an object" in err
 
 
+# The spec's limits are read, with the defaults for a missing one, before the
+# flags apply: a flag does not excuse a malformed limit in the spec.
+def test_build_limits_read_before_flags(tmp_path, capsys):
+    spec = write_spec(tmp_path / "spec.json", mt_spec(limits={"max_side": "x"}))
+    code, _, err = run_cli(["build-mt", "--spec", spec, "--out", str(tmp_path / "o"),
+                            "--max-side", "32"], capsys)
+    assert code == 2
+    assert "limits.max_side: expected an integer" in err
+    spec = write_spec(tmp_path / "spec.json", mt_spec(limits={"max_steps": 3}))
+    code, _, _ = run_cli(["build-mt", "--spec", spec, "--out", str(tmp_path / "o"),
+                          "--max-side", "32"], capsys)
+    assert code == 0
+    cert = json.loads((tmp_path / "o" / "certificate.json").read_text())
+    assert cert["limits"] == {"max_side": 32, "max_steps": 3}
+
+
 def test_build_without_limits_uses_defaults(tmp_path, capsys):
     spec = mt_spec()
     del spec["limits"]

@@ -9,6 +9,8 @@ from gridwindows.geometry import Rect
 from gridwindows.grid import Config
 from gridwindows.serialize import canon_dumps, pgm_dumps
 
+from test_cli import run_bounded
+
 from oracles import ref_from_rows, ref_pgm_dumps, ref_rows, ref_to_pgm, seeded
 
 
@@ -36,8 +38,9 @@ def test_pgm_dumps_matches_reference(maxval):
         assert pgm_dumps(np.array(img), maxval) == expected
 
 
-# One-digit images are written by arithmetic, wider ones through a table, so
-# the cases straddle the digit boundary in both the levels and the header.
+# One-digit images are written one byte per cell, wider ones digit column by
+# digit column, so the cases straddle the digit boundary in both the levels
+# and the header.
 LEVEL_CASES = [(bool, 1, 1), (bool, 1, 10)] + [
     (dtype, top, maxval)
     for dtype in (np.uint8, np.int64)
@@ -71,6 +74,59 @@ def test_toast_pgm_with_two_digit_levels_matches_reference(tmp_path, capsys):
     capsys.readouterr()
     expected = [[x + 7 if y <= 3 else 0 for x in range(-5, 6)] for y in range(5, -6, -1)]
     assert (out_dir / "toast.pgm").read_text() == ref_pgm_dumps(expected, 12)
+
+
+# Levels of many digits, mixed with short ones and zeros in each row. Tops
+# beyond a few million run only in the bounded child below, since a writer
+# whose cost grew with the top level would exhaust memory in this process.
+WIDE_CASES = [(np.int64, 10**7), (np.uint32, 10**6 + 7), (np.uint16, 65535)]
+
+
+def wide_image(rng, top):
+    w, h = rng.randint(1, 7), rng.randint(1, 7)
+    return [[rng.choice((0, 9, 10, rng.randint(0, top), top)) for _ in range(w)]
+            for _ in range(h)]
+
+
+@pytest.mark.parametrize("dtype,top", WIDE_CASES,
+                         ids=[f"{np.dtype(d).name}-{t}" for d, t in WIDE_CASES])
+def test_pgm_dumps_wide_levels_match_reference(dtype, top):
+    rng = seeded(top % 1000)
+    for _ in range(20):
+        img = wide_image(rng, top)
+        expected = ref_pgm_dumps(img, top)
+        arr = np.array(img, dtype=dtype)
+        assert pgm_dumps(arr, top) == expected
+        assert pgm_dumps(np.asfortranarray(arr), top) == expected
+
+
+# The writer once built a table entry per gray level up to the image's
+# maximum: [[2**40]] ran out of memory under this cap, and [[10**7]] took
+# seconds. Its cost is now the image size times the digit count, also for
+# the widest levels of each dtype.
+FAR_LEVELS = """
+import random, sys
+import numpy as np
+from gridwindows.serialize import pgm_dumps
+rng = random.Random(7)
+for dtype, top in [(np.uint64, 2**64 - 1), (np.int64, 2**63 - 1), (np.uint32, 2**32 - 1),
+                   (np.int64, 2**40), (np.int64, 10**12 + 7)]:
+    for _ in range(20):
+        img = [[rng.choice((0, 9, 10, rng.randint(0, top), top)) for _ in range(rng.randint(1, 7))]]
+        img = img * rng.randint(1, 4)
+        body = "".join(" ".join(map(str, row)) + "\\n" for row in img)
+        arr = np.array(img, dtype=dtype)
+        for a in (arr, np.asfortranarray(arr)):
+            assert pgm_dumps(a, top) == f"P2\\n{len(img[0])} {len(img)}\\n{top}\\n" + body
+print(pgm_dumps([[2**40]], 2**40) == "P2\\n1 1\\n1099511627776\\n1099511627776\\n",
+      pgm_dumps([[10**7, 0]], 10**7) == "P2\\n2 1\\n10000000\\n10000000 0\\n")
+"""
+
+
+def test_pgm_dumps_far_levels_bounded():
+    proc = run_bounded(["-c", FAR_LEVELS], timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "True"]
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gridwindows import gridperiod, mincolor, witness
@@ -38,7 +38,8 @@ from gridwindows.schedule import parse_schedule
 from gridwindows.serialize import canon_dumps
 from gridwindows.witness import window_two_coloring_check
 
-from oracles import cells_of, naive_grid_periodicity, naive_lex_least_differing, seeded
+from oracles import (cells_of, naive_grid_periodicity, naive_lex_least_differing, naive_verify_gp,
+                     naive_verify_mt, seeded)
 from test_cli import PINNED, run_bounded, toast_spec, with_field
 
 
@@ -446,6 +447,87 @@ def test_gp_duplicate_stages_checked_once(monkeypatch):
     assert [c["name"] for c in report["checks"] if not c["ok"]] == ["stage[2] periodicity 4x2"]
 
 
+# ------------------------------------------------------- chains and limits
+
+# Whole lists emptied, repeated or cut, and limits the certificate breaks:
+# each verified with exit 0 while no verifier read steps, stages or limits.
+# (spec, tamper, failing checks)
+CHAIN_TAMPERS = {
+    "gp-empty": (GP_SPEC, lambda d: d.update(stages=[], steps=[]), ["final extends seed"]),
+    "gp-final-stages": (GP_SPEC, lambda d: d.update(stages=[d["stages"][-1]] * 7),
+                        ["final extends seed", "stage[0] periodicity 16x16"]),
+    "gp-steps-cut": (GP_SPEC, lambda d: d.update(steps=d["steps"][2:]), ["final extends seed"]),
+    "gp-stages-reversed": (GP_SPEC, lambda d: d["stages"].reverse(),
+                           ["stage[0] periodicity 16x16", "stage[2] periodicity 4x2",
+                            "stage[3] periodicity 2x2"]),
+    "gp-limits": (GP_SPEC, lambda d: d.update(limits={"max_side": 1, "max_steps": 0}),
+                  ["final extends seed"]),
+    "mt-steps-empty": (MT_SPEC, lambda d: d.update(steps=[]), ["final extends seed"]),
+    "mt-steps-nonsense": (MT_SPEC, lambda d: d.update(steps=[{"req": {"op": "nonsense"}}]),
+                          ["final extends seed", "steps[0] unknown op 'nonsense'"]),
+    "mt-shift-twice": (MT_SPEC, lambda d: d["steps"].append(d["steps"][0]),
+                       ["final extends seed"]),
+    "mt-mode": (MT_SPEC, lambda d: d["steps"][0].update(mode="noop"), ["final extends seed"]),
+    # The shift chain alone holds for these two; only the mode claim fails.
+    "mt-shift-repeated": (MT_SPEC, lambda d: (d["final"]["shifts"].append(d["final"]["shifts"][0]),
+                                              d["steps"].append(d["steps"][0])),
+                          ["final extends seed"]),
+    "mt-noop-unseen": (MT_SPEC, lambda d: (d["final"].update(shifts=[]),
+                                           d["steps"][0].update(mode="noop")),
+                       ["final extends seed"]),
+    "mt-pattern-index": (MT_SPEC, lambda d: d["steps"][2].update(pattern_index=1),
+                         ["final extends seed"]),
+    "mt-cover-outside": (MT_SPEC, lambda d: d["steps"][1]["req"].update(g=[60, 4]),
+                         ["final extends seed"]),
+    "mt-limits": (MT_SPEC, lambda d: d.update(limits={"max_side": 1, "max_steps": 64}),
+                  ["final extends seed"]),
+    "mt-max-steps": (MT_SPEC, lambda d: d.update(limits={"max_side": 128, "max_steps": 2}),
+                     ["final extends seed"]),
+    "gp-max-steps": (GP_SPEC, lambda d: d.update(limits={"max_side": 256, "max_steps": 2}),
+                     ["final extends seed"]),
+    "odd-offset": (ODD_SPEC, lambda d: d["steps"][0].update(offset=[2, 0]), ["odd sides"]),
+    # Offset and placements agree, but 2 does not divide the final width 27.
+    "odd-width": (ODD_SPEC, lambda d: d["steps"][0].update(offset=[2, 0],
+                                                            placements=[[0, 0], [2, 0]]),
+                  ["odd sides"]),
+    "odd-placements": (ODD_SPEC, lambda d: d["steps"][0].update(placements=[[0, 0], [1, 0]]),
+                       ["odd sides"]),
+    "even-duplicate": (MT_SPEC, lambda d: d["steps"].append(
+        {"req": {"op": "duplicate_odd"}, "offset": [9, 0], "placements": [[0, 0], [9, 0]]}),
+                       ["odd sides"]),
+}
+
+
+@pytest.mark.parametrize("spec,tamper,failing", CHAIN_TAMPERS.values(), ids=CHAIN_TAMPERS.keys())
+def test_chain_and_limit_tampers_exit_4(tmp_path, capsys, spec, tamper, failing):
+    cmd = "build-gp" if "n" in spec["seed"] else "build-mt"
+    data = build_cert(tmp_path, capsys, cmd, spec)
+    tamper(data)
+    code, out = verify_cert(tmp_path, capsys, data)
+    assert code == 4
+    assert [c["name"] for c in json.loads(out)["checks"] if not c["ok"]] == failing
+
+
+# The same lists and limits of the wrong JSON type exit 2, naming their path.
+@pytest.mark.parametrize("cmd,spec", [("build-mt", MT_SPEC), ("build-gp", GP_SPEC)],
+                         ids=["mt", "gp"])
+@pytest.mark.parametrize("key,value,message", [
+    ("limits", "junk", "limits: expected an object"),
+    ("limits", {"max_side": 1}, "limits.max_steps: expected an integer"),
+    ("limits", {"max_side": 1.0, "max_steps": 3}, "limits.max_side: expected an integer"),
+    ("steps", "junk", "steps: expected a list"),
+    ("steps", {"req": {}}, "steps: expected a list"),
+], ids=["limits-str", "limits-missing", "limits-float", "steps-str", "steps-object"])
+def test_certificate_lists_and_limits_read_with_paths(tmp_path, capsys, cmd, spec, key, value,
+                                                      message):
+    data = build_cert(tmp_path, capsys, cmd, spec)
+    data[key] = value
+    path = tmp_path / "tampered.json"
+    path.write_text(canon_dumps(data))
+    assert main(["verify", "--spec", str(path)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 # ------------------------------------------------------ malformed shapes
 
 # Points of the wrong shape in a certificate. The mt reader needs t to be
@@ -680,3 +762,160 @@ def test_toast_total_under_single_field_mutation(mutated_dir, data):
     path.write_text(canon_dumps(doc))
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         assert main(["toast", "--spec", str(path)]) in (0, 2, 3)
+
+
+# ----------------------------------------------------------------- meaning
+
+# Small random build specs of both families, with sides of at most 16 and
+# limits the build exactly meets in steps. A spec whose build stops (exit 2
+# or 3) is discarded.
+
+
+def spec_window(draw, sides, hole):
+    w, h = draw(sides), draw(sides)
+    a, c = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+    bits = draw(st.text("01", min_size=w * h, max_size=w * h))
+    rows = [list(bits[j * w : (j + 1) * w]) for j in range(h)]
+    holes = []
+    if hole:
+        i, j = draw(st.integers(0, w - 1)), draw(st.integers(0, h - 1))
+        rows[j][i] = "."
+        holes = [[a + i, c + j]]
+    return {"rect": [a, a + w - 1, c, c + h - 1], "rows": ["".join(r) for r in rows],
+            "holes": holes}
+
+
+def spec_point(draw, lo, hi):
+    return [draw(st.integers(lo, hi)), draw(st.integers(lo, hi))]
+
+
+def spec_shift(draw):
+    return draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any).map(list))
+
+
+@st.composite
+def mt_specs(draw):
+    odd = draw(st.booleans())
+    ops = ["shift", "cover", "self_pattern"] + ["duplicate_odd"] * odd
+    schedule = []
+    for op in draw(st.lists(st.sampled_from(ops), max_size=3)):
+        step = {"op": op}
+        if op == "shift":
+            step["t"] = spec_shift(draw)
+        elif op == "cover":
+            step["g"] = spec_point(draw, -6, 6)
+        schedule.append(step)
+    sides = st.sampled_from((1, 3)) if odd else st.integers(1, 4)
+    return {"odd": odd, "seed": spec_window(draw, sides, False), "schedule": schedule,
+            "limits": {"max_side": 16, "max_steps": len(schedule)}}
+
+
+@st.composite
+def gp_specs(draw):
+    n = draw(st.sampled_from((2, 3)))
+    schedule = []
+    for op in draw(st.lists(st.sampled_from(["shift", "line_clear", "cover"]), max_size=3)):
+        step = {"op": op}
+        if op == "shift":
+            step["s"] = spec_shift(draw)
+        elif op == "line_clear":
+            step.update(axis=draw(st.sampled_from(("row", "col"))),
+                        index=draw(st.integers(-4, 6)))
+        else:
+            step["g"] = spec_point(draw, -6, 8)
+        schedule.append(step)
+    sides = st.sampled_from((1, 2, 4) if n == 2 else (1, 3))
+    seed = {"n": n, "p": spec_window(draw, sides, True)}
+    return {"seed": seed, "schedule": schedule,
+            "limits": {"max_side": 16, "max_steps": len(schedule)}}
+
+
+# Other values of each string field the certificate formats hold.
+TOKENS = {
+    "kind": ("mt", "gp"),
+    "op": ("shift", "cover", "self_pattern", "duplicate_odd", "line_clear", "warp"),
+    "mode": ("noop", "extend"),
+    "axis": ("row", "col", "diag"),
+}
+
+
+def mutations(node, kind, path=()):
+    """The mutations of one kind of a certificate's JSON, as (path, how, arg):
+    "change" sets a leaf to a nearby value of its type (an integer +-1, a
+    flag negated, a row's first cell changed, another token), and
+    "delete", "duplicate" and "empty" act on a list of records, any list
+    but a point or a rectangle."""
+    out = []
+    if isinstance(node, dict):
+        for key, value in node.items():
+            out += mutations(value, kind, (*path, key))
+    elif isinstance(node, list):
+        if node and not all(isinstance(v, int) for v in node):
+            if kind in ("delete", "duplicate"):
+                out += [(path, kind, i) for i in range(len(node))]
+            elif kind == "empty":
+                out.append((path, "set", []))
+        for i, value in enumerate(node):
+            out += mutations(value, kind, (*path, i))
+    elif kind == "change":
+        if isinstance(node, bool):
+            out.append((path, "set", not node))
+        elif isinstance(node, int):
+            out += [(path, "set", node - 1), (path, "set", node + 1)]
+        elif path[-1] in TOKENS:
+            out += [(path, "set", v) for v in TOKENS[path[-1]] if v != node]
+        else:
+            out += [(path, "set", v + node[1:]) for v in "01." if v != node[0]]
+    return out
+
+
+def mutate(doc, path, how, arg):
+    *keys, last = path
+    owner = doc
+    for key in keys:
+        owner = owner[key]
+    if how == "set":
+        owner[last] = arg
+    elif how == "delete":
+        del owner[last][arg]
+    else:
+        owner[last].insert(arg, copy.deepcopy(owner[last][arg]))
+    return doc
+
+
+@pytest.fixture(scope="module")
+def meaning_dir(tmp_path_factory):
+    """A directory for the random spec, its build and the mutated certificate."""
+    return tmp_path_factory.mktemp("meaning")
+
+
+def run_quiet(argv):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@pytest.mark.parametrize("cmd,specs,naive", [
+    ("build-mt", mt_specs(), naive_verify_mt),
+    ("build-gp", gp_specs(), naive_verify_gp),
+], ids=["mt", "gp"])
+@settings(max_examples=100)
+@given(data=st.data())
+def test_verify_accepts_what_the_naive_verifier_accepts(meaning_dir, cmd, specs, naive, data):
+    """verify exits 0 exactly when the naive whole-certificate verifier
+    accepts, on honest certificates and on every kind of mutation."""
+    spec = data.draw(specs, label="spec")
+    (meaning_dir / "spec.json").write_text(canon_dumps(spec))
+    out = meaning_dir / "out"
+    # A build that fails its own verify (exit 4) still writes its certificate.
+    built = run_quiet([cmd, "--spec", str(meaning_dir / "spec.json"), "--out", str(out)])
+    assume(built in (0, 4))
+    cert = json.loads((out / "certificate.json").read_text())
+    assert naive(cert) is (built == 0)
+    kind = data.draw(st.sampled_from(["change", "delete", "duplicate", "empty"]), label="kind")
+    path, how, arg = data.draw(st.sampled_from(mutations(cert, kind) or mutations(cert, "change")),
+                               label="mutation")
+    doc = mutate(cert, path, how, arg)
+    (meaning_dir / "mutated.json").write_text(canon_dumps(doc))
+    code = run_quiet(["verify", "--spec", str(meaning_dir / "mutated.json")])
+    assert code in (0, 2, 4)
+    assert (code == 0) == naive(doc)

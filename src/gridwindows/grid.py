@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Rect
-from .schedule import read_points
-from .serialize import pgm_dumps
+from .serialize import pgm_dumps, points_json, read_points
 
 HOLE = 255
 # The hole set of every hole-free window: an empty frozenset costs 216 bytes.
@@ -128,7 +127,7 @@ class Config:
         return {
             "rect": self.rect.to_json(),
             "rows": self.rows(),
-            "holes": sorted([x, y] for (x, y) in self.holes),
+            "holes": points_json(self.holes),
         }
 
     @classmethod

@@ -16,8 +16,9 @@ import numpy as np
 from .errors import check_side
 from .geometry import Lattice, Rect, lattice_points_in
 from .grid import HOLE, Config
-from .schedule import (Cover, certificate_class, check_steps, covered, is_int, is_point, read_int,
-                       read_point, report, run_schedule, within_limits)
+from .schedule import (Cover, certificate_class, check_steps, covered, report, run_schedule,
+                       within_limits)
+from .serialize import is_int, is_point, read_int, read_point
 
 
 def _is_power(k, n):

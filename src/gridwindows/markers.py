@@ -19,7 +19,7 @@ import numpy as np
 
 from .geometry import Rect, dist_to_set
 from .grid import boundary, Config
-from .schedule import read_bool, read_int, read_points
+from .serialize import points_json, read_bool, read_int, read_points
 
 
 # ---------------------------------------------------------------- shifted stack
@@ -252,10 +252,7 @@ class Toast:
         return {
             "layered": self.layered,
             "window": self.window.to_json(),
-            "levels": [
-                [sorted([x, y] for (x, y) in cl) for cl in level]
-                for level in self.levels
-            ],
+            "levels": [[points_json(cl) for cl in level] for level in self.levels],
         }
 
     @classmethod

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 from .geometry import Box
 from .grid import Config, tile
 from .errors import check_side
-from .schedule import (Cover, certificate_class, check_steps, covered, is_int, is_point, read_bool,
-                       read_point, read_points, report, run_schedule, within_limits)
+from .schedule import (Cover, certificate_class, check_steps, covered, report, run_schedule,
+                       within_limits)
+from .serialize import is_int, is_point, points_json, read_bool, read_point, read_points
 from .witness import (
     _differs,
     _pattern_ok_grid,
@@ -50,8 +51,8 @@ class MtCondition:
         return {
             "p": self.p.to_json(),
             "odd": self.odd_mode,
-            "shifts": [{"t": [t[0], t[1]], "T": _points_json(T)} for (t, T) in self.shifts],
-            "patterns": [{"f": f.to_json(), "F": _points_json(F)} for (f, F) in self.patterns],
+            "shifts": [{"t": [t[0], t[1]], "T": points_json(T)} for (t, T) in self.shifts],
+            "patterns": [{"f": f.to_json(), "F": points_json(F)} for (f, F) in self.patterns],
         }
 
     @classmethod
@@ -69,14 +70,6 @@ class MtCondition:
             ),
             odd_mode=read_bool(data["odd"], f"{at}odd"),
         )
-
-
-def _points_json(S):
-    """A witness set as a JSON point list in lex order: a Box lists its
-    cells in that order already."""
-    if isinstance(S, Box):
-        return list(map(list, S))
-    return sorted([x, y] for (x, y) in S)
 
 
 def _first_bad(rect, mask):

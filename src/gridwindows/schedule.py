@@ -18,10 +18,11 @@ verifier re-checks, and ``report`` the verifier's answer.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields, make_dataclass
-from itertools import chain
 
 from .errors import ResourceLimitError, check_side
-from .geometry import Box
+# The JSON readers live in serialize; they stay importable from here.
+from .serialize import (is_int, is_point, read_bool, read_int, read_list,  # noqa: F401
+                        read_point, read_points)
 
 
 @dataclass(frozen=True)
@@ -31,44 +32,6 @@ class Cover:
 
 def covered(final, req, rec, env):
     return final.p.rect.contains(req.g)
-
-
-def is_int(v):
-    """v is a JSON integer (not a float, a string or a bool)."""
-    return type(v) is int
-
-
-def is_point(v):
-    """v is a JSON point: a list of two integers."""
-    return isinstance(v, list) and len(v) == 2 and is_int(v[0]) and is_int(v[1])
-
-
-def read_int(v, where):
-    """The JSON integer v; anything else raises ValueError naming ``where``."""
-    if not is_int(v):
-        raise ValueError(f"{where}: expected an integer")
-    return v
-
-
-def read_point(v, where):
-    """The JSON point v as (x, y); anything else raises ValueError naming ``where``."""
-    if not is_point(v):
-        raise ValueError(f"{where}: expected two integers")
-    return tuple(v)
-
-
-def read_bool(v, where):
-    """The JSON boolean v; anything else raises ValueError naming ``where``."""
-    if type(v) is not bool:
-        raise ValueError(f"{where}: expected a boolean")
-    return v
-
-
-def read_list(v, where):
-    """The JSON list v; anything else raises ValueError naming ``where``."""
-    if not isinstance(v, list):
-        raise ValueError(f"{where}: expected a list")
-    return list(v)
 
 
 def read_limits(v, defaults=None):
@@ -81,26 +44,13 @@ def read_limits(v, defaults=None):
     return {key: read_int(v.get(key), f"limits.{key}") for key in ("max_side", "max_steps")}
 
 
-def read_points(v, where):
-    """The JSON list of points v as a set of (x, y) tuples: a Box when v
-    lists exactly one box's cells in lex order, which is how witness sets
-    are written, and a frozenset otherwise."""
-    # is_point over the whole list, with the loops in C: witness sets run to
-    # tens of thousands of points.
-    if not (isinstance(v, list) and set(map(type, v)) <= {list} and set(map(len, v)) <= {2}
-            and set(map(type, chain.from_iterable(v))) <= {int}):
-        raise ValueError(f"{where}: expected a list of points")
-    return Box.from_lex(v) or frozenset(map(tuple, v))
-
-
-def _read(kind, v, where):
-    """A request field's JSON value (None when missing), checked against the
-    field's annotation. String fields are checked by their request class."""
-    if kind == "tuple":
-        return read_point(v, where)
-    if kind == "int":
-        return read_int(v, where)
+def _as_is(v, where):
     return v
+
+
+# A request field's reader, by the field's annotation. A field of any other
+# type is taken as it is and checked by its request class.
+_READERS = {"tuple": read_point, "int": read_int}
 
 
 def _request(entry, steps, where):
@@ -112,7 +62,8 @@ def _request(entry, steps, where):
     if not isinstance(op, str) or op not in steps:
         raise ValueError(f"{where}.op: unknown op {op!r}")
     cls = steps[op][0]
-    args = {f.name: _read(f.type, entry.get(f.name), f"{where}.{f.name}") for f in fields(cls)}
+    args = {f.name: _READERS.get(f.type, _as_is)(entry.get(f.name), f"{where}.{f.name}")
+            for f in fields(cls)}
     try:
         return cls(**args)
     except ValueError as exc:

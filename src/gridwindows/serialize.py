@@ -1,12 +1,70 @@
-"""Canonical serialization helpers.
+"""Canonical serialization helpers: the one reader and writer of JSON values.
 
 Everything written to disk goes through ``canon_dumps`` so that reruns of
-the same build produce byte-identical artifacts.
+the same build produce byte-identical artifacts. Each ``read_*`` raises a
+ValueError naming the value's JSON path ``where`` when its type is wrong.
 """
 
 import json
+from itertools import chain
 
 import numpy as np
+
+from .geometry import Box
+
+
+def _expect(v, ok, where, noun):
+    if not ok:
+        raise ValueError(f"{where}: expected {noun}")
+    return v
+
+
+def is_int(v):
+    """v is a JSON integer (not a float, a string or a bool)."""
+    return type(v) is int
+
+
+def is_point(v):
+    """v is a JSON point: a list of two integers."""
+    return isinstance(v, list) and len(v) == 2 and is_int(v[0]) and is_int(v[1])
+
+
+def read_int(v, where):
+    """The JSON integer v."""
+    return _expect(v, is_int(v), where, "an integer")
+
+
+def read_point(v, where):
+    """The JSON point v as (x, y)."""
+    return tuple(_expect(v, is_point(v), where, "two integers"))
+
+
+def read_bool(v, where):
+    """The JSON boolean v."""
+    return _expect(v, type(v) is bool, where, "a boolean")
+
+
+def read_list(v, where):
+    """The JSON list v, copied."""
+    return list(_expect(v, isinstance(v, list), where, "a list"))
+
+
+def read_points(v, where):
+    """The JSON list of points v as a set of (x, y) tuples: a Box when v
+    lists exactly one box's cells in lex order, which is how ``points_json``
+    writes a Box, and a frozenset otherwise."""
+    # is_point over the whole list, with the loops in C: witness sets run to
+    # tens of thousands of points.
+    ok = (isinstance(v, list) and set(map(type, v)) <= {list} and set(map(len, v)) <= {2}
+          and set(map(type, chain.from_iterable(v))) <= {int})
+    _expect(v, ok, where, "a list of points")
+    return Box.from_lex(v) or frozenset(map(tuple, v))
+
+
+def points_json(S):
+    """A set of (x, y) cells as a JSON point list in lex order: a Box lists
+    its cells in that order already."""
+    return list(map(list, S if isinstance(S, Box) else sorted(S)))
 
 
 def canon_dumps(data):

@@ -87,13 +87,13 @@ def _build(args, kind):
     spec = _load_json(args.spec)
     if kind == "mt":
         seed = mincolor.MtCondition(
-            p=Config.from_json(spec["seed"]),
+            p=Config.from_json(spec.get("seed"), "seed"),
             shifts=(),
             patterns=(),
             odd_mode=read_bool(spec.get("odd", False), "odd"),
         )
     else:
-        seed = gridperiod.GpCondition.from_json(spec["seed"])
+        seed = gridperiod.GpCondition.from_json(spec.get("seed"), "seed")
     steps, build, _cert_cls, verify = _family(kind)
     cert = build(seed, parse_schedule(spec.get("schedule", []), steps), _limits(spec, args))
     report = verify(cert)

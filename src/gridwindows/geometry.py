@@ -80,10 +80,11 @@ class Rect:
         return [self.lo[0], self.hi[0], self.lo[1], self.hi[1]]
 
     @classmethod
-    def from_json(cls, data):
+    def from_json(cls, data, where="rect"):
+        """``where`` is the rect's JSON path, named in errors."""
         # JSON integers only: no floats, strings or bools.
         if not (isinstance(data, list) and len(data) == 4 and {*map(type, data)} <= {int}):
-            raise ValueError("rect: expected four integers")
+            raise ValueError(f"{where}: expected four integers")
         return cls.from_bounds(*data)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Rect
-from .serialize import pgm_dumps, points_json, read_points
+from .serialize import at, fail, pgm_dumps, points_json, read_list, read_object, read_points
 
 HOLE = 255
 # The hole set of every hole-free window: an empty frozenset costs 216 bytes.
@@ -131,11 +131,17 @@ class Config:
         }
 
     @classmethod
-    def from_json(cls, data):
-        rect = Rect.from_json(data["rect"])
-        cfg = cls.from_rows(rect, list(data["rows"]))
-        if read_points(data.get("holes", []), "holes") != cfg.holes:
-            raise ValueError("declared holes do not match row data")
+    def from_json(cls, data, where=""):
+        """``where`` is the window's JSON path, named in errors."""
+        data = read_object(data, where)
+        rect = Rect.from_json(data.get("rect"), at(where, "rect"))
+        rows = read_list(data.get("rows"), at(where, "rows"))
+        try:
+            cfg = cls.from_rows(rect, rows)
+        except ValueError as exc:
+            raise fail(where, str(exc)) from None
+        if read_points(data.get("holes", []), at(where, "holes")) != cfg.holes:
+            raise fail(where, "declared holes do not match row data")
         return cfg
 
     def to_pgm(self):

@@ -18,7 +18,7 @@ from .geometry import Lattice, Rect, lattice_points_in
 from .grid import HOLE, Config
 from .schedule import (Cover, certificate_class, check_steps, covered, report, run_schedule,
                        within_limits)
-from .serialize import is_int, is_point, read_int, read_point
+from .serialize import at, fail, is_int, is_point, read_int, read_object, read_point
 
 
 def _is_power(k, n):
@@ -48,10 +48,11 @@ class GpCondition:
     @classmethod
     def from_json(cls, data, where=""):
         """``where`` is the condition's JSON path, named in errors."""
-        at = f"{where}." if where else ""
-        cond = cls(read_int(data["n"], f"{at}n"), Config.from_json(data["p"]))
-        if "u" in data and read_point(data["u"], f"{at}u") != cond.u:
-            raise ValueError("declared hole does not match the window")
+        data = read_object(data, where)
+        cond = cls(read_int(data.get("n"), at(where, "n")),
+                   Config.from_json(data.get("p"), at(where, "p")))
+        if "u" in data and {read_point(data["u"], at(where, "u"))} != cond.p.holes:
+            raise fail(at(where, "u"), "declared hole does not match the window")
         return cond
 
 
@@ -272,18 +273,23 @@ def _check_shift(final, req, rec, env):
 
 
 def _grow_line(q, req, env):
-    """Tile along the line's axis so the hole leaves the line. No-op when
-    the line already misses the hole's residue class."""
+    """Tile along the line's axis so the hole leaves the line, unless the
+    line already misses the hole's residue class. A line in ``env["tiled"]``
+    is then also tiled n times along itself, so its period divides its side."""
     k = _AXIS[req.axis]
     sides = (q.p.rect.width, q.p.rect.height)
     m, r = divmod(req.index - q.u[k], sides[k])
-    if r:
-        return q, {}
-    counts = [1, 1]
-    counts[k] = q.n
-    on_line = tuple(m % cnt * side for cnt, side in zip(counts, sides))
-    ranges = [(0, cnt - 1) for cnt in counts]
-    return _grow(q, ranges, env["lines"], env["max_side"], skip={on_line}), {}
+    if not r:
+        counts = [1, 1]
+        counts[k] = q.n
+        on_line = tuple(m % cnt * side for cnt, side in zip(counts, sides))
+        ranges = [(0, cnt - 1) for cnt in counts]
+        q = _grow(q, ranges, env["lines"], env["max_side"], skip={on_line})
+    if (req.axis, req.index) in env["tiled"]:
+        ranges = [(0, 0), (0, 0)]
+        ranges[1 - k] = (0, q.n - 1)
+        q = _grow(q, ranges, env["lines"], env["max_side"])
+    return q, {}
 
 
 def _check_line(final, req, rec, env):
@@ -317,14 +323,25 @@ STEPS = {
 def build_generic_gp(seed, sched, limits):
     """Run a schedule of shift, line-clear and cover requests. The hole is
     steered away from every line the schedule will clear, so cleared lines
-    stay clear through later growth."""
+    stay clear through later growth. A cleared line that fails its claim
+    in the final window, as verify checks it, is tiled along itself at its
+    step when the schedule runs again, until no new line fails."""
     if not validate_gp(seed):
         raise ValueError("invalid seed condition")
-    lines = [(r.axis, r.index) for r in sched if type(r) is LineClear]
-    chain, steps, used = run_schedule(seed, sched, limits, STEPS, lines=lines)
+    clears = [r for r in sched if type(r) is LineClear]
+    lines = [(r.axis, r.index) for r in clears]
+    tiled = set()
+    while True:
+        chain, steps, used = run_schedule(seed, sched, limits, STEPS, lines=lines, tiled=tiled)
+        final = chain[-1]
+        env = {"u": final.u, "sides": (final.p.rect.width, final.p.rect.height)}
+        failing = {(r.axis, r.index) for r in clears if not _check_line(final, r, None, env)}
+        if failing <= tiled:
+            break
+        tiled |= failing
     return GpCertificate(
         seed=seed,
-        final=chain[-1],
+        final=final,
         steps=steps,
         stages=[_stage(c) for c in chain],
         limits=used,

@@ -19,7 +19,8 @@ from .grid import Config, tile
 from .errors import check_side
 from .schedule import (Cover, certificate_class, check_steps, covered, report, run_schedule,
                        within_limits)
-from .serialize import is_int, is_point, points_json, read_bool, read_point, read_points
+from .serialize import (at, is_int, is_point, points_json, read_bool, read_object, read_point,
+                        read_points, read_records)
 from .witness import (
     _differs,
     _pattern_ok_grid,
@@ -58,17 +59,19 @@ class MtCondition:
     @classmethod
     def from_json(cls, data, where=""):
         """``where`` is the condition's JSON path, named in errors."""
-        at = f"{where}." if where else ""
-        p = Config.from_json(data["p"])
-        ts = [read_point(e["t"], f"{at}t") for e in data["shifts"]]
+        data = read_object(data, where)
+        p = Config.from_json(data.get("p"), at(where, "p"))
+        shifts = read_records(data.get("shifts"), at(where, "shifts"))
+        patterns = read_records(data.get("patterns"), at(where, "patterns"))
+        # Every t is read before any T, so a bad t is the error named.
+        ts = [read_point(e.get("t"), at(path, "t")) for path, e in shifts]
         return cls(
             p=p,
-            shifts=tuple((t, read_points(e["T"], f"{at}T")) for t, e in zip(ts, data["shifts"])),
-            patterns=tuple(
-                (Config.from_json(e["f"]), read_points(e["F"], f"{at}F"))
-                for e in data["patterns"]
-            ),
-            odd_mode=read_bool(data["odd"], f"{at}odd"),
+            shifts=tuple((t, read_points(e.get("T"), at(path, "T")))
+                         for t, (path, e) in zip(ts, shifts)),
+            patterns=tuple((Config.from_json(e.get("f"), at(path, "f")),
+                            read_points(e.get("F"), at(path, "F"))) for path, e in patterns),
+            odd_mode=read_bool(data.get("odd"), at(where, "odd")),
         )
 
 

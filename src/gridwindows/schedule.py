@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field, fields, make_dataclass
 from .errors import ResourceLimitError, check_side
 # The JSON readers live in serialize; they stay importable from here.
 from .serialize import (is_int, is_point, read_bool, read_int, read_list,  # noqa: F401
-                        read_point, read_points)
+                        read_object, read_point, read_points)
 
 
 @dataclass(frozen=True)
@@ -38,9 +38,7 @@ def read_limits(v, defaults=None):
     """The JSON limits object v as {"max_side": int, "max_steps": int}, a
     missing limit taken from ``defaults``. Anything else raises ValueError
     naming its path, e.g. ``limits.max_side: expected an integer``."""
-    if not isinstance(v, dict):
-        raise ValueError("limits: expected an object")
-    v = {**(defaults or {}), **v}
+    v = {**(defaults or {}), **read_object(v, "limits")}
     return {key: read_int(v.get(key), f"limits.{key}") for key in ("max_side", "max_steps")}
 
 
@@ -151,7 +149,7 @@ def certificate_class(name, kind, condition, extra=()):
     def from_json(cls, data):
         if data.get("kind") != kind:
             raise ValueError(f'kind: expected "{kind}"')
-        seed, final = (condition.from_json(data[key], key) for key in ("seed", "final"))
+        seed, final = (condition.from_json(data.get(key), key) for key in ("seed", "final"))
         return cls(seed, final, *(read_list(data.get(key), key) for key in lists),
                    read_limits(data.get("limits")))
 

@@ -13,9 +13,21 @@ import numpy as np
 from .geometry import Box
 
 
+def at(where, key):
+    """The JSON path of member ``key`` (a name, or a list index) of the value at ``where``."""
+    if isinstance(key, int):
+        return f"{where}[{key}]"
+    return f"{where}.{key}" if where else key
+
+
+def fail(where, message):
+    """A ValueError naming the JSON path ``where``; "" is a document's root."""
+    return ValueError(f"{where}: {message}" if where else message)
+
+
 def _expect(v, ok, where, noun):
     if not ok:
-        raise ValueError(f"{where}: expected {noun}")
+        raise fail(where, f"expected {noun}")
     return v
 
 
@@ -47,6 +59,17 @@ def read_bool(v, where):
 def read_list(v, where):
     """The JSON list v, copied."""
     return list(_expect(v, isinstance(v, list), where, "a list"))
+
+
+def read_object(v, where):
+    """The JSON object v."""
+    return _expect(v, isinstance(v, dict), where, "an object")
+
+
+def read_records(v, where):
+    """The JSON list of objects v, as (path, object) pairs."""
+    return [(at(where, i), read_object(e, at(where, i)))
+            for i, e in enumerate(read_list(v, where))]
 
 
 def read_points(v, where):

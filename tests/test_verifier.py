@@ -34,7 +34,7 @@ from gridwindows.mincolor import (
     build_generic,
     verify_certificate,
 )
-from gridwindows.schedule import parse_schedule
+from gridwindows.schedule import parse_schedule, run_schedule
 from gridwindows.serialize import canon_dumps
 from gridwindows.witness import window_two_coloring_check
 
@@ -447,6 +447,101 @@ def test_gp_duplicate_stages_checked_once(monkeypatch):
     assert [c["name"] for c in report["checks"] if not c["ok"]] == ["stage[2] periodicity 4x2"]
 
 
+# Specs whose line_clear left its line too short, or with a period not
+# dividing the final side: their builds wrote certificates that failed their
+# own "line ... cleared" check.
+LINE_SPECS = [
+    ({"n": 3, "p": {"rect": [1, 1, -1, 1], "rows": [".", "0", "0"], "holes": [[1, -1]]}}, [0]),
+    ({"n": 3, "p": {"rect": [-1, 1, -1, 1], "rows": [".01", "101", "011"], "holes": [[-1, -1]]}},
+     [0]),
+    ({"n": 3, "p": {"rect": [0, 2, 0, 2], "rows": ["1.1", "001", "011"], "holes": [[1, 0]]}}, [0]),
+    ({"n": 2, "p": {"rect": [0, 0, 0, 0], "rows": ["."], "holes": [[0, 0]]}}, [0, 1]),
+]
+
+
+@pytest.mark.parametrize("seed,rows", LINE_SPECS, ids=["short", "period-2", "tiles", "two-lines"])
+def test_gp_build_keeps_every_line_claim(tmp_path, capsys, seed, rows):
+    schedule = [{"op": "line_clear", "axis": "row", "index": j} for j in rows]
+    data = build_cert(tmp_path, capsys, "build-gp",
+                      {"seed": seed, "schedule": schedule, "limits": GP_SPEC["limits"]})
+    code, out = verify_cert(tmp_path, capsys, data)
+    assert code == 0
+    assert all(check(out, f"line row {j} cleared") for j in rows)
+
+
+# GP_SPEC's final window is 16x16 with its hole at (15, 15): a line in the
+# hole's class is not cleared, inside the window or not.
+@pytest.mark.parametrize("axis,index", [("row", 15), ("col", -1), ("row", 31)])
+def test_gp_line_in_final_hole_class_fails_exit_4(tmp_path, capsys, axis, index):
+    data = build_cert(tmp_path, capsys, "build-gp", GP_SPEC)
+    assert data["steps"][1]["req"] == {"op": "line_clear", "axis": "row", "index": 0}
+    data["steps"][1]["req"].update(axis=axis, index=index)
+    code, out = verify_cert(tmp_path, capsys, data)
+    assert code == 4
+    assert [c["name"] for c in json.loads(out)["checks"] if not c["ok"]] == [
+        f"line {axis} {index} cleared"
+    ]
+
+
+def gp_cond(rect, rows):
+    return gridperiod.GpCondition(2, Config.from_rows(Rect.from_bounds(*rect), rows))
+
+
+GP_BLOCK = gp_cond((0, 1, 0, 1), ["01", "1."])
+
+
+@pytest.mark.parametrize("c1,ok", [
+    (gridperiod.extend_tile_gp(GP_BLOCK, ((0, 1), (0, 1)), (2, 2)), True),
+    (gp_cond((-1, 2, -1, 2), ["0000", "0010", "0000", "000."]), False),
+    (gp_cond((0, 2, 0, 1), ["010", "1.1"]), False),
+    (gp_cond((0, 3, 0, 3), ["0101", "1.11", "0101", "1.1."]), False),
+    (gp_cond((0, 3, 0, 3), ["0101", "1111", "0101", "1110"]), False),
+    (gp_cond((0, 3, 0, 3), [".101", "1111", "0101", "1111"]), False),
+], ids=["honest", "misaligned", "side-not-dividing", "two-holes", "no-hole", "hole-off-class"])
+def test_is_extension_gp_rejects(c1, ok):
+    assert gridperiod.is_extension_gp(c1, GP_BLOCK) is ok
+
+
+MT_P = Config.from_json(CHECKER)
+MT_F = Config.from_rows(Rect.from_bounds(0, 0, 0, 0), ["1"])
+MT_F_HOLE = Config.from_rows(Rect.from_bounds(0, 0, 0, 0), ["."])
+MT_BASE = MtCondition(MT_P, (((1, 0), Box(0, 0, 0, 0)),), ((MT_F, Box(0, 1, 0, 0)),), False)
+
+
+@pytest.mark.parametrize("c1,ok", [
+    (MT_BASE, True),
+    (dataclasses.replace(MT_BASE, p=MT_P.translate((1, 0))), False),
+    (dataclasses.replace(MT_BASE, patterns=()), False),
+    (dataclasses.replace(MT_BASE, patterns=((MT_P, Box(0, 1, 0, 0)),)), False),
+    (dataclasses.replace(MT_BASE, shifts=(((0, 1), Box(0, 0, 0, 0)),)), False),
+    (dataclasses.replace(MT_BASE, odd_mode=True), False),
+], ids=["same", "rect-not-contained", "patterns-dropped", "pattern-changed", "shift-changed",
+        "odd-mode"])
+def test_is_extension_rejects(c1, ok):
+    assert mincolor.is_extension(c1, MT_BASE) is ok
+
+
+@pytest.mark.parametrize("cond,index", [
+    (dataclasses.replace(MT_BASE, patterns=((MT_F_HOLE, Box(0, 0, 0, 0)),)), 0),
+    (dataclasses.replace(MT_BASE, shifts=(((0, 0), Box(0, 0, 0, 0)),)), 0),
+    (dataclasses.replace(MT_BASE, p=Config.from_rows(MT_P.rect, ["010", "1.1", "010"])), None),
+    (dataclasses.replace(MT_BASE, p=Config.from_rows(Rect.from_bounds(0, 1, 0, 0), ["01"]),
+                         odd_mode=True), None),
+], ids=["pattern-hole", "zero-shift", "window-hole", "even-side-odd-mode"])
+def test_structure_rejects(cond, index):
+    assert mincolor._structure(cond) == [mincolor.Violation("structure", index, None)]
+
+
+@pytest.mark.parametrize("steps,start,req", [
+    (mincolor.STEPS, MtCondition(MT_P, (), (), False), gridperiod.Shift((1, 0))),
+    (gridperiod.STEPS, GP_BLOCK, mincolor.SelfPattern()),
+    (gridperiod.STEPS, GP_BLOCK, object()),
+], ids=["gp-request-to-mt", "mt-request-to-gp", "object"])
+def test_run_schedule_rejects_unknown_request(steps, start, req):
+    with pytest.raises(ValueError, match="unknown build step"):
+        run_schedule(start, [req], LIMITS, steps)
+
+
 # ------------------------------------------------------- chains and limits
 
 # Whole lists emptied, repeated or cut, and limits the certificate breaks:
@@ -597,7 +692,45 @@ def test_mt_shift_claim_not_integers_named_before_witness_sets(tmp_path, capsys,
     path = tmp_path / "tampered.json"
     path.write_text(canon_dumps(data))
     assert main(["verify", "--spec", str(path)]) == 2
-    assert f"{key}.t: expected two integers" in capsys.readouterr().err
+    assert f"{key}.shifts[1].t: expected two integers" in capsys.readouterr().err
+
+
+# Exit-2 errors name the bad field's full JSON path, keeping the old text
+# after it: (family, path, value, message).
+PATH_TAMPERS = [
+    ("mt", ("final", "shifts", 0, "T"), "x", "final.shifts[0].T: expected a list of points"),
+    ("mt", ("final", "shifts", 0, "t"), [1.0, 0], "final.shifts[0].t: expected two integers"),
+    ("mt", ("final", "shifts", 0), 5, "final.shifts[0]: expected an object"),
+    ("mt", ("final", "shifts"), {}, "final.shifts: expected a list"),
+    ("mt", ("final", "patterns", 0, "F"), None, "final.patterns[0].F: expected a list of points"),
+    ("mt", ("final", "patterns", 0, "f", "rect"), [0], "final.patterns[0].f.rect: expected four"),
+    ("mt", ("final", "p", "rect"), [0, 1], "final.p.rect: expected four integers"),
+    ("mt", ("final", "p", "rows", 0), "0", "final.p: row 0 has length 1, expected 18"),
+    ("mt", ("final", "p", "rows"), "010", "final.p.rows: expected a list"),
+    ("mt", ("seed", "p", "rows"), ["0"], "seed.p: expected 3 rows, got 1"),
+    ("mt", ("seed", "odd"), None, "seed.odd: expected a boolean"),
+    ("gp", ("final", "p", "holes"), [[0, 0]], "final.p: declared holes do not match row data"),
+    ("gp", ("final", "p", "holes"), [[0.5, 0]], "final.p.holes: expected a list of points"),
+    ("gp", ("final", "u"), [0, 0], "final.u: declared hole does not match the window"),
+    ("gp", ("seed", "n"), None, "seed.n: expected an integer"),
+    ("gp", ("seed", "p"), [], "seed.p: expected an object"),
+    ("gp", ("final",), None, "final: expected an object"),
+]
+
+
+@pytest.mark.parametrize("family,path,value,message", PATH_TAMPERS,
+                         ids=["T-str", "t-float", "shift-int", "shifts-object", "F-null",
+                              "f-rect-short", "rect-short", "row-short", "rows-str", "seed-rows",
+                              "seed-odd-null", "holes-wrong", "holes-float", "u-wrong",
+                              "seed-n-null", "seed-p-list", "final-null"])
+def test_reader_errors_name_the_full_path(tmp_path, capsys, family, path, value, message):
+    data = build_cert(tmp_path, capsys, *{"mt": ("build-mt", MT_SPEC),
+                                          "gp": ("build-gp", GP_SPEC)}[family])
+    with_field(data, path, value)
+    path = tmp_path / "tampered.json"
+    path.write_text(canon_dumps(data))
+    assert main(["verify", "--spec", str(path)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_huge_seed_rect_build_exit_2(tmp_path, capsys):
@@ -605,6 +738,21 @@ def test_huge_seed_rect_build_exit_2(tmp_path, capsys):
     path.write_text(canon_dumps(dict(MT_SPEC, seed=dict(CHECKER, rect=[0, 10**12, 0, 2]))))
     assert main(["build-mt", "--spec", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "row 0 has length 3" in capsys.readouterr().err
+
+
+# A build spec's seed is read with its path too.
+@pytest.mark.parametrize("cmd,spec,message", [
+    ("build-mt", dict(MT_SPEC, seed=None), "seed: expected an object"),
+    ("build-mt", dict(MT_SPEC, seed=dict(CHECKER, rows=["01"])), "seed: expected 3 rows, got 1"),
+    ("build-gp", dict(GP_SPEC, seed={"n": 2}), "seed.p: expected an object"),
+    ("build-gp", dict(GP_SPEC, seed={"n": 2, "p": dict(CHECKER, rect=[0])}),
+     "seed.p.rect: expected four integers"),
+], ids=["mt-seed-null", "mt-rows", "gp-p-missing", "gp-rect-short"])
+def test_build_spec_seed_errors_name_the_path(tmp_path, capsys, cmd, spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(canon_dumps(spec))
+    assert main([cmd, "--spec", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_certificate_kind_checked():
@@ -906,11 +1054,13 @@ def test_verify_accepts_what_the_naive_verifier_accepts(meaning_dir, cmd, specs,
     spec = data.draw(specs, label="spec")
     (meaning_dir / "spec.json").write_text(canon_dumps(spec))
     out = meaning_dir / "out"
-    # A build that fails its own verify (exit 4) still writes its certificate.
+    # A build ends in a certificate that verifies, or refuses the spec or
+    # its limits; it never writes a certificate that fails its own verify.
     built = run_quiet([cmd, "--spec", str(meaning_dir / "spec.json"), "--out", str(out)])
-    assume(built in (0, 4))
+    assert built in (0, 2, 3)
+    assume(built == 0)
     cert = json.loads((out / "certificate.json").read_text())
-    assert naive(cert) is (built == 0)
+    assert naive(cert)
     kind = data.draw(st.sampled_from(["change", "delete", "duplicate", "empty"]), label="kind")
     path, how, arg = data.draw(st.sampled_from(mutations(cert, kind) or mutations(cert, "change")),
                                label="mutation")

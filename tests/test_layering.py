@@ -6,12 +6,12 @@ the build driver or the condition families.
 """
 
 import ast
-import importlib
 from pathlib import Path
 
 import pytest
 
 import gridwindows
+from gridwindows import schedule, serialize
 
 PACKAGE = Path(gridwindows.__file__).parent
 
@@ -40,8 +40,6 @@ def test_window_modules_import_no_driver(module):
 @pytest.mark.parametrize("name", ["is_int", "is_point", "read_int", "read_point", "read_bool",
                                   "read_list", "read_points", "read_limits"])
 def test_readers_still_import_from_schedule(name):
-    schedule, serialize = (importlib.import_module(f"gridwindows.{m}")
-                           for m in ("schedule", "serialize"))
     reader = getattr(schedule, name)
     assert callable(reader)
     # A moved reader is serialize's own, not a copy.

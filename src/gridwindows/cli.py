@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import sys
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from .markers import (
     toast_report,
 )
 from .schedule import parse_schedule, read_bool, read_int, read_limits, read_point
-from .serialize import canon_dumps, pgm_dumps
+from .serialize import at, canon_dumps, pgm_dumps, read_list, read_records
 
 DEFAULT_LIMITS = {"max_side": 512, "max_steps": 256}
 
@@ -140,10 +141,23 @@ def _toast_pgm(t):
     win = t.window
     lo_x, hi_y = win.lo[0], win.hi[1]
     depth = np.zeros((win.height, win.width), dtype=np.int64)
-    # Levels ascend, so a cell's last write is its highest level. Offsets are
-    # taken in Python, so far-out coordinates never reach numpy.
+    # Levels ascend, so a cell's last write is its highest level. Bounds and
+    # offsets are taken in Python, so far-out coordinates never reach numpy.
     for n, level in enumerate(t.levels):
-        cells = [(hi_y - y, x - lo_x) for cl in level for (x, y) in cl if win.contains((x, y))]
+        cells = []
+        for cl in level:
+            if not cl:
+                continue
+            xs, ys = list(map(itemgetter(0), cl)), list(map(itemgetter(1), cl))
+            bbox = Rect.from_bounds(min(xs), max(xs), min(ys), max(ys))
+            if bbox.area == len(cl):
+                # The class is its bounding box: one slice of the depth map.
+                r = bbox.intersect(win)
+                if r is not None:
+                    (a, c), (b, d) = r.lo, r.hi
+                    depth[hi_y - d:hi_y - c + 1, a - lo_x:b - lo_x + 1] = n + 1
+            else:
+                cells += [(hi_y - y, x - lo_x) for (x, y) in cl if win.contains((x, y))]
         if cells:
             depth[tuple(zip(*cells))] = n + 1
     return pgm_dumps(depth, max(1, len(t.levels)))
@@ -151,7 +165,7 @@ def _toast_pgm(t):
 
 def cmd_toast(args):
     spec = _load_json(args.spec)
-    t = Toast.from_json(spec["toast"])
+    t = Toast.from_json(spec.get("toast"), "toast")
     report = toast_report(t, _probes(spec))
     if args.out is not None and args.format == "pgm":
         check_side(max(t.window.width, t.window.height), DEFAULT_LIMITS["max_side"])
@@ -163,7 +177,7 @@ def cmd_toast(args):
 
 
 def _markers_stack(args, spec):
-    a = read_int(spec["a"], "a")
+    a = read_int(spec.get("a"), "a")
     m = 2 * a + 1
     side = read_int(spec.get("side", 5 * m * m), "side")
     win = Rect.from_bounds(0, side - 1, 0, side - 1)
@@ -190,14 +204,15 @@ def _markers_stack(args, spec):
 
 
 def _markers_partitions(args, spec):
-    window = Rect.from_json(spec["window"])
+    window = Rect.from_json(spec.get("window"), "window")
     parts = [
         RectPartition(
-            level=read_int(entry["level"], f"levels[{i}].level"),
-            rects=tuple(Rect.from_json(r) for r in entry["rects"]),
+            level=read_int(entry.get("level"), at(path, "level")),
+            rects=tuple(Rect.from_json(r, at(at(path, "rects"), j))
+                        for j, r in enumerate(read_list(entry.get("rects"), at(path, "rects")))),
             window=window,
         )
-        for i, entry in enumerate(spec["levels"])
+        for path, entry in read_records(spec.get("levels"), "levels")
     ]
     print(canon_dumps(check_partition_props(parts, _probes(spec))))
     return 0

@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from collections.abc import Set
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product, repeat
 
 INFINITY = math.inf
 
@@ -114,17 +114,23 @@ class Box(Set):
         return (self.x1 - self.x0 + 1) * (self.y1 - self.y0 + 1)
 
     @classmethod
-    def from_lex(cls, pts):
-        """The Box whose cells in lex order are exactly ``pts``, a list of
-        [x, y] lists of ints, else None. The bounds and the area are tested
-        before any cell is listed."""
-        if not pts:
+    def from_lex(cls, xs, ys):
+        """The Box whose cells in lex order have the x column ``xs`` and the
+        y column ``ys`` (equal-length lists of ints), else None. The bounds
+        and the area are tested before any column is built, and the columns
+        are compared whole, never cell by cell."""
+        if not xs:
             return None
-        (x0, y0), (x1, y1) = pts[0], pts[-1]
-        if x0 > x1 or y0 > y1 or (x1 - x0 + 1) * (y1 - y0 + 1) != len(pts):
+        x0, x1, y0, y1 = xs[0], xs[-1], ys[0], ys[-1]
+        h = y1 - y0 + 1
+        if x0 > x1 or y0 > y1 or (x1 - x0 + 1) * h != len(xs):
             return None
-        box = cls(x0, x1, y0, y1)
-        return box if pts == list(map(list, box)) else None
+        # In lex order x repeats each value h times, and y runs y0..y1 under each x.
+        if ys != list(range(y0, y1 + 1)) * (x1 - x0 + 1):
+            return None
+        if xs != list(chain.from_iterable(map(repeat, range(x0, x1 + 1), repeat(h)))):
+            return None
+        return cls(x0, x1, y0, y1)
 
     def __iter__(self):
         return product(range(self.x0, self.x1 + 1), range(self.y0, self.y1 + 1))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .geometry import Rect, dist_to_set
 from .grid import boundary, Config
-from .serialize import points_json, read_bool, read_int, read_points
+from .serialize import at, points_json, read_bool, read_int, read_list, read_object, read_points
 
 
 # ---------------------------------------------------------------- shifted stack
@@ -256,14 +256,18 @@ class Toast:
         }
 
     @classmethod
-    def from_json(cls, data):
+    def from_json(cls, data, where=""):
+        """``where`` is the toast's JSON path, named in errors."""
+        data = read_object(data, where)
+        levels = at(where, "levels")
         return cls(
             levels=tuple(
-                tuple(read_points(cl, f"levels[{n}][{i}]") for i, cl in enumerate(level))
-                for n, level in enumerate(data["levels"])
+                tuple(read_points(cl, at(at(levels, n), i))
+                      for i, cl in enumerate(read_list(level, at(levels, n))))
+                for n, level in enumerate(read_list(data.get("levels"), levels))
             ),
-            layered=read_bool(data["layered"], "layered"),
-            window=Rect.from_json(data["window"]),
+            layered=read_bool(data.get("layered"), at(where, "layered")),
+            window=Rect.from_json(data.get("window"), at(where, "window")),
         )
 
 

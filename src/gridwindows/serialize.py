@@ -6,11 +6,14 @@ ValueError naming the value's JSON path ``where`` when its type is wrong.
 """
 
 import json
-from itertools import chain
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 import numpy as np
 
 from .geometry import Box
+
+_X, _Y = itemgetter(0), itemgetter(1)
 
 
 def at(where, key):
@@ -76,23 +79,98 @@ def read_points(v, where):
     """The JSON list of points v as a set of (x, y) tuples: a Box when v
     lists exactly one box's cells in lex order, which is how ``points_json``
     writes a Box, and a frozenset otherwise."""
-    # is_point over the whole list, with the loops in C: witness sets run to
-    # tens of thousands of points.
-    ok = (isinstance(v, list) and set(map(type, v)) <= {list} and set(map(len, v)) <= {2}
-          and set(map(type, chain.from_iterable(v))) <= {int})
+    # is_point over the whole list, on its x and y columns with the loops in
+    # C: witness sets run to tens of thousands of points.
+    ok = isinstance(v, list) and set(map(type, v)) <= {list} and set(map(len, v)) <= {2}
+    if ok:
+        xs, ys = list(map(_X, v)), list(map(_Y, v))
+        ok = set(map(type, xs)) <= {int} and set(map(type, ys)) <= {int}
     _expect(v, ok, where, "a list of points")
-    return Box.from_lex(v) or frozenset(map(tuple, v))
+    return Box.from_lex(xs, ys) or frozenset(zip(xs, ys))
+
+
+class BoxPoints(list):
+    """A Box's cells as a JSON point list in lex order that keeps its Box,
+    so ``canon_dumps`` writes it from the bounds. An edit of the list drops
+    the Box, and the list is then written point by point; the points
+    themselves are the Box's and are not to be edited in place."""
+
+    __slots__ = ("box",)
+
+    def __init__(self, box):
+        super().__init__(map(list, box))
+        self.box = box
+
+
+def _dropping_box(name):
+    def edit(self, *args, **kwargs):
+        self.box = None
+        return getattr(list, name)(self, *args, **kwargs)
+    return edit
+
+
+for _name in ("__setitem__", "__delitem__", "__iadd__", "__imul__", "append", "clear",
+              "extend", "insert", "pop", "remove", "reverse", "sort"):
+    setattr(BoxPoints, _name, _dropping_box(_name))
 
 
 def points_json(S):
     """A set of (x, y) cells as a JSON point list in lex order: a Box lists
     its cells in that order already."""
-    return list(map(list, S if isinstance(S, Box) else sorted(S)))
+    if isinstance(S, Box):
+        return BoxPoints(S)
+    return list(map(list, sorted(S)))
+
+
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def canon_dumps(data):
-    """Deterministic JSON: sorted keys, no whitespace."""
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+    """Deterministic JSON: sorted keys, no whitespace. The text is
+    ``json.dumps(data, sort_keys=True, separators=(",", ":"))``; a Box's
+    point list is written from its bounds, one join per column."""
+    chunks = []
+    _write(data, chunks.append)
+    return "".join(chunks)
+
+
+def _holds_box(v):
+    """v is, or holds, a Box's point list that ``_write`` walks down to:
+    through dicts with str keys, and lists that hold dicts or such lists."""
+    kind = type(v)
+    if kind is BoxPoints:
+        return v.box is not None
+    if kind is dict:
+        return set(map(type, v)) <= {str} and any(map(_holds_box, v.values()))
+    if kind is list or kind is tuple:
+        return not {dict, BoxPoints}.isdisjoint(map(type, v)) and any(map(_holds_box, v))
+    return False
+
+
+def _write(v, put):
+    # A value that holds no Box's point list is encoded whole by the standard
+    # library, so a long value such as a window's rows is one chunk, copied
+    # at most once, by the final join.
+    kind = type(v)
+    if not _holds_box(v):
+        put(_encode(v))
+    elif kind is BoxPoints:
+        x0, x1, y0, y1 = v.box.bounds
+        ys = list(map(str, range(y0, y1 + 1)))
+        put("[" + ",".join(f"[{x}," + f"],[{x},".join(ys) + "]" for x in range(x0, x1 + 1)) + "]")
+    elif kind is dict:
+        put("{")
+        for i, k in enumerate(sorted(v)):
+            put(("," if i else "") + encode_basestring_ascii(k) + ":")
+            _write(v[k], put)
+        put("}")
+    else:
+        put("[")
+        for i, e in enumerate(v):
+            if i:
+                put(",")
+            _write(e, put)
+        put("]")
 
 
 def pgm_dumps(rows, maxval):

@@ -43,3 +43,27 @@ def test_span_target_classes_are_distinct():
             module = importlib.import_module(f"{spans.PACKAGE}.{mod_name}")
             owners[f"{mod_name}.{owner}"] = getattr(module, owner)
     assert len({id(cls) for cls in owners.values()}) == len(owners)
+
+
+def test_tracer_sees_one_dump_span_per_written_file(tmp_path, capsys):
+    # canon_dumps recurses through a private helper, so the traced run
+    # counts each dump once: window.json, certificate.json and the report.
+    from gridwindows import cli
+    from test_cli import PINNED, write_spec
+
+    spans = load_spans()
+    spec = next(spec for (cmd, spec, _c, _r) in PINNED if cmd == "build-mt")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_op(0)
+        code = cli.main(["build-mt", "--spec", write_spec(tmp_path / "spec.json", spec),
+                         "--out", str(tmp_path / "out")])
+        tracer.end_op()
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    assert [span[0] for span in tracer.spans].count("serialize.canon_dumps") == 3
+    cert_bytes = (tmp_path / "out" / "certificate.json").stat().st_size
+    assert tracer.counts["serialize.cert_bytes"] == cert_bytes

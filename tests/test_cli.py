@@ -477,7 +477,7 @@ def test_toast_float_window_exit_2(tmp_path, capsys):
     spec = write_spec(tmp_path / "toast.json", data)
     code, _, err = run_cli(["toast", "--spec", spec], capsys)
     assert code == 2
-    assert "rect: expected four integers" in err
+    assert "error: toast.window: expected four integers" in err
 
 
 def broken_toast_spec(layered=True):
@@ -597,9 +597,9 @@ def partitions_spec():
 # Numbers that are not JSON integers were truncated by int() before.
 BAD_CHECKER_INPUTS = [
     ("toast", with_field(toast_spec(), ("toast", "levels", 0, 0, 0), [0.4, 0.3]),
-     "levels[0][0]: expected a list of points"),
+     "toast.levels[0][0]: expected a list of points"),
     ("toast", with_field(toast_spec(), ("toast", "levels", 1, 0), 5),
-     "levels[1][0]: expected a list of points"),
+     "toast.levels[1][0]: expected a list of points"),
     ("toast", with_field(toast_spec(), ("probes", 0), [0.7, 0]),
      "probes[0]: expected two integers"),
     ("toast", with_field(toast_spec(), ("probes", 0), [True, 0]),
@@ -616,7 +616,7 @@ BAD_CHECKER_INPUTS = [
      "probes[0]: expected two integers"),
     # A flag that is not a JSON boolean was read with bool().
     ("toast", with_field(toast_spec(), ("toast", "layered"), "no"),
-     "layered: expected a boolean"),
+     "toast.layered: expected a boolean"),
 ]
 
 
@@ -631,6 +631,44 @@ def test_checker_non_integer_input_exit_2(tmp_path, capsys, cmd, data, message):
     code, out, err = run_cli([cmd, "--spec", spec], capsys)
     assert code == 2 and out == ""
     assert message in err
+
+
+# Each of these raised an error that named no JSON path: a bare key such as
+# 'toast' or 'window', or a TypeError about ints and list indices.
+SPEC_PATH_ERRORS = [
+    ("toast", {}, "toast: expected an object"),
+    ("toast", {"toast": []}, "toast: expected an object"),
+    ("toast", with_field(toast_spec(), ("toast", "levels"), 5), "toast.levels: expected a list"),
+    ("toast", with_field(toast_spec(), ("toast", "levels", 0), 5),
+     "toast.levels[0]: expected a list"),
+    ("toast", with_field(toast_spec(), ("toast", "levels", 0), [[[0, 0]], 5]),
+     "toast.levels[0][1]: expected a list of points"),
+    ("toast", {"toast": {"levels": [], "layered": True}}, "toast.window: expected four integers"),
+    ("toast", {"toast": {"levels": [], "window": [0, 1, 0, 1]}},
+     "toast.layered: expected a boolean"),
+    ("markers", {"demo": "partitions", "levels": []}, "window: expected four integers"),
+    ("markers", {"demo": "shifted_stack"}, "a: expected an integer"),
+    ("markers", with_field(partitions_spec(), ("levels",), 5), "levels: expected a list"),
+    ("markers", with_field(partitions_spec(), ("levels", 0), 5), "levels[0]: expected an object"),
+    ("markers", {"demo": "partitions", "window": [0, 7, 0, 7], "levels": [{"rects": []}]},
+     "levels[0].level: expected an integer"),
+    ("markers", with_field(partitions_spec(), ("levels", 0, "rects"), None),
+     "levels[0].rects: expected a list"),
+    ("markers", with_field(partitions_spec(), ("levels", 0, "rects", 0), [0, 7, 0]),
+     "levels[0].rects[0]: expected four integers"),
+]
+
+
+@pytest.mark.parametrize("cmd,data,message", SPEC_PATH_ERRORS,
+                         ids=["toast-missing", "toast-list", "levels-int", "level-int",
+                              "class-int", "window-missing", "layered-missing",
+                              "partition-window-missing", "stack-a-missing", "levels-int-markers",
+                              "partition-level-int", "partition-level-missing",
+                              "rects-missing", "rect-short"])
+def test_checker_spec_errors_name_the_path(tmp_path, capsys, cmd, data, message):
+    spec = write_spec(tmp_path / "spec.json", data)
+    code, out, err = run_cli([cmd, "--spec", spec], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_toast_pgm_artifact(tmp_path, capsys):

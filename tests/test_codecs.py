@@ -1,17 +1,165 @@
-"""Differential tests of the row and PGM codecs against the per-cell
-reference codec in oracles.py."""
+"""Differential tests of the JSON, row and PGM codecs: the JSON writer
+against the standard library's, the point-set reader and the row and PGM
+codecs against the per-cell references in oracles.py."""
+
+import copy
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gridwindows import gridperiod, mincolor
 from gridwindows.cli import main
-from gridwindows.geometry import Rect
+from gridwindows.geometry import Box, Rect
 from gridwindows.grid import Config
-from gridwindows.serialize import canon_dumps, pgm_dumps
+from gridwindows.serialize import canon_dumps, pgm_dumps, points_json, read_points
 
-from test_cli import run_bounded
+from test_cli import PINNED, run_bounded, write_spec
 
-from oracles import ref_from_rows, ref_pgm_dumps, ref_rows, ref_to_pgm, seeded
+from oracles import (_json_points, _Reject, ref_from_rows, ref_pgm_dumps, ref_rows, ref_to_pgm,
+                     seeded)
+
+
+# ------------------------------------------------------------------- JSON
+
+def std_dumps(v):
+    return json.dumps(v, sort_keys=True, separators=(",", ":"))
+
+
+def outcome(dumps, v):
+    """The text, or the type of the error, that ``dumps`` gives for v."""
+    try:
+        return dumps(v)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+COORDS = st.integers(-4, 4) | st.sampled_from([-10**30, 10**30, 10**30 - 3])
+BOXES = st.builds(lambda x0, y0, w, h: Box(x0, x0 + w, y0, y0 + h),
+                  COORDS, COORDS, st.integers(0, 3), st.integers(0, 3))
+
+# Each edit leaves a list that is no longer the Box's lex listing, or is
+# but was edited, so the writer must fall back to the points themselves.
+EDITS = [
+    lambda v: v.pop(), lambda v: v.append([9, 9]), lambda v: v.reverse(),
+    lambda v: v.__delitem__(0), lambda v: v.__setitem__(slice(0, 1), []),
+    lambda v: v.__iadd__([[1, 2]]), lambda v: v.__imul__(2),
+    lambda v: v.sort(reverse=True), lambda v: v.insert(0, [5, 5]),
+    lambda v: v.extend([[0, 0]]), lambda v: v.remove(v[0]), lambda v: v.clear(),
+    lambda v: v.__setitem__(0, [7, 7]),
+]
+
+
+@st.composite
+def box_lists(draw):
+    v = points_json(draw(BOXES))
+    how = draw(st.integers(-2, len(EDITS) - 1))
+    if how == -2:
+        return copy.deepcopy(v)
+    if how >= 0:
+        EDITS[how](v)
+    return v
+
+
+SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-10**40, 10**40)
+           | st.floats() | st.text(max_size=4))
+KEYS = st.text(max_size=4) | st.sampled_from(['"', "\\", "\n", "\x00", "é", "☃", "\ud800"])
+TREES = st.recursive(
+    SCALARS | box_lists(),
+    lambda kids: (st.lists(kids, max_size=4) | st.tuples(kids, kids)
+                  | st.dictionaries(KEYS, kids, max_size=4)
+                  | st.dictionaries(st.integers() | st.floats(allow_nan=False), kids, max_size=3)
+                  | st.dictionaries(KEYS | st.integers() | st.booleans() | st.none(), kids,
+                                    max_size=3)),
+    max_leaves=12,
+)
+
+
+@given(TREES)
+def test_canon_dumps_is_the_standard_library_text(v):
+    assert outcome(canon_dumps, v) == outcome(std_dumps, v)
+
+
+@given(BOXES)
+def test_box_point_list_is_a_plain_json_value(box):
+    v = points_json(box)
+    cells = [list(g) for g in box]
+    assert v == cells and cells == v and json.loads(std_dumps(v)) == cells
+    assert canon_dumps(v) == std_dumps(cells) == json.dumps(v, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("cmd,spec", [(cmd, spec) for (cmd, spec, _c, _r) in PINNED],
+                         ids=[f"{cmd}-{i}" for i, (cmd, *_r) in enumerate(PINNED)])
+def test_certificates_and_conditions_dump_like_the_standard_library(tmp_path, capsys, cmd, spec):
+    out = tmp_path / "out"
+    assert main([cmd, "--spec", write_spec(tmp_path / "spec.json", spec), "--out", str(out)]) == 0
+    capsys.readouterr()
+    text = (out / "certificate.json").read_text()
+    data = json.loads(text)
+    cls = mincolor.Certificate if data["kind"] == "mt" else gridperiod.GpCertificate
+    cert = cls.from_json(data)
+    assert canon_dumps(cert.to_json()) + "\n" == text
+    for x in (cert, cert.seed, cert.final):
+        assert canon_dumps(x.to_json()) == std_dumps(x.to_json())
+
+
+def oracle_points(v):
+    try:
+        return _json_points(v)
+    except _Reject:
+        return None
+
+
+def lib_points(v):
+    try:
+        return read_points(v, "v")
+    except ValueError:
+        return None
+
+
+def swap(v, i, j):
+    v[i], v[j] = v[j], v[i]
+
+
+# Mutations of point i of a list, some with a second point j != i.
+POINT_MUTATIONS = {
+    "none": None,
+    "swap": swap,
+    "repeat": lambda v, i, j: v.insert(j, list(v[i])),
+    "other-x": lambda v, i, j: v[i].__setitem__(0, v[j][0]),
+    "other-y": lambda v, i, j: v[i].__setitem__(1, v[j][1]),
+    "float": lambda v, i, j: v[i].__setitem__(j % 2, float(v[i][j % 2])),
+    "bool": lambda v, i, j: v[i].__setitem__(j % 2, True),
+    "three": lambda v, i, j: v[i].append(0),
+    "one": lambda v, i, j: v[i].pop(),
+    "tuple": lambda v, i, j: v.__setitem__(i, tuple(v[i])),
+    "string": lambda v, i, j: v[i].__setitem__(j % 2, str(v[i][j % 2])),
+}
+
+
+@pytest.mark.parametrize("mutate", POINT_MUTATIONS.values(), ids=POINT_MUTATIONS.keys())
+@settings(max_examples=40)
+@given(st.one_of(BOXES.map(list), st.lists(st.tuples(COORDS, COORDS), max_size=8)), st.data())
+def test_read_points_matches_the_oracle(mutate, pts, data):
+    v = [[x, y] for (x, y) in pts]
+    if mutate is not None and v:
+        index = st.integers(0, len(v) - 1)
+        i, j = data.draw(st.lists(index, min_size=2, max_size=2, unique=len(v) > 1))
+        mutate(v, i, j)
+    want, got = oracle_points(v), lib_points(v)
+    assert (got is None) == (want is None)
+    if want is None:
+        return
+    assert got == want
+    # A Box exactly when v lists its bounding box's cells in lex order.
+    lex = False
+    if v:
+        xs, ys = [x for x, _ in v], [y for _, y in v]
+        bbox = Box(min(xs), max(xs), min(ys), max(ys))
+        lex = bbox.area == len(v) and v == [list(g) for g in bbox]
+    assert isinstance(got, Box) == lex
 
 
 def test_window_codecs_match_reference_with_holes():
@@ -74,6 +222,38 @@ def test_toast_pgm_with_two_digit_levels_matches_reference(tmp_path, capsys):
     capsys.readouterr()
     expected = [[x + 7 if y <= 3 else 0 for x in range(-5, 6)] for y in range(5, -6, -1)]
     assert (out_dir / "toast.pgm").read_text() == ref_pgm_dumps(expected, 12)
+
+
+def test_toast_pgm_box_and_point_classes_match_reference(tmp_path, capsys):
+    # Box classes, some reaching past the window, are written as slices of
+    # the depth map; the other classes cell by cell.
+    rng = seeded(23)
+    for k in range(40):
+        far = rng.choice((0, 10**30))
+        a, c = far + rng.randint(-3, 3), rng.randint(-3, 3)
+        win = [a, a + rng.randint(0, 6), c, c + rng.randint(0, 6)]
+        levels = []
+        for _ in range(rng.randint(1, 4)):
+            level = []
+            for _ in range(rng.randint(0, 3)):
+                x0, y0 = win[0] + rng.randint(-2, 6), win[2] + rng.randint(-2, 6)
+                w, h = rng.randint(1, 4), rng.randint(1, 4)
+                cells = [[x, y] for x in range(x0, x0 + w) for y in range(y0, y0 + h)]
+                if rng.random() < 0.4:
+                    cells = rng.sample(cells, rng.randint(1, len(cells)))
+                level.append(cells)
+            levels.append(level)
+        path = tmp_path / f"toast{k}.json"
+        path.write_text(canon_dumps({"toast": {"layered": False, "window": win,
+                                               "levels": levels}}) + "\n")
+        out_dir = tmp_path / f"o{k}"
+        assert main(["toast", "--spec", str(path), "--out", str(out_dir), "--format", "pgm"]) == 0
+        capsys.readouterr()
+        depth = [[max([n + 1 for n, level in enumerate(levels)
+                       if any([x, y] in cl for cl in level)], default=0)
+                  for x in range(win[0], win[1] + 1)]
+                 for y in range(win[3], win[2] - 1, -1)]
+        assert (out_dir / "toast.pgm").read_text() == ref_pgm_dumps(depth, max(1, len(levels)))
 
 
 # Levels of many digits, mixed with short ones and zeros in each row. Tops

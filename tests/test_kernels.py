@@ -40,6 +40,11 @@ SMALL = st.integers(-8, 8)
 FAR_SHIFTS = st.sampled_from([(0, 0), (10**30, 0), (0, -(10**30)), (-(10**30), 10**30)])
 
 
+def columns(pts):
+    """The x and y columns of a list of (x, y) points."""
+    return [x for x, _ in pts], [y for _, y in pts]
+
+
 def moved(box, c):
     x0, x1, y0, y1 = box.bounds
     return Box(x0 + c[0], x1 + c[0], y0 + c[1], y1 + c[1])
@@ -73,16 +78,16 @@ def test_box_is_the_frozenset_of_its_cells(box, c):
     assert box == Box(x0, x1, y0, y1) and box != Box(x0, x1 + 1, y0, y1)
     assert box != cells - {pts[-1]} and cells | {(x1 + 1, y0)} != box
     assert box & cells == cells and not box - cells and type(box | cells) is frozenset
-    assert Box.from_lex([list(g) for g in pts]) == box
+    assert Box.from_lex(*columns(pts)) == box
     # Lists that are not the box's cells in lex order, some with the same
     # first point, last point and length.
     others = [pts[::-1], pts[1:] + pts[:1], pts[:1] + pts[-2:0:-1] + pts[-1:],
               pts[:1] + [(x1 + 3, y1 + 3)] + pts[2:], pts[:1] + pts[:-1], pts + pts[-1:]]
     for other in others:
         if other != pts:
-            assert Box.from_lex([list(g) for g in other]) is None
+            assert Box.from_lex(*columns(other)) is None
     # A 10**30-wide bounding box is refused by its area, never listed.
-    assert Box.from_lex([[x0, y0], [x0 + 10**30, y0]]) is None
+    assert Box.from_lex([x0, x0 + 10**30], [y0, y0]) is None
 
 
 # ------------------------------------------------------------------ boxes

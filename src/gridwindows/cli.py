@@ -16,7 +16,6 @@ import argparse
 import functools
 import json
 import sys
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -141,23 +140,10 @@ def _toast_pgm(t):
     win = t.window
     lo_x, hi_y = win.lo[0], win.hi[1]
     depth = np.zeros((win.height, win.width), dtype=np.int64)
-    # Levels ascend, so a cell's last write is its highest level. Bounds and
-    # offsets are taken in Python, so far-out coordinates never reach numpy.
+    # Levels ascend, so a cell's last write is its highest level. Offsets are
+    # taken in Python, so far-out coordinates never reach numpy.
     for n, level in enumerate(t.levels):
-        cells = []
-        for cl in level:
-            if not cl:
-                continue
-            xs, ys = list(map(itemgetter(0), cl)), list(map(itemgetter(1), cl))
-            bbox = Rect.from_bounds(min(xs), max(xs), min(ys), max(ys))
-            if bbox.area == len(cl):
-                # The class is its bounding box: one slice of the depth map.
-                r = bbox.intersect(win)
-                if r is not None:
-                    (a, c), (b, d) = r.lo, r.hi
-                    depth[hi_y - d:hi_y - c + 1, a - lo_x:b - lo_x + 1] = n + 1
-            else:
-                cells += [(hi_y - y, x - lo_x) for (x, y) in cl if win.contains((x, y))]
+        cells = [(hi_y - y, x - lo_x) for cl in level for (x, y) in cl if win.contains((x, y))]
         if cells:
             depth[tuple(zip(*cells))] = n + 1
     return pgm_dumps(depth, max(1, len(t.levels)))

@@ -128,49 +128,39 @@ _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 def canon_dumps(data):
     """Deterministic JSON: sorted keys, no whitespace. The text is
     ``json.dumps(data, sort_keys=True, separators=(",", ":"))``; a Box's
-    point list is written from its bounds, one join per column."""
+    point list is written from its bounds, one join per column. That holds
+    while no point of such a list is edited in place: an edit of one of its
+    points is not seen, so edit a ``json.loads`` copy instead."""
     chunks = []
     _write(data, chunks.append)
     return "".join(chunks)
 
 
-def _holds_box(v):
-    """v is, or holds, a Box's point list that ``_write`` walks down to:
-    through dicts with str keys, and lists that hold dicts or such lists."""
-    kind = type(v)
-    if kind is BoxPoints:
-        return v.box is not None
-    if kind is dict:
-        return set(map(type, v)) <= {str} and any(map(_holds_box, v.values()))
-    if kind is list or kind is tuple:
-        return not {dict, BoxPoints}.isdisjoint(map(type, v)) and any(map(_holds_box, v))
-    return False
-
-
 def _write(v, put):
-    # A value that holds no Box's point list is encoded whole by the standard
-    # library, so a long value such as a window's rows is one chunk, copied
-    # at most once, by the final join.
+    # Walked: a Box's point list, a dict with only str keys, and a list or
+    # tuple that directly holds a dict or a Box's point list. Anything else is
+    # encoded whole by the standard library, so a long value such as a window's
+    # rows is one chunk, copied at most once, by the final join.
     kind = type(v)
-    if not _holds_box(v):
-        put(_encode(v))
-    elif kind is BoxPoints:
+    if kind is BoxPoints and v.box is not None:
         x0, x1, y0, y1 = v.box.bounds
         ys = list(map(str, range(y0, y1 + 1)))
         put("[" + ",".join(f"[{x}," + f"],[{x},".join(ys) + "]" for x in range(x0, x1 + 1)) + "]")
-    elif kind is dict:
+    elif kind is dict and set(map(type, v)) <= {str}:
         put("{")
         for i, k in enumerate(sorted(v)):
             put(("," if i else "") + encode_basestring_ascii(k) + ":")
             _write(v[k], put)
         put("}")
-    else:
+    elif (kind is list or kind is tuple) and not {dict, BoxPoints}.isdisjoint(map(type, v)):
         put("[")
         for i, e in enumerate(v):
             if i:
                 put(",")
             _write(e, put)
         put("]")
+    else:
+        put(_encode(v))
 
 
 def pgm_dumps(rows, maxval):

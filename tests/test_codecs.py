@@ -90,6 +90,18 @@ def test_box_point_list_is_a_plain_json_value(box):
     assert canon_dumps(v) == std_dumps(cells) == json.dumps(v, separators=(",", ":"))
 
 
+def test_points_edited_in_place_are_outside_the_contract():
+    # A Box's list is written from its bounds, so an edit of one of its
+    # points is not seen; a tamper edits a json.loads copy instead.
+    box = Box(0, 1, 0, 1)
+    v = points_json(box)
+    v[0][0] = 99
+    assert canon_dumps(v) == std_dumps([list(p) for p in box]) != std_dumps(v)
+    w = json.loads(std_dumps(points_json(box)))
+    w[0][0] = 99
+    assert canon_dumps(w) == std_dumps(w) == "[[99,0],[0,1],[1,0],[1,1]]"
+
+
 @pytest.mark.parametrize("cmd,spec", [(cmd, spec) for (cmd, spec, _c, _r) in PINNED],
                          ids=[f"{cmd}-{i}" for i, (cmd, *_r) in enumerate(PINNED)])
 def test_certificates_and_conditions_dump_like_the_standard_library(tmp_path, capsys, cmd, spec):
@@ -225,8 +237,8 @@ def test_toast_pgm_with_two_digit_levels_matches_reference(tmp_path, capsys):
 
 
 def test_toast_pgm_box_and_point_classes_match_reference(tmp_path, capsys):
-    # Box classes, some reaching past the window, are written as slices of
-    # the depth map; the other classes cell by cell.
+    # Classes that fill a box, some reaching past the window, and classes
+    # that do not, near the origin and at 10**30.
     rng = seeded(23)
     for k in range(40):
         far = rng.choice((0, 10**30))

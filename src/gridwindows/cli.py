@@ -33,7 +33,7 @@ from .markers import (
     toast_report,
 )
 from .schedule import parse_schedule, read_bool, read_int, read_limits, read_point
-from .serialize import at, canon_dumps, pgm_dumps, read_list, read_records
+from .serialize import canon_dumps, pgm_dumps, read_records
 
 DEFAULT_LIMITS = {"max_side": 512, "max_steps": 256}
 
@@ -190,16 +190,11 @@ def _markers_stack(args, spec):
 
 
 def _markers_partitions(args, spec):
-    window = Rect.from_json(spec.get("window"), "window")
-    parts = [
-        RectPartition(
-            level=read_int(entry.get("level"), at(path, "level")),
-            rects=tuple(Rect.from_json(r, at(at(path, "rects"), j))
-                        for j, r in enumerate(read_list(entry.get("rects"), at(path, "rects")))),
-            window=window,
-        )
-        for path, entry in read_records(spec.get("levels"), "levels")
-    ]
+    # The shared window is read first, so its errors name its own path.
+    window = spec.get("window")
+    Rect.from_json(window, "window")
+    parts = [RectPartition.from_json(dict(entry, window=window), path)
+             for path, entry in read_records(spec.get("levels"), "levels")]
     print(canon_dumps(check_partition_props(parts, _probes(spec))))
     return 0
 

@@ -25,6 +25,11 @@ def dist_to_set(g, points):
     return min(abs(gx - x) + abs(gy - y) for (x, y) in points)
 
 
+def _ints(v, n):
+    """v is a JSON list of n integers: no floats, strings or bools."""
+    return isinstance(v, list) and len(v) == n and {*map(type, v)} <= {int}
+
+
 @dataclass(frozen=True)
 class Rect:
     """Closed integer rectangle [lo.x, hi.x] x [lo.y, hi.y]."""
@@ -82,10 +87,12 @@ class Rect:
     @classmethod
     def from_json(cls, data, where="rect"):
         """``where`` is the rect's JSON path, named in errors."""
-        # JSON integers only: no floats, strings or bools.
-        if not (isinstance(data, list) and len(data) == 4 and {*map(type, data)} <= {int}):
+        if not _ints(data, 4):
             raise ValueError(f"{where}: expected four integers")
-        return cls.from_bounds(*data)
+        try:
+            return cls.from_bounds(*data)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,7 +187,13 @@ class Lattice:
         return {"anchor": list(self.anchor), "spacings": list(self.spacings)}
 
     @classmethod
-    def from_json(cls, data):
+    def from_json(cls, data, where="lattice"):
+        """``where`` is the lattice's JSON path, named in errors."""
+        if not isinstance(data, dict):
+            raise ValueError(f"{where}: expected an object")
+        for key in ("anchor", "spacings"):
+            if not _ints(data.get(key), 2):
+                raise ValueError(f"{where}.{key}: expected two integers")
         return cls(tuple(data["anchor"]), tuple(data["spacings"]))
 
 

@@ -270,5 +270,8 @@ class PatternSet:
         return {"patterns": [f.to_json() for f in self.patterns]}
 
     @classmethod
-    def from_json(cls, data):
-        return cls(tuple(Config.from_json(d) for d in data["patterns"]))
+    def from_json(cls, data, where=""):
+        """``where`` is the set's JSON path, named in errors."""
+        path = at(where, "patterns")
+        return cls(tuple(Config.from_json(f, at(path, i)) for i, f in
+                         enumerate(read_list(read_object(data, where).get("patterns"), path))))

@@ -369,8 +369,10 @@ def verify_gp_certificate(cert):
     first, last = (_stage(c) if len(c.p.holes) == 1 else None for c in (seed, final))
     # A no-op line_clear repeats its stage; each distinct stage is checked once.
     stage_ok = {}
-    for i, st in enumerate(stages):
-        w, h, su = st["w"], st["h"], st["u"]
+    # Fields of an entry that is not an object, or that it lacks, are None.
+    fields = [(st.get("w"), st.get("h"), st.get("u")) if isinstance(st, dict) else (None,) * 3
+              for st in stages]
+    for i, (st, (w, h, su)) in enumerate(zip(stages, fields)):
         # Non-integer claims fail here, before 2.0 could share the entry of 2.
         key = (w, h, tuple(su)) if is_int(w) and is_int(h) and is_point(su) else None
         if key is not None and key not in stage_ok:
@@ -388,11 +390,11 @@ def verify_gp_certificate(cert):
             )
         ok = stage_ok.get(key, False) and (i > 0 or st == first)
         if i + 1 < len(stages):
-            nw, nh = stages[i + 1]["w"], stages[i + 1]["h"]
+            nw, nh, _ = fields[i + 1]
             ok = ok and is_int(nw) and is_int(nh) and nw % w == 0 and nh % h == 0
         else:
             ok = ok and st == last
-        checks.append((f"stage[{i}] periodicity {st['w']}x{st['h']}", ok))
+        checks.append((f"stage[{i}] periodicity {w}x{h}", ok))
     checks += check_steps(cert.steps, STEPS, final, {"u": fu, "sides": (W, H)})
     return report(checks)
 

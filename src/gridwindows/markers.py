@@ -130,11 +130,15 @@ class RectPartition:
         }
 
     @classmethod
-    def from_json(cls, data):
+    def from_json(cls, data, where=""):
+        """``where`` is the level's JSON path, named in errors."""
+        data = read_object(data, where)
+        rects = at(where, "rects")
         return cls(
-            level=read_int(data["level"], "level"),
-            rects=tuple(Rect.from_json(r) for r in data["rects"]),
-            window=Rect.from_json(data["window"]),
+            level=read_int(data.get("level"), at(where, "level")),
+            rects=tuple(Rect.from_json(r, at(rects, j))
+                        for j, r in enumerate(read_list(data.get("rects"), rects))),
+            window=Rect.from_json(data.get("window"), at(where, "window")),
         )
 
 

@@ -340,11 +340,15 @@ def verify_certificate(cert):
     )
     checks, clauses_ok = [], True
     for i, (t, T) in enumerate(final.shifts):
-        ok = check_shift_witness(final.p, t, T)
+        # A zero shift fails both checks (``_structure`` flags it); the
+        # kernels refuse it.
+        nonzero = tuple(t) != (0, 0)
+        ok = nonzero and check_shift_witness(final.p, t, T)
         clauses_ok &= ok
         name = f"shift[{i}] t=({t[0]},{t[1]})"
         checks.append((f"{name} clause a", ok))
-        checks.append((f"{name} window two-coloring", window_two_coloring_check(final.p, t, T)))
+        checks.append((f"{name} window two-coloring",
+                       nonzero and window_two_coloring_check(final.p, t, T)))
     for j, (f, F) in enumerate(final.patterns):
         for clause, flipped in (("b1", False), ("b2", True)):
             ok = check_pattern_witness(final.p, f, F, flipped)

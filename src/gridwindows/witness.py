@@ -8,12 +8,12 @@ probes landing on holes never witness anything.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .geometry import Box, Lattice, Rect
 from .grid import HOLE, _match_offsets, _slices
+from .serialize import at, read_int, read_list, read_object
 
 
 def _differs(p, t):
@@ -31,29 +31,36 @@ def _differs(p, t):
 
 def _boxes(offsets):
     """Disjoint boxes ``(x0, x1, y0, y1)``, bounds inclusive, whose union is
-    the finite offset set: runs along x, merged along y. Duplicates are
-    allowed. Work and memory grow with the number of points, never with
-    the area of their bounding box."""
-    pts = np.fromiter(chain.from_iterable(offsets), dtype=np.int64).reshape(-1, 2)
-    if not len(pts):
-        return []
-    (x0, y0), (x1, y1) = pts.min(axis=0).tolist(), pts.max(axis=0).tolist()
-    w, area = x1 - x0 + 1, (x1 - x0 + 1) * (y1 - y0 + 1)
-    if len(pts) == area:
-        # As many points as cells: one box unless some point repeats.
-        seen = np.zeros(area, dtype=bool)
-        seen[(pts[:, 1] - y0) * w + pts[:, 0] - x0] = True
-        if seen.all():
-            return [(x0, x1, y0, y1)]
-    ys, xs = np.unique(pts[:, ::-1], axis=0).T
-    # Runs: maximal x-consecutive stretches within one row.
-    new = np.r_[True, (ys[1:] != ys[:-1]) | (xs[1:] != xs[:-1] + 1)]
-    runs = np.stack([xs[new], xs[np.r_[new[1:], True]], ys[new]], axis=1)
-    # Boxes: runs with the same x-extent on consecutive rows.
-    x0, x1, y = runs[np.lexsort(runs.T[::-1])].T
-    new = np.r_[True, (x0[1:] != x0[:-1]) | (x1[1:] != x1[:-1]) | (y[1:] != y[:-1] + 1)]
-    end = np.r_[new[1:], True]
-    return list(zip(x0[new].tolist(), x1[new].tolist(), y[new].tolist(), y[end].tolist()))
+    the finite offset set: a Box's own bounds, else the maximal x-runs of
+    each row, each run extending the box of the same run on the row below.
+    Duplicates are allowed. Python ints throughout, so coordinates of any
+    size are exact; work grows with the number of points, never with the
+    area of their bounding box."""
+    if isinstance(offsets, Box):
+        return [offsets.bounds]
+    rows = {}
+    for x, y in offsets:
+        rows.setdefault(y, set()).add(x)
+    # below: each run of the last row seen, with the box it ends.
+    boxes, below = [], {}
+    for y in sorted(rows):
+        xs = sorted(rows[y])
+        here = {}
+        x0 = x1 = xs[0]
+        for x in (*xs[1:], None):
+            if x == x1 + 1:
+                x1 = x
+                continue
+            box = below.get((x0, x1))
+            if box is not None and box[3] == y - 1:
+                box[3] = y
+            else:
+                box = [x0, x1, y, y]
+                boxes.append(box)
+            here[x0, x1] = box
+            x0 = x1 = x
+        below = here
+    return list(map(tuple, boxes))
 
 
 def _reach(target, srect, grid, offsets):
@@ -62,24 +69,15 @@ def _reach(target, srect, grid, offsets):
 
     One summed-area table of grid answers each box of offsets with one
     O(area) query, so a clause costs O(area) per box, not per offset.
-    Only offsets in [lx, hx] x [ly, hy] can reach srect from target. A Box
-    is clipped to that range in Python ints, without listing its cells; any
-    other offset set is filtered point by point and split by ``_boxes``.
-    The kept offsets are taken relative to (lx, ly), so every numpy value is
-    bounded by the sides of target and srect whatever the coordinates are."""
+    Only offsets in [lx, hx] x [ly, hy] can reach srect from target: each
+    box of ``_boxes`` is clipped to that range in Python ints and taken
+    relative to (lx, ly), so every numpy value is bounded by the sides of
+    target and srect whatever the coordinates are."""
     ok = np.zeros((target.height, target.width), dtype=bool)
     if srect is None or not grid.any():
         return ok
     lx, hx = srect.lo[0] - target.hi[0], srect.hi[0] - target.lo[0]
     ly, hy = srect.lo[1] - target.hi[1], srect.hi[1] - target.lo[1]
-    if isinstance(offsets, Box):
-        x0, x1, y0, y1 = offsets.bounds
-        x0, x1, y0, y1 = max(x0, lx) - lx, min(x1, hx) - lx, max(y0, ly) - ly, min(y1, hy) - ly
-        boxes = [(x0, x1, y0, y1)] if x0 <= x1 and y0 <= y1 else []
-    else:
-        boxes = _boxes(
-            (o[0] - lx, o[1] - ly) for o in offsets if lx <= o[0] <= hx and ly <= o[1] <= hy
-        )
     sh, sw = grid.shape
     dtype = np.int32 if grid.size < 2**31 else np.int64
     sat = np.zeros((sh + 1, sw + 1), dtype=dtype)
@@ -89,7 +87,10 @@ def _reach(target, srect, grid, offsets):
     # g + (lx, ly) + box; mode="clip" clips the box to srect.
     ys = np.arange(1 - target.height, 1)
     xs = np.arange(1 - target.width, 1)
-    for x0, x1, y0, y1 in boxes:
+    for x0, x1, y0, y1 in _boxes(offsets):
+        x0, x1, y0, y1 = max(x0, lx) - lx, min(x1, hx) - lx, max(y0, ly) - ly, min(y1, hy) - ly
+        if x0 > x1 or y0 > y1:
+            continue
         rows = sat.take(ys + y1 + 1, 0, mode="clip") - sat.take(ys + y0, 0, mode="clip")
         ok |= rows.take(xs + x1 + 1, 1, mode="clip") != rows.take(xs + x0, 1, mode="clip")
     return ok
@@ -141,11 +142,8 @@ def window_two_coloring_check(x, s, T):
     # g is admissible on [lo - min tau - min(0, s), hi - max tau - max(0, s)]
     # per axis. Python ints, so offsets of any size are accepted.
     rect = x.rect
-    if isinstance(T, Box):
-        x0, x1, y0, y1 = T.bounds
-    else:
-        txs, tys = zip(*T)
-        x0, x1, y0, y1 = min(txs), max(txs), min(tys), max(tys)
+    x0s, x1s, y0s, y1s = zip(*_boxes(T))
+    x0, x1, y0, y1 = min(x0s), max(x1s), min(y0s), max(y1s)
     lo = (rect.lo[0] - x0 - min(0, s[0]), rect.lo[1] - y0 - min(0, s[1]))
     hi = (rect.hi[0] - x1 - max(0, s[0]), rect.hi[1] - y1 - max(0, s[1]))
     if lo[0] > hi[0] or lo[1] > hi[1]:
@@ -221,8 +219,9 @@ class OddSet:
         return {"radius": self.radius}
 
     @classmethod
-    def from_json(cls, data):
-        return cls(int(data["radius"]))
+    def from_json(cls, data, where=""):
+        """``where`` is the step set's JSON path, named in errors."""
+        return cls(read_int(read_object(data, where).get("radius"), at(where, "radius")))
 
 
 def find_odd_recurrence(x, B, max_radius):
@@ -281,8 +280,14 @@ class ColorGrid:
         return {"rect": self.rect.to_json(), "colors": [list(r) for r in self.colors]}
 
     @classmethod
-    def from_json(cls, data):
-        return cls(Rect.from_json(data["rect"]), tuple(tuple(r) for r in data["colors"]))
+    def from_json(cls, data, where=""):
+        """``where`` is the grid's JSON path, named in errors."""
+        data = read_object(data, where)
+        colors = at(where, "colors")
+        return cls(Rect.from_json(data.get("rect"), at(where, "rect")), tuple(
+            tuple(read_int(v, at(at(colors, i), j))
+                  for j, v in enumerate(read_list(row, at(colors, i))))
+            for i, row in enumerate(read_list(data.get("colors"), colors))))
 
 
 def chromatic_check(c, k):

@@ -671,6 +671,18 @@ def test_checker_spec_errors_name_the_path(tmp_path, capsys, cmd, data, message)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("cmd,data,message", [
+    ("verify", {"seed": {}}, "unknown certificate kind None"),
+    ("markers", {"demo": "stack"}, "unknown markers demo 'stack'"),
+    ("markers", with_field(partitions_spec(), ("probes", 0), [8, 3]),
+     "probe (8, 3) outside the partition window"),
+], ids=["verify-no-kind", "markers-unknown-demo", "partition-probe-outside"])
+def test_rejected_specs_exit_2(tmp_path, capsys, cmd, data, message):
+    spec = write_spec(tmp_path / "spec.json", data)
+    code, out, err = run_cli([cmd, "--spec", spec], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_toast_pgm_artifact(tmp_path, capsys):
     spec = write_spec(tmp_path / "toast.json", toast_spec())
     out_dir = tmp_path / "o"

@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 
 from gridwindows import gridperiod, mincolor
 from gridwindows.cli import main
-from gridwindows.geometry import Box, Rect
-from gridwindows.grid import Config
+from gridwindows.geometry import Box, Lattice, Rect
+from gridwindows.grid import Config, PatternSet
+from gridwindows.markers import RectPartition
 from gridwindows.serialize import canon_dumps, pgm_dumps, points_json, read_points
+from gridwindows.witness import ColorGrid, OddSet
 
 from test_cli import PINNED, run_bounded, write_spec
 
@@ -352,3 +354,40 @@ def test_pgm_dumps_rejects_like_reference(img):
 def test_pgm_dumps_rejects_gray_levels_outside_maxval(img):
     with pytest.raises(ValueError):
         pgm_dumps(img, 2)
+
+
+def test_pgm_dumps_rejects_float_images():
+    with pytest.raises(ValueError, match="gray levels must be integers"):
+        pgm_dumps([[0.0, 1.0]], 2)
+
+
+# Each reader names the bad field's JSON path below ``where``. Before, these
+# raised a bare KeyError or TypeError, or truncated the value with int().
+READER_PATHS = [
+    (RectPartition, {}, "doc.level: expected an integer"),
+    (RectPartition, {"level": 1, "rects": 5}, "doc.rects: expected a list"),
+    (RectPartition, {"level": 1, "rects": [[0, 1, 0]]}, "doc.rects[0]: expected four integers"),
+    (RectPartition, {"level": 1, "rects": [], "window": [0, 1, 1, 0]},
+     "doc.window: inverted rectangle bounds (0,1,1,0)"),
+    (Lattice, {"anchor": [0.5, 0], "spacings": [1, 1]}, "doc.anchor: expected two integers"),
+    (Lattice, {"anchor": [True, 0], "spacings": [1, 1]}, "doc.anchor: expected two integers"),
+    (Lattice, {"anchor": [0, 0]}, "doc.spacings: expected two integers"),
+    (Lattice, [0, 0], "doc: expected an object"),
+    (OddSet, {"radius": 2.5}, "doc.radius: expected an integer"),
+    (OddSet, {"radius": "3"}, "doc.radius: expected an integer"),
+    (OddSet, 3, "doc: expected an object"),
+    (PatternSet, {}, "doc.patterns: expected a list"),
+    (PatternSet, {"patterns": [5]}, "doc.patterns[0]: expected an object"),
+    (ColorGrid, {"rect": [0, 0, 0, 0], "colors": [[0.7]]}, "doc.colors[0][0]: expected an integer"),
+    (ColorGrid, {"rect": [0, 0, 0, 0], "colors": ["0"]}, "doc.colors[0]: expected a list"),
+    (ColorGrid, {"colors": [[0]]}, "doc.rect: expected four integers"),
+    (Rect, [0, -1, 0, 5], "doc: inverted rectangle bounds (0,-1,0,5)"),
+]
+
+
+@pytest.mark.parametrize("cls,data,message", READER_PATHS,
+                         ids=[f"{cls.__name__}-{i}" for i, (cls, _d, _m) in enumerate(READER_PATHS)])
+def test_readers_name_the_json_path(cls, data, message):
+    with pytest.raises(ValueError) as exc:
+        cls.from_json(data, "doc")
+    assert str(exc.value) == message

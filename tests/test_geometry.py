@@ -5,6 +5,7 @@ import pytest
 
 from gridwindows.geometry import (
     INFINITY,
+    Box,
     Lattice,
     Rect,
     dist_to_set,
@@ -108,6 +109,12 @@ def test_lattice_points_grow_with_window():
     small = Rect.from_bounds(0, 4, 0, 4)
     big = Rect.from_bounds(-2, 6, -3, 6)
     assert set(lattice_points_in(lat, small)) <= set(lattice_points_in(lat, big))
+
+
+@pytest.mark.parametrize("bounds", [(1, 0, 0, 0), (0, 0, 5, 4)])
+def test_inverted_box_rejected(bounds):
+    with pytest.raises(ValueError, match="inverted box bounds"):
+        Box(*bounds)
 
 
 def test_lattice_spacing_validation():

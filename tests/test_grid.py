@@ -116,6 +116,20 @@ def test_tile_rejects_holes():
         tile(holed, (2, 1), lambda i, j: False, (0, 0))
 
 
+@pytest.mark.parametrize("counts", [(0, 1), (1, 0)])
+def test_tile_rejects_zero_counts(counts):
+    q = Config.from_rows(Rect.from_bounds(0, 1, 0, 0), ["01"])
+    with pytest.raises(ValueError, match="tile counts must be >= 1"):
+        tile(q, counts, lambda i, j: False, (0, 0))
+
+
+@pytest.mark.parametrize("rect", [Rect.from_bounds(0, 2, 0, 0), Rect.from_bounds(-1, 0, 0, 0)])
+def test_restrict_outside_the_window_rejected(rect):
+    q = Config.from_rows(Rect.from_bounds(0, 1, 0, 0), ["01"])
+    with pytest.raises(ValueError, match="not inside the window"):
+        q.restrict(rect)
+
+
 def test_find_occurrences_single_cell():
     p = Config.from_rows(Rect.from_bounds(0, 1, 0, 1), ["00", "00"])
     f = Config.from_rows(Rect.from_bounds(0, 0, 0, 0), ["0"])

@@ -217,6 +217,17 @@ def test_detect_line_period_examples():
     assert detect_line_period(line_cfg("01"), "row", 0) == 2
 
 
+@pytest.mark.parametrize("axis,index,message", [
+    ("diag", 0, "axis must be 'row' or 'col', got 'diag'"),
+    ("row", 1, "row outside the window"),
+    ("col", 8, "column outside the window"),
+    ("col", -1, "column outside the window"),
+])
+def test_detect_line_period_rejects_bad_lines(axis, index, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        detect_line_period(line_cfg("01010101"), axis, index)
+
+
 def test_detect_line_period_columns():
     cfg = Config.from_rows(Rect.from_bounds(0, 1, 0, 3), ["00", "10", "00", "10"])
     assert detect_line_period(cfg, "col", 0) == 2

@@ -92,7 +92,12 @@ def test_box_is_the_frozenset_of_its_cells(box, c):
 
 # ------------------------------------------------------------------ boxes
 
-POINTS = st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), max_size=40)
+# Sets near 0, moved near +-10**30 where int64 would overflow, or spread
+# over all of these.
+NEAR = st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), max_size=40)
+COORDS = st.sampled_from([0, 10**30, -(10**30)]).flatmap(lambda c: st.integers(c - 6, c + 6))
+POINTS = (st.builds(lambda pts, c: [(x + c[0], y + c[1]) for x, y in pts], NEAR, FAR_SHIFTS)
+          | st.lists(st.tuples(COORDS, COORDS), max_size=40))
 
 
 @given(POINTS)
@@ -104,8 +109,8 @@ def test_boxes_are_disjoint_and_cover_the_set(pts):
 
 
 @given(
-    st.integers(-10**15, 10**15),
-    st.integers(-10**15, 10**15),
+    st.integers(-10**30, 10**30),
+    st.integers(-10**30, 10**30),
     st.integers(1, 8),
     st.integers(1, 8),
     st.integers(0, 5),

@@ -2,7 +2,8 @@
 
 JSON values are read and written in ``serialize``, which needs only
 ``geometry``. The window modules and the standalone checkers never import
-the build driver or the condition families.
+the build driver or the condition families. Every name a module imports
+is used in it.
 """
 
 import ast
@@ -44,3 +45,27 @@ def test_readers_still_import_from_schedule(name):
     assert callable(reader)
     # A moved reader is serialize's own, not a copy.
     assert name == "read_limits" or reader is getattr(serialize, name)
+
+
+def imported_names(tree, lines):
+    """The names a module's imports bind, but ``__future__`` features and
+    imports marked ``noqa: F401`` (kept on purpose, for re-export)."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if getattr(node, "module", None) == "__future__" or "noqa: F401" in lines[node.lineno - 1]:
+            continue
+        for alias in node.names:
+            yield (alias.asname or alias.name).split(".")[0]
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in PACKAGE.glob("*.py")))
+def test_every_imported_name_is_used(module):
+    source = (PACKAGE / f"{module}.py").read_text()
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    # A name listed in ``__all__`` is used by being exported.
+    used |= {elt.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+             and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+             for elt in node.value.elts}
+    assert not set(imported_names(tree, source.splitlines())) - used

@@ -642,6 +642,18 @@ SHAPE_TAMPERS = [
     # A declared hole was compared as a tuple, so 15.0 passed for 15.
     ("build-gp", GP_SPEC, ("final", "u"), [15.0, 15], 2),
     ("build-gp", GP_SPEC, ("seed", "u"), [1, True], 2),
+    # A stage that is not an object, or lacks a field, raised a bare key
+    # error or a TypeError (exit 2); it fails its own check.
+    ("build-gp", GP_SPEC, ("stages", 0), {}, 4),
+    ("build-gp", GP_SPEC, ("stages", 0), {"w": 1}, 4),
+    ("build-gp", GP_SPEC, ("stages", 1), 5, 4),
+    ("build-gp", GP_SPEC, ("stages", 1), "x", 4),
+    ("build-gp", GP_SPEC, ("stages", 2), None, 4),
+    ("build-gp", GP_SPEC, ("stages", 0), 2.5, 4),
+    ("build-gp", GP_SPEC, ("stages", 0), True, 4),
+    ("build-gp", GP_SPEC, ("stages",), [[0, 0]], 4),
+    # A zero shift made the clause kernels raise (exit 2).
+    ("build-mt", MT_SPEC, ("final", "shifts", 0, "t"), [0, 0], 4),
 ]
 
 
@@ -651,7 +663,9 @@ SHAPE_TAMPERS = [
     ids=["t-short", "t-empty", "seed-t-short", "huge-rect",
          "pair-short", "pair-points-short", "g-short", "g-empty", "g-nested",
          "t-float", "T-float", "index-float", "w-float", "w-integral-float", "n-float",
-         "rect-float", "hole-float", "u-float", "seed-u-bool"],
+         "rect-float", "hole-float", "u-float", "seed-u-bool", "stage-empty",
+         "stage-w-only", "stage-int", "stage-str", "stage-null", "stage-float", "stage-bool",
+         "stages-list", "t-zero"],
 )
 def test_malformed_shape_exit_code(tmp_path, capsys, cmd, spec, path, value, code):
     data = build_cert(tmp_path, capsys, cmd, spec)
@@ -671,6 +685,29 @@ def test_gp_hole_claim_not_integers_names_path(tmp_path, capsys, key):
     path.write_text(canon_dumps(data))
     assert main(["verify", "--spec", str(path)]) == 2
     assert f"{key}.u: expected two integers" in capsys.readouterr().err
+
+
+# A malformed stage fails its own check and its predecessor's, whose sides
+# must divide its own; every other stage still passes.
+@pytest.mark.parametrize("value", [{}, {"h": 4, "u": [3, 3]}, 5, None, [4, 4]],
+                         ids=["empty", "w-missing", "int", "null", "list"])
+def test_malformed_gp_stage_fails_it_and_the_stage_before(tmp_path, capsys, value):
+    data = build_cert(tmp_path, capsys, "build-gp", GP_SPEC)
+    data["stages"][2] = value
+    code, out = verify_cert(tmp_path, capsys, data)
+    checks = json.loads(out)["checks"]
+    failed = [c["name"].split(" ")[0] for c in checks if not c["ok"]]
+    assert code == 4 and failed == ["stage[1]", "stage[2]"]
+
+
+def test_zero_shift_fails_both_of_its_checks(tmp_path, capsys):
+    data = build_cert(tmp_path, capsys, "build-mt", MT_SPEC)
+    data["final"]["shifts"][0]["t"] = [0, 0]
+    code, out = verify_cert(tmp_path, capsys, data)
+    failed = [c["name"] for c in json.loads(out)["checks"] if not c["ok"]]
+    assert code == 4
+    assert failed == ["final validate", "final extends seed", "shift[0] t=(0,0) clause a",
+                      "shift[0] t=(0,0) window two-coloring"]
 
 
 # Every shift's t is read before any T, so a bad t further down the list is
@@ -697,6 +734,10 @@ PATH_TAMPERS = [
     ("mt", ("final", "patterns", 0, "F"), None, "final.patterns[0].F: expected a list of points"),
     ("mt", ("final", "patterns", 0, "f", "rect"), [0], "final.patterns[0].f.rect: expected four"),
     ("mt", ("final", "p", "rect"), [0, 1], "final.p.rect: expected four integers"),
+    ("mt", ("final", "p", "rect"), [0, -1, 0, 5],
+     "final.p.rect: inverted rectangle bounds (0,-1,0,5)"),
+    ("mt", ("final", "patterns", 0, "f", "rect"), [2, 1, 0, 0],
+     "final.patterns[0].f.rect: inverted rectangle bounds (2,1,0,0)"),
     ("mt", ("final", "p", "rows", 0), "0", "final.p: row 0 has length 1, expected 18"),
     ("mt", ("final", "p", "rows"), "010", "final.p.rows: expected a list"),
     ("mt", ("seed", "p", "rows"), ["0"], "seed.p: expected 3 rows, got 1"),
@@ -707,14 +748,16 @@ PATH_TAMPERS = [
     ("gp", ("seed", "n"), None, "seed.n: expected an integer"),
     ("gp", ("seed", "p"), [], "seed.p: expected an object"),
     ("gp", ("final",), None, "final: expected an object"),
+    ("gp", ("seed", "p", "rect"), [0, 1, 1, 0], "seed.p.rect: inverted rectangle bounds (0,1,1,0)"),
 ]
 
 
 @pytest.mark.parametrize("family,path,value,message", PATH_TAMPERS,
                          ids=["T-str", "t-float", "shift-int", "shifts-object", "F-null",
-                              "f-rect-short", "rect-short", "row-short", "rows-str", "seed-rows",
-                              "seed-odd-null", "holes-wrong", "holes-float", "u-wrong",
-                              "seed-n-null", "seed-p-list", "final-null"])
+                              "f-rect-short", "rect-short", "rect-inverted", "f-rect-inverted",
+                              "row-short", "rows-str", "seed-rows", "seed-odd-null",
+                              "holes-wrong", "holes-float", "u-wrong", "seed-n-null",
+                              "seed-p-list", "final-null", "seed-rect-inverted"])
 def test_reader_errors_name_the_full_path(tmp_path, capsys, family, path, value, message):
     data = build_cert(tmp_path, capsys, *{"mt": ("build-mt", MT_SPEC),
                                           "gp": ("build-gp", GP_SPEC)}[family])

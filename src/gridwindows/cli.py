@@ -33,7 +33,7 @@ from .markers import (
     toast_report,
 )
 from .schedule import parse_schedule, read_bool, read_int, read_limits, read_point
-from .serialize import canon_dumps, pgm_dumps, read_records
+from .serialize import Raw, canon_dumps, pgm_dumps, read_records
 
 DEFAULT_LIMITS = {"max_side": 512, "max_steps": 256}
 
@@ -100,10 +100,12 @@ def _build(args, kind):
     window = cert.final.p
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    # The certificate holds the final window's JSON; its rows are encoded once.
+    # The final window is dumped once for both files, and freed before rendering.
     data = cert.to_json()
-    (out / "window.json").write_text(canon_dumps(data["final"]["p"]) + "\n")
+    text = data["final"]["p"] = Raw(canon_dumps(data["final"]["p"]))
+    (out / "window.json").write_text(text + "\n")
     (out / "certificate.json").write_text(canon_dumps(data) + "\n")
+    del data, text
     if args.format == "pgm":
         (out / "window.pgm").write_text(window.to_pgm())
         if kind == "gp":

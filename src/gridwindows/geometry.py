@@ -194,7 +194,10 @@ class Lattice:
         for key in ("anchor", "spacings"):
             if not _ints(data.get(key), 2):
                 raise ValueError(f"{where}.{key}: expected two integers")
-        return cls(tuple(data["anchor"]), tuple(data["spacings"]))
+        try:
+            return cls(tuple(data["anchor"]), tuple(data["spacings"]))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
 
 
 def lattice_points_in(lat, rect):

@@ -12,20 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Rect
-from .serialize import at, fail, pgm_dumps, points_json, read_list, read_object, read_points
+from .serialize import (at, construct, fail, pgm_dumps, points_json, read_list, read_object,
+                        read_points)
 
 HOLE = 255
 # The hole set of every hole-free window: an empty frozenset costs 216 bytes.
 _NO_HOLES = frozenset()
-
-# Byte lookup tables of the row and PGM codecs; cell values are 0, 1 and HOLE.
-_BAD = 2
-_CHAR_TO_BIT = np.full(256, _BAD, dtype=np.uint8)
-_CHAR_TO_BIT[list(b"01.")] = (0, 1, HOLE)
-_BIT_TO_CHAR = np.zeros(256, dtype=np.uint8)
-_BIT_TO_CHAR[[0, 1, HOLE]] = list(b"01.")
-_BIT_TO_GRAY = np.zeros(256, dtype=np.uint8)
-_BIT_TO_GRAY[[0, 1, HOLE]] = (0, 2, 1)
 
 
 def _slices(rect, sub):
@@ -83,16 +75,22 @@ class Config:
                 raise ValueError(f"row {j} has length {len(row)}, expected {rect.width}")
         text = "".join(rows)
         # "replace" keeps one byte per character, so indices match the text.
-        data = _CHAR_TO_BIT[np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)]
-        bad = data == _BAD
+        data = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8) - ord("0")
+        # '.' wraps to HOLE - 1, and every other byte but '0' and '1' to above 1.
+        hole = data == HOLE - 1
+        bad = data > 1
+        bad ^= hole
         if bad.any():
             raise ValueError(f"bad cell character {text[int(bad.argmax())]!r}")
+        data |= hole
         return cls._trusted(rect, data.reshape(rect.height, rect.width))
 
     def rows(self):
         """Low-y row first, as strings over 0/1/'.'."""
         h, w = self._bits.shape
-        text = _BIT_TO_CHAR[self._bits].tobytes().decode("ascii")
+        chars = self._bits + ord("0")
+        np.copyto(chars, ord("."), where=self._bits == HOLE)
+        text = chars.tobytes().decode("ascii")
         return [text[j * w : (j + 1) * w] for j in range(h)]
 
     def value(self, g):
@@ -106,9 +104,10 @@ class Config:
     def holes(self):
         """The hole cells, found on first use and kept."""
         if self._holes is None:
-            ys, xs = np.nonzero(self._bits == HOLE)
-            lo = self.rect.lo
-            holes = frozenset((int(x) + lo[0], int(y) + lo[1]) for x, y in zip(xs, ys)) or _NO_HOLES
+            # Flat indices count cells in row order, whatever the array's layout.
+            (x0, y0), w = self.rect.lo, self.rect.width
+            flat = np.flatnonzero(self._bits == HOLE).tolist()
+            holes = frozenset((x0 + i % w, y0 + i // w) for i in flat) or _NO_HOLES
             object.__setattr__(self, "_holes", holes)
         return self._holes
 
@@ -136,10 +135,7 @@ class Config:
         data = read_object(data, where)
         rect = Rect.from_json(data.get("rect"), at(where, "rect"))
         rows = read_list(data.get("rows"), at(where, "rows"))
-        try:
-            cfg = cls.from_rows(rect, rows)
-        except ValueError as exc:
-            raise fail(where, str(exc)) from None
+        cfg = construct(where, cls.from_rows, rect, rows)
         if read_points(data.get("holes", []), at(where, "holes")) != cfg.holes:
             raise fail(where, "declared holes do not match row data")
         return cfg
@@ -147,7 +143,9 @@ class Config:
     def to_pgm(self):
         """P2 image, top row of text = highest-y row; 0/1 cells map to 0/2,
         holes to the middle gray 1."""
-        return pgm_dumps(_BIT_TO_GRAY[self._bits[::-1]], 2)
+        gray = self._bits[::-1] << 1
+        np.copyto(gray, 1, where=gray > 2)  # HOLE << 1 wraps to 254
+        return pgm_dumps(gray, 2)
 
     def to_ascii(self):
         """Top-down text rendering over 0/1/'.', one line per row."""
@@ -273,5 +271,6 @@ class PatternSet:
     def from_json(cls, data, where=""):
         """``where`` is the set's JSON path, named in errors."""
         path = at(where, "patterns")
-        return cls(tuple(Config.from_json(f, at(path, i)) for i, f in
-                         enumerate(read_list(read_object(data, where).get("patterns"), path))))
+        return construct(where, cls, tuple(
+            Config.from_json(f, at(path, i))
+            for i, f in enumerate(read_list(read_object(data, where).get("patterns"), path))))

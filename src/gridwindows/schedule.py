@@ -21,8 +21,8 @@ from dataclasses import asdict, dataclass, field, fields, make_dataclass
 
 from .errors import ResourceLimitError, check_side
 # The JSON readers live in serialize; they stay importable from here.
-from .serialize import (is_int, is_point, read_bool, read_int, read_list,  # noqa: F401
-                        read_object, read_point, read_points)
+from .serialize import (construct, is_int, is_point, read_bool, read_int,  # noqa: F401
+                        read_list, read_object, read_point, read_points)
 
 
 @dataclass(frozen=True)
@@ -62,10 +62,7 @@ def _request(entry, steps, where):
     cls = steps[op][0]
     args = {f.name: _READERS.get(f.type, _as_is)(entry.get(f.name), f"{where}.{f.name}")
             for f in fields(cls)}
-    try:
-        return cls(**args)
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
+    return construct(where, cls, **args)
 
 
 def parse_schedule(entries, steps):

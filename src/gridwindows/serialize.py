@@ -28,6 +28,15 @@ def fail(where, message):
     return ValueError(f"{where}: {message}" if where else message)
 
 
+def construct(where, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; its ValueError is raised again naming the
+    JSON path ``where`` of the value it was made from."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise fail(where, str(exc)) from None
+
+
 def _expect(v, ok, where, noun):
     if not ok:
         raise fail(where, f"expected {noun}")
@@ -122,13 +131,18 @@ def points_json(S):
     return list(map(list, sorted(S)))
 
 
+class Raw(str):
+    """JSON text that ``canon_dumps`` writes as it is, e.g. a value dumped once already."""
+
+
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def canon_dumps(data):
     """Deterministic JSON: sorted keys, no whitespace. The text is
     ``json.dumps(data, sort_keys=True, separators=(",", ":"))``; a Box's
-    point list is written from its bounds, one join per column. That holds
+    point list is written from its bounds, one join per column, and a ``Raw``
+    text as it is, standing for the value it encodes. That holds
     while no point of such a list is edited in place: an edit of one of its
     points is not seen, so edit a ``json.loads`` copy instead."""
     chunks = []
@@ -137,12 +151,14 @@ def canon_dumps(data):
 
 
 def _write(v, put):
-    # Walked: a Box's point list, a dict with only str keys, and a list or
-    # tuple that directly holds a dict or a Box's point list. Anything else is
-    # encoded whole by the standard library, so a long value such as a window's
-    # rows is one chunk, copied at most once, by the final join.
+    # Written as it is: a Raw text. Walked: a Box's point list, a dict with
+    # only str keys, and a list or tuple that directly holds one of these.
+    # Anything else is encoded whole by the standard library, so a long value
+    # such as a window's rows is one chunk, copied at most once, by the join.
     kind = type(v)
-    if kind is BoxPoints and v.box is not None:
+    if kind is Raw:
+        put(v)
+    elif kind is BoxPoints and v.box is not None:
         x0, x1, y0, y1 = v.box.bounds
         ys = list(map(str, range(y0, y1 + 1)))
         put("[" + ",".join(f"[{x}," + f"],[{x},".join(ys) + "]" for x in range(x0, x1 + 1)) + "]")
@@ -152,7 +168,7 @@ def _write(v, put):
             put(("," if i else "") + encode_basestring_ascii(k) + ":")
             _write(v[k], put)
         put("}")
-    elif (kind is list or kind is tuple) and not {dict, BoxPoints}.isdisjoint(map(type, v)):
+    elif (kind is list or kind is tuple) and not {dict, BoxPoints, Raw}.isdisjoint(map(type, v)):
         put("[")
         for i, e in enumerate(v):
             if i:
@@ -175,11 +191,11 @@ def pgm_dumps(rows, maxval):
     if img.min() < 0 or top > maxval:
         raise ValueError(f"gray levels must lie in 0..{maxval}")
     if top < 10:
-        # Every level is one digit: each cell is that digit and a separator.
-        cells = np.empty((*img.shape, 2), dtype=np.uint8)
-        np.add(img, ord("0"), out=cells[..., 0], casting="unsafe")
-        cells[..., 1] = ord(" ")
-        cells[:, -1, 1] = ord("\n")
+        # Every level is one digit: each cell is one little-endian uint16,
+        # that digit in its low byte and a separator in its high byte.
+        cells = np.empty(img.shape, dtype="<u2")
+        np.add(img, np.uint16(ord("0") | ord(" ") << 8), out=cells, casting="unsafe")
+        cells[:, -1] -= (ord(" ") - ord("\n")) << 8
     else:
         # Each cell as ``digits`` columns, most significant first, and a
         # separator; a leading zero column is dropped after the fill.

@@ -13,7 +13,7 @@ import numpy as np
 
 from .geometry import Box, Lattice, Rect
 from .grid import HOLE, _match_offsets, _slices
-from .serialize import at, read_int, read_list, read_object
+from .serialize import at, construct, read_int, read_list, read_object
 
 
 def _differs(p, t):
@@ -63,16 +63,16 @@ def _boxes(offsets):
     return list(map(tuple, boxes))
 
 
-def _reach(target, srect, grid, offsets):
-    """Boolean grid over target: True at g when some o in offsets has
-    g + o in srect and grid True there.
+def _reach(target, srect, grid, boxes):
+    """Boolean grid over target: True at g when some offset o in the union
+    of ``boxes`` (from ``_boxes``) has g + o in srect and grid True there.
 
-    One summed-area table of grid answers each box of offsets with one
-    O(area) query, so a clause costs O(area) per box, not per offset.
-    Only offsets in [lx, hx] x [ly, hy] can reach srect from target: each
-    box of ``_boxes`` is clipped to that range in Python ints and taken
-    relative to (lx, ly), so every numpy value is bounded by the sides of
-    target and srect whatever the coordinates are."""
+    One summed-area table of grid answers each box with one O(area) query,
+    so a clause costs O(area) per box, not per offset. Only offsets in
+    [lx, hx] x [ly, hy] can reach srect from target: each box is clipped to
+    that range in Python ints and taken relative to (lx, ly), so every
+    numpy value is bounded by the sides of target and srect whatever the
+    coordinates are."""
     ok = np.zeros((target.height, target.width), dtype=bool)
     if srect is None or not grid.any():
         return ok
@@ -87,7 +87,7 @@ def _reach(target, srect, grid, offsets):
     # g + (lx, ly) + box; mode="clip" clips the box to srect.
     ys = np.arange(1 - target.height, 1)
     xs = np.arange(1 - target.width, 1)
-    for x0, x1, y0, y1 in _boxes(offsets):
+    for x0, x1, y0, y1 in boxes:
         x0, x1, y0, y1 = max(x0, lx) - lx, min(x1, hx) - lx, max(y0, ly) - ly, min(y1, hy) - ly
         if x0 > x1 or y0 > y1:
             continue
@@ -99,13 +99,13 @@ def _reach(target, srect, grid, offsets):
 def _shift_ok_grid(p, t, T):
     """Boolean grid over p's window: True where some tau in T exhibits a
     defined, differing pair (g+tau, g+tau+t) inside the window."""
-    return _reach(p.rect, *_differs(p, t), T)
+    return _reach(p.rect, *_differs(p, t), _boxes(T))
 
 
 def _pattern_ok_grid(p, f, F, flipped):
     """Boolean grid over p's window: True where some sigma in F lands on an
     occurrence offset of f (flipped or not)."""
-    return _reach(p.rect, *_match_offsets(p, f, flipped), F)
+    return _reach(p.rect, *_match_offsets(p, f, flipped), _boxes(F))
 
 
 def check_shift_witness(p, t, T):
@@ -142,14 +142,15 @@ def window_two_coloring_check(x, s, T):
     # g is admissible on [lo - min tau - min(0, s), hi - max tau - max(0, s)]
     # per axis. Python ints, so offsets of any size are accepted.
     rect = x.rect
-    x0s, x1s, y0s, y1s = zip(*_boxes(T))
+    boxes = _boxes(T)
+    x0s, x1s, y0s, y1s = zip(*boxes)
     x0, x1, y0, y1 = min(x0s), max(x1s), min(y0s), max(y1s)
     lo = (rect.lo[0] - x0 - min(0, s[0]), rect.lo[1] - y0 - min(0, s[1]))
     hi = (rect.hi[0] - x1 - max(0, s[0]), rect.hi[1] - y1 - max(0, s[1]))
     if lo[0] > hi[0] or lo[1] > hi[1]:
         return True
     region = Rect(lo, hi)
-    return bool(_reach(region, *_differs(x, s), T).all())
+    return bool(_reach(region, *_differs(x, s), boxes).all())
 
 
 @dataclass(frozen=True)
@@ -186,8 +187,9 @@ def recurrence_check(x, B, T):
         return RecurrenceReport(True, (), 0, rect.area)
     region = Rect((ax, ay), (bx, by))
     ok = np.zeros((region.height, region.width), dtype=bool)
+    boxes = _boxes(T)
     for f in B.patterns:
-        ok |= _reach(region, *_match_offsets(x, f, False), T)
+        ok |= _reach(region, *_match_offsets(x, f, False), boxes)
     # Failing positions x-major, like region.points().
     xs, ys = np.nonzero(~ok.T)
     failing = tuple((i + ax, j + ay) for i, j in zip(xs.tolist(), ys.tolist()))
@@ -221,7 +223,8 @@ class OddSet:
     @classmethod
     def from_json(cls, data, where=""):
         """``where`` is the step set's JSON path, named in errors."""
-        return cls(read_int(read_object(data, where).get("radius"), at(where, "radius")))
+        return construct(where, cls, read_int(read_object(data, where).get("radius"),
+                                              at(where, "radius")))
 
 
 def find_odd_recurrence(x, B, max_radius):
@@ -284,7 +287,7 @@ class ColorGrid:
         """``where`` is the grid's JSON path, named in errors."""
         data = read_object(data, where)
         colors = at(where, "colors")
-        return cls(Rect.from_json(data.get("rect"), at(where, "rect")), tuple(
+        return construct(where, cls, Rect.from_json(data.get("rect"), at(where, "rect")), tuple(
             tuple(read_int(v, at(at(colors, i), j))
                   for j, v in enumerate(read_list(row, at(colors, i))))
             for i, row in enumerate(read_list(data.get("colors"), colors))))

@@ -12,7 +12,7 @@ import pytest
 import gridwindows
 from gridwindows import cli
 from gridwindows.cli import main
-from gridwindows.serialize import canon_dumps
+from gridwindows.serialize import Raw, canon_dumps
 
 
 CHECKER = {"rect": [0, 2, 0, 2], "rows": ["010", "101", "010"], "holes": []}
@@ -436,6 +436,28 @@ def test_build_artifacts_byte_identical(tmp_path, capsys, cmd, spec, cert_sha, r
     cert = (out_dir / "certificate.json").read_bytes()
     assert hashlib.sha256(cert).hexdigest() == cert_sha
     assert hashlib.sha256(out.encode()).hexdigest() == report_sha
+
+
+@pytest.mark.parametrize("cmd,spec", [(cmd, spec) for (cmd, spec, _c, _r) in PINNED],
+                         ids=["mt", "odd", "neg", "neg-odd", "gp", "gp-neg", "gp-n3"])
+def test_build_writes_the_window_text_once(tmp_path, capsys, cmd, spec):
+    # The final window is dumped once: window.json holds that text, and the
+    # certificate holds the same bytes as its final window.
+    out_dir = tmp_path / "out"
+    code, _, _ = run_cli([cmd, "--spec", write_spec(tmp_path / "spec.json", spec),
+                          "--out", str(out_dir)], capsys)
+    assert code == 0
+    window = (out_dir / "window.json").read_text()
+    cert = (out_dir / "certificate.json").read_text()
+    assert window.endswith("}\n") and window[:-1] in cert
+    assert json.loads(cert)["final"]["p"] == json.loads(window)
+
+
+def test_canon_dumps_writes_raw_text_as_it_is():
+    text = Raw('{ "b" : 1, "a": [2] }')
+    assert canon_dumps(text) == text
+    assert canon_dumps({"z": text, "a": [text, 3]}) == f'{{"a":[{text},3],"z":{text}}}'
+    assert canon_dumps([text, {}]) == f"[{text},{{}}]"
 
 
 # ------------------------------------------------------------------ toast demo

@@ -20,8 +20,8 @@ from gridwindows.witness import ColorGrid, OddSet
 
 from test_cli import PINNED, run_bounded, write_spec
 
-from oracles import (_json_points, _Reject, ref_from_rows, ref_pgm_dumps, ref_rows, ref_to_pgm,
-                     seeded)
+from oracles import (REF_HOLE, _json_points, _Reject, ref_from_rows, ref_pgm_dumps, ref_rows,
+                     ref_to_pgm, seeded)
 
 
 # ------------------------------------------------------------------- JSON
@@ -176,6 +176,12 @@ def test_read_points_matches_the_oracle(mutate, pts, data):
     assert isinstance(got, Box) == lex
 
 
+def ref_holes(rect, bits):
+    """The hole cells of a window with cell values ``bits`` over rect."""
+    return {(rect.lo[0] + i, rect.lo[1] + j)
+            for j, row in enumerate(bits) for i, v in enumerate(row) if v == REF_HOLE}
+
+
 def test_window_codecs_match_reference_with_holes():
     rng = seeded(41)
     for _ in range(200):
@@ -187,6 +193,17 @@ def test_window_codecs_match_reference_with_holes():
         assert cfg.array.tolist() == bits
         assert cfg.rows() == ref_rows(bits) == rows
         assert cfg.to_pgm() == ref_to_pgm(bits)
+        assert cfg.holes == ref_holes(cfg.rect, bits)
+        # A sub-window is a strided view of the array, and a translate shares it.
+        x1, y1 = rng.randint(a, a + w - 1), rng.randint(c, c + h - 1)
+        x0, y0 = rng.randint(a, x1), rng.randint(c, y1)
+        sub = [row[x0 - a : x1 - a + 1] for row in bits[y0 - c : y1 - c + 1]]
+        move = (rng.randint(-9, 9), rng.choice((0, 10**30)))
+        for view, want in [(cfg.restrict(Rect.from_bounds(x0, x1, y0, y1)), sub),
+                           (cfg.translate(move), bits)]:
+            assert view.rows() == ref_rows(want)
+            assert view.to_pgm() == ref_to_pgm(want)
+            assert view.holes == ref_holes(view.rect, want)
 
 
 @pytest.mark.parametrize("maxval", [1, 2, 9, 10, 12, 255, 1000])
@@ -205,7 +222,7 @@ def test_pgm_dumps_matches_reference(maxval):
 # and the header.
 LEVEL_CASES = [(bool, 1, 1), (bool, 1, 10)] + [
     (dtype, top, maxval)
-    for dtype in (np.uint8, np.int64)
+    for dtype in (np.uint8, np.uint16, np.int32, np.int64)
     for top, maxval in [(9, 9), (10, 10), (2, 10), (9, 255), (12, 255)]
 ]
 
@@ -323,16 +340,21 @@ def test_pgm_dumps_far_levels_bounded():
     assert proc.stdout.split() == ["True", "True"]
 
 
+# Every one-character row but "0", "1" and ".": the codec reads a byte as
+# its value minus ord("0"), so "/" would wrap to HOLE if it were not refused.
+BAD_CHARS = [chr(c) for c in range(256) if chr(c) not in "01."] + ["☃"]
+
+
 @pytest.mark.parametrize(
-    "rows",
-    [["02"], ["0é"], ["01", "1"], ["0"]],
-    ids=["bad-char", "non-ascii", "ragged", "short"],
+    "width,rows",
+    [(2, ["02"]), (2, ["0é"]), (2, ["01", "1"]), (2, ["0"])] + [(1, [c]) for c in BAD_CHARS],
+    ids=["bad-char", "non-ascii", "ragged", "short"] + [f"char-{ord(c)}" for c in BAD_CHARS],
 )
-def test_from_rows_rejects_like_reference(rows):
+def test_from_rows_rejects_like_reference(width, rows):
     with pytest.raises(ValueError) as ref:
-        ref_from_rows(2, len(rows), rows)
+        ref_from_rows(width, len(rows), rows)
     with pytest.raises(ValueError) as lib:
-        Config.from_rows(Rect.from_bounds(0, 1, 0, len(rows) - 1), rows)
+        Config.from_rows(Rect.from_bounds(0, width - 1, 0, len(rows) - 1), rows)
     assert str(lib.value) == str(ref.value)
 
 
@@ -382,6 +404,13 @@ READER_PATHS = [
     (ColorGrid, {"rect": [0, 0, 0, 0], "colors": ["0"]}, "doc.colors[0]: expected a list"),
     (ColorGrid, {"colors": [[0]]}, "doc.rect: expected four integers"),
     (Rect, [0, -1, 0, 5], "doc: inverted rectangle bounds (0,-1,0,5)"),
+    # Range checks made after the types are read name the reader's path too.
+    (Lattice, {"anchor": [0, 0], "spacings": [0, 1]},
+     "doc: lattice spacings must be >= 1, got (0, 1)"),
+    (OddSet, {"radius": 0}, "doc: radius must be >= 1"),
+    (PatternSet, {"patterns": []}, "doc: pattern set must be nonempty"),
+    (ColorGrid, {"rect": [0, 1, 0, 0], "colors": [[0]]},
+     "doc: color rows do not match the window size"),
 ]
 
 

@@ -7,8 +7,9 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gridwindows import witness
 from gridwindows.geometry import Box, Rect
-from gridwindows.grid import HOLE, Config, _match_offsets
+from gridwindows.grid import HOLE, Config, PatternSet, _match_offsets
 from gridwindows.witness import _boxes, _reach, window_two_coloring_check
 
 from oracles import cells_of, naive_occurrences, naive_reach, naive_window_check, seeded
@@ -156,10 +157,10 @@ def test_reach_matches_per_offset_loop():
             dtype=bool,
         ).reshape(srect.height, srect.width)
         for kind, offsets in offset_sets(rng).items():
-            got = _reach(target, srect, grid, offsets)
+            got = _reach(target, srect, grid, _boxes(offsets))
             assert np.array_equal(got, naive_reach(target, srect, grid, offsets)), kind
     target = rand_rect(rng, 4)
-    assert not _reach(target, None, None, {(0, 0)}).any()
+    assert not _reach(target, None, None, _boxes({(0, 0)})).any()
 
 
 def test_reach_far_target_matches_per_offset_loop():
@@ -176,7 +177,7 @@ def test_reach_far_target_matches_per_offset_loop():
             target = rand_rect(rng, 7).translate(c)
             for kind, offsets in offset_sets(rng).items():
                 moved = [(o[0] - c[0], o[1] - c[1]) for o in offsets]
-                got = _reach(target, srect, grid, moved)
+                got = _reach(target, srect, grid, _boxes(moved))
                 assert np.array_equal(got, naive_reach(target, srect, grid, moved)), kind
 
 
@@ -193,8 +194,8 @@ def test_reach_box_matches_point_set_and_loop(target, srect, data, c, d, seed):
     grid = np.random.default_rng(seed).random((srect.height, srect.width)) < 0.3
     target, box = target.translate(c), moved(box, (-d[0], -d[1]))
     want = naive_reach(target, srect, grid, list(box))
-    assert np.array_equal(_reach(target, srect, grid, box), want)
-    assert np.array_equal(_reach(target, srect, grid, frozenset(box)), want)
+    assert np.array_equal(_reach(target, srect, grid, _boxes(box)), want)
+    assert np.array_equal(_reach(target, srect, grid, _boxes(frozenset(box))), want)
 
 
 @given(boxes(-3, 3, 3), FAR_SHIFTS, st.sampled_from([(1, 0), (0, 1), (-1, 2), (2, -1)]),
@@ -208,6 +209,31 @@ def test_window_check_box_matches_point_set_and_loop(box, c, s, rnd):
     box = moved(box, c)
     assert window_two_coloring_check(x, s, box) == want
     assert window_two_coloring_check(x, s, frozenset(box)) == want
+
+
+def test_each_witness_set_is_split_once_per_check(monkeypatch):
+    # A set that is not a Box is cut into boxes once per check: the window
+    # check takes its bounds and its reach from the same boxes, and the
+    # recurrence check shares them between its patterns.
+    calls = []
+
+    def counting(offsets):
+        calls.append(offsets)
+        return _boxes(offsets)
+
+    monkeypatch.setattr(witness, "_boxes", counting)
+    rng = seeded(83)
+    x = rand_config(rng, Rect.from_bounds(0, 15, 0, 15))
+    T = frozenset(Box(-2, 2, -1, 1))
+    B = PatternSet((x.restrict(Rect.from_bounds(0, 1, 0, 1)),
+                    x.restrict(Rect.from_bounds(3, 5, 2, 3))))
+    for check, args in [(witness.window_two_coloring_check, (x, (1, 0), T)),
+                        (witness.check_shift_witness, (x, (0, 1), T)),
+                        (witness.check_pattern_witness, (x, B.patterns[0], T, True)),
+                        (witness.recurrence_check, (x, B, T))]:
+        calls.clear()
+        check(*args)
+        assert len(calls) == 1 and set(calls[0]) == T, check.__name__
 
 
 # -------------------------------------------------------- pattern offsets

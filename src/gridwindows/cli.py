@@ -100,8 +100,9 @@ def _build(args, kind):
     window = cert.final.p
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    # The final window is dumped once for both files, and freed before rendering.
-    data = cert.to_json()
+    # Each Box witness set is written from its bounds. The final window is
+    # dumped once for both files, and freed before rendering.
+    data = cert.doc()
     text = data["final"]["p"] = Raw(canon_dumps(data["final"]["p"]))
     (out / "window.json").write_text(text + "\n")
     (out / "certificate.json").write_text(canon_dumps(data) + "\n")

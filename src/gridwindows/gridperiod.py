@@ -45,6 +45,8 @@ class GpCondition:
         u = self.u
         return {"n": self.n, "p": self.p.to_json(), "u": [u[0], u[1]]}
 
+    doc = to_json
+
     @classmethod
     def from_json(cls, data, where=""):
         """``where`` is the condition's JSON path, named in errors."""

@@ -12,6 +12,7 @@ cells land inside that position's own block, where values are an exact
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 from .geometry import Box
@@ -19,8 +20,8 @@ from .grid import Config, tile
 from .errors import check_side
 from .schedule import (Cover, certificate_class, check_steps, covered, report, run_schedule,
                        within_limits)
-from .serialize import (at, is_int, is_point, points_json, read_bool, read_object, read_point,
-                        read_points, read_records)
+from .serialize import (at, canon_dumps, is_int, is_point, points_json, read_bool, read_object,
+                        read_point, read_points, read_records)
 from .witness import (
     _differs,
     _pattern_ok_grid,
@@ -38,6 +39,10 @@ class Violation:
     g: object
 
 
+def _doc_points(S):
+    return S if type(S) is Box else points_json(S)
+
+
 @dataclass(frozen=True)
 class MtCondition:
     """p with shift witnesses ((t, T), ...) and pattern witnesses
@@ -48,13 +53,18 @@ class MtCondition:
     patterns: tuple
     odd_mode: bool
 
-    def to_json(self):
+    def doc(self):
+        """The condition's JSON value for ``canon_dumps``, with each Box
+        witness set kept as a Box, which it writes from the bounds."""
         return {
             "p": self.p.to_json(),
             "odd": self.odd_mode,
-            "shifts": [{"t": [t[0], t[1]], "T": points_json(T)} for (t, T) in self.shifts],
-            "patterns": [{"f": f.to_json(), "F": points_json(F)} for (f, F) in self.patterns],
+            "shifts": [{"t": [t[0], t[1]], "T": _doc_points(T)} for (t, T) in self.shifts],
+            "patterns": [{"f": f.to_json(), "F": _doc_points(F)} for (f, F) in self.patterns],
         }
+
+    def to_json(self):
+        return json.loads(canon_dumps(self.doc()))
 
     @classmethod
     def from_json(cls, data, where=""):

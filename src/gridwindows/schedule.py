@@ -17,11 +17,12 @@ verifier re-checks, and ``report`` the verifier's answer.
 
 from __future__ import annotations
 
+import json
 from dataclasses import asdict, dataclass, field, fields, make_dataclass
 
 from .errors import ResourceLimitError, check_side
 # The JSON readers live in serialize; they stay importable from here.
-from .serialize import (construct, is_int, is_point, read_bool, read_int,  # noqa: F401
+from .serialize import (canon_dumps, construct, is_int, is_point, read_bool, read_int,  # noqa: F401
                         read_list, read_object, read_point, read_points)
 
 
@@ -135,13 +136,18 @@ def report(checks):
 def certificate_class(name, kind, condition, extra=()):
     """The certificate dataclass of one family, tagged ``kind`` in JSON: the
     seed and final conditions, the step records and ``extra`` record lists,
-    the limits as used, and the chain of conditions (in memory only)."""
+    the limits as used, and the chain of conditions (in memory only).
+    ``doc()`` is its value for ``canon_dumps``, built from the conditions'
+    ``doc()``, and ``to_json()`` the plain JSON value of that text."""
     lists = ("steps", *extra)
 
-    def to_json(self):
-        out = {"kind": kind, "seed": self.seed.to_json(), "final": self.final.to_json()}
+    def doc(self):
+        out = {"kind": kind, "seed": self.seed.doc(), "final": self.final.doc()}
         out.update((key, getattr(self, key)) for key in (*lists, "limits"))
         return out
+
+    def to_json(self):
+        return json.loads(canon_dumps(self.doc()))
 
     def from_json(cls, data):
         if data.get("kind") != kind:
@@ -155,6 +161,6 @@ def certificate_class(name, kind, condition, extra=()):
                    ("limits", dict), ("chain", tuple, chain)]
     # Each class holds its own to_json and from_json, so a wrapper installed
     # on one family's class leaves the other's alone.
-    namespace = {"__module__": condition.__module__, "to_json": to_json,
+    namespace = {"__module__": condition.__module__, "doc": doc, "to_json": to_json,
                  "from_json": classmethod(from_json)}
     return make_dataclass(name, cert_fields, namespace=namespace)

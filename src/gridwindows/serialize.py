@@ -98,36 +98,8 @@ def read_points(v, where):
     return Box.from_lex(xs, ys) or frozenset(zip(xs, ys))
 
 
-class BoxPoints(list):
-    """A Box's cells as a JSON point list in lex order that keeps its Box,
-    so ``canon_dumps`` writes it from the bounds. An edit of the list drops
-    the Box, and the list is then written point by point; the points
-    themselves are the Box's and are not to be edited in place."""
-
-    __slots__ = ("box",)
-
-    def __init__(self, box):
-        super().__init__(map(list, box))
-        self.box = box
-
-
-def _dropping_box(name):
-    def edit(self, *args, **kwargs):
-        self.box = None
-        return getattr(list, name)(self, *args, **kwargs)
-    return edit
-
-
-for _name in ("__setitem__", "__delitem__", "__iadd__", "__imul__", "append", "clear",
-              "extend", "insert", "pop", "remove", "reverse", "sort"):
-    setattr(BoxPoints, _name, _dropping_box(_name))
-
-
 def points_json(S):
-    """A set of (x, y) cells as a JSON point list in lex order: a Box lists
-    its cells in that order already."""
-    if isinstance(S, Box):
-        return BoxPoints(S)
+    """A set of (x, y) cells as a JSON point list in lex order."""
     return list(map(list, sorted(S)))
 
 
@@ -135,31 +107,37 @@ class Raw(str):
     """JSON text that ``canon_dumps`` writes as it is, e.g. a value dumped once already."""
 
 
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+def _listed(v):
+    if type(v) is Box:
+        return points_json(v)
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_listed).encode
 
 
 def canon_dumps(data):
     """Deterministic JSON: sorted keys, no whitespace. The text is
-    ``json.dumps(data, sort_keys=True, separators=(",", ":"))``; a Box's
-    point list is written from its bounds, one join per column, and a ``Raw``
-    text as it is, standing for the value it encodes. That holds
-    while no point of such a list is edited in place: an edit of one of its
-    points is not seen, so edit a ``json.loads`` copy instead."""
+    ``json.dumps(data, sort_keys=True, separators=(",", ":"))`` of data
+    with each ``geometry.Box`` listed by ``points_json``; a Box is written
+    from its bounds, one join per column, and a ``Raw`` text as it is,
+    standing for the value it encodes."""
     chunks = []
     _write(data, chunks.append)
     return "".join(chunks)
 
 
 def _write(v, put):
-    # Written as it is: a Raw text. Walked: a Box's point list, a dict with
-    # only str keys, and a list or tuple that directly holds one of these.
-    # Anything else is encoded whole by the standard library, so a long value
-    # such as a window's rows is one chunk, copied at most once, by the join.
+    # Written as it is: a Raw text. Written from its bounds: a Box. Walked: a
+    # dict with only str keys, and a list or tuple that directly holds one of
+    # these. Anything else is encoded whole by the standard library (a Box
+    # there is listed point by point), so a long value such as a window's
+    # rows is one chunk, copied at most once, by the join.
     kind = type(v)
     if kind is Raw:
         put(v)
-    elif kind is BoxPoints and v.box is not None:
-        x0, x1, y0, y1 = v.box.bounds
+    elif kind is Box:
+        x0, x1, y0, y1 = v.bounds
         ys = list(map(str, range(y0, y1 + 1)))
         put("[" + ",".join(f"[{x}," + f"],[{x},".join(ys) + "]" for x in range(x0, x1 + 1)) + "]")
     elif kind is dict and set(map(type, v)) <= {str}:
@@ -168,7 +146,7 @@ def _write(v, put):
             put(("," if i else "") + encode_basestring_ascii(k) + ":")
             _write(v[k], put)
         put("}")
-    elif (kind is list or kind is tuple) and not {dict, BoxPoints, Raw}.isdisjoint(map(type, v)):
+    elif (kind is list or kind is tuple) and not {dict, Box, Raw}.isdisjoint(map(type, v)):
         put("[")
         for i, e in enumerate(v):
             if i:

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import gridwindows
-from gridwindows import cli
+from gridwindows import cli, mincolor
 from gridwindows.cli import main
+from gridwindows.geometry import Box
 from gridwindows.serialize import Raw, canon_dumps
 
 
@@ -451,6 +452,50 @@ def test_build_writes_the_window_text_once(tmp_path, capsys, cmd, spec):
     cert = (out_dir / "certificate.json").read_text()
     assert window.endswith("}\n") and window[:-1] in cert
     assert json.loads(cert)["final"]["p"] == json.loads(window)
+
+
+@pytest.mark.parametrize("spec,cert_sha,report_sha",
+                         [(spec, c, r) for (cmd, spec, c, r) in PINNED if cmd == "build-mt"],
+                         ids=["mt", "odd", "neg", "neg-odd"])
+def test_mt_build_never_lists_a_witness_box(tmp_path, capsys, monkeypatch, spec, cert_sha,
+                                            report_sha):
+    # Builds, verifies and writes every Box witness set from its bounds alone.
+    def listing(self):
+        raise AssertionError("a Box was listed cell by cell")
+
+    monkeypatch.setattr(Box, "__iter__", listing)
+    out_dir = tmp_path / "out"
+    code, out, _ = run_cli(["build-mt", "--spec", write_spec(tmp_path / "spec.json", spec),
+                            "--out", str(out_dir)], capsys)
+    assert code == 0
+    assert hashlib.sha256((out_dir / "certificate.json").read_bytes()).hexdigest() == cert_sha
+    assert hashlib.sha256(out.encode()).hexdigest() == report_sha
+
+
+def test_a_witness_set_read_as_a_frozenset_is_listed_sorted(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    code, report, _ = run_cli(["build-mt", "--spec", write_spec(tmp_path / "spec.json", mt_spec()),
+                               "--out", str(out_dir)], capsys)
+    assert code == 0
+    text = (out_dir / "certificate.json").read_text()
+    data = json.loads(text)
+    T = data["final"]["shifts"][0]["T"]
+    assert len(T) > 1
+    # Hand-edited: the cells out of lex order, so T is read as a frozenset;
+    # then the same without its first cell.
+    for cells, want in ((T[::-1], T), (T[:0:-1], T[1:])):
+        data["final"]["shifts"][0]["T"] = cells
+        cert = mincolor.Certificate.from_json(data)
+        assert type(cert.final.shifts[0][1]) is frozenset
+        assert cert.doc()["final"]["shifts"][0]["T"] == cert.to_json()["final"]["shifts"][0]["T"]
+        assert cert.to_json()["final"]["shifts"][0]["T"] == want
+        edited = write_spec(tmp_path / "edited.json", data)
+        code, edited_report, _ = run_cli(["verify", "--spec", edited], capsys)
+        assert edited_report == canon_dumps(mincolor.verify_certificate(cert)) + "\n"
+        if want is T:
+            # The same cells as the Box: the same bytes and the same report.
+            assert (code, edited_report) == (0, report)
+            assert canon_dumps(cert.doc()) + "\n" == text
 
 
 def test_canon_dumps_writes_raw_text_as_it_is():

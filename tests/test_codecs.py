@@ -2,7 +2,6 @@
 against the standard library's, the point-set reader and the row and PGM
 codecs against the per-cell references in oracles.py."""
 
-import copy
 import json
 
 import numpy as np
@@ -42,26 +41,15 @@ COORDS = st.integers(-4, 4) | st.sampled_from([-10**30, 10**30, 10**30 - 3])
 BOXES = st.builds(lambda x0, y0, w, h: Box(x0, x0 + w, y0, y0 + h),
                   COORDS, COORDS, st.integers(0, 3), st.integers(0, 3))
 
-# Each edit leaves a list that is no longer the Box's lex listing, or is
-# but was edited, so the writer must fall back to the points themselves.
-EDITS = [
-    lambda v: v.pop(), lambda v: v.append([9, 9]), lambda v: v.reverse(),
-    lambda v: v.__delitem__(0), lambda v: v.__setitem__(slice(0, 1), []),
-    lambda v: v.__iadd__([[1, 2]]), lambda v: v.__imul__(2),
-    lambda v: v.sort(reverse=True), lambda v: v.insert(0, [5, 5]),
-    lambda v: v.extend([[0, 0]]), lambda v: v.remove(v[0]), lambda v: v.clear(),
-    lambda v: v.__setitem__(0, [7, 7]),
-]
 
-
-@st.composite
-def box_lists(draw):
-    v = points_json(draw(BOXES))
-    how = draw(st.integers(-2, len(EDITS) - 1))
-    if how == -2:
-        return copy.deepcopy(v)
-    if how >= 0:
-        EDITS[how](v)
+def listed(v):
+    """v with every Box in it listed by ``points_json``."""
+    if isinstance(v, Box):
+        return points_json(v)
+    if isinstance(v, (list, tuple)):
+        return type(v)(map(listed, v))
+    if isinstance(v, dict):
+        return {k: listed(e) for k, e in v.items()}
     return v
 
 
@@ -69,7 +57,7 @@ SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-10**40, 10**
            | st.floats() | st.text(max_size=4))
 KEYS = st.text(max_size=4) | st.sampled_from(['"', "\\", "\n", "\x00", "é", "☃", "\ud800"])
 TREES = st.recursive(
-    SCALARS | box_lists(),
+    SCALARS | BOXES,
     lambda kids: (st.lists(kids, max_size=4) | st.tuples(kids, kids)
                   | st.dictionaries(KEYS, kids, max_size=4)
                   | st.dictionaries(st.integers() | st.floats(allow_nan=False), kids, max_size=3)
@@ -81,27 +69,35 @@ TREES = st.recursive(
 
 @given(TREES)
 def test_canon_dumps_is_the_standard_library_text(v):
-    assert outcome(canon_dumps, v) == outcome(std_dumps, v)
+    # A Box is written from its bounds, as the standard library writes its cells.
+    assert outcome(canon_dumps, v) == outcome(std_dumps, listed(v))
 
 
 @given(BOXES)
 def test_box_point_list_is_a_plain_json_value(box):
     v = points_json(box)
     cells = [list(g) for g in box]
-    assert v == cells and cells == v and json.loads(std_dumps(v)) == cells
-    assert canon_dumps(v) == std_dumps(cells) == json.dumps(v, separators=(",", ":"))
+    assert type(v) is list and v == cells and json.loads(std_dumps(v)) == cells
+    assert canon_dumps(box) == canon_dumps(v) == std_dumps(cells)
 
 
-def test_points_edited_in_place_are_outside_the_contract():
-    # A Box's list is written from its bounds, so an edit of one of its
-    # points is not seen; a tamper edits a json.loads copy instead.
-    box = Box(0, 1, 0, 1)
-    v = points_json(box)
-    v[0][0] = 99
-    assert canon_dumps(v) == std_dumps([list(p) for p in box]) != std_dumps(v)
-    w = json.loads(std_dumps(points_json(box)))
-    w[0][0] = 99
-    assert canon_dumps(w) == std_dumps(w) == "[[99,0],[0,1],[1,0],[1,1]]"
+def test_points_edited_in_place_are_written_as_edited():
+    # to_json() is a plain value: an edit of one of its points in place is
+    # written as the standard library writes it.
+    cert = mincolor.build_generic(
+        mincolor.MtCondition(Config.from_rows(Rect.from_bounds(0, 1, 0, 1), ["01", "10"]),
+                             (), (), False),
+        [mincolor.Shift((1, 0)), mincolor.Shift((0, 3)), mincolor.SelfPattern()],
+        {"max_side": 64, "max_steps": 8})
+    assert all(type(T) is Box for (_t, T) in cert.final.shifts)
+    cond, data = cert.final.to_json(), cert.to_json()
+    cond["shifts"][0]["T"][0][0] = 99
+    cond["patterns"][0]["F"][-1][1] = -99
+    data["final"]["shifts"][-1]["T"][0][0] = 99
+    for v in (cond, data):
+        text = canon_dumps(v)
+        assert text == std_dumps(v) and '"T":[[99,' in text
+    assert ",-99]]" in canon_dumps(cond)
 
 
 @pytest.mark.parametrize("cmd,spec", [(cmd, spec) for (cmd, spec, _c, _r) in PINNED],
@@ -114,7 +110,7 @@ def test_certificates_and_conditions_dump_like_the_standard_library(tmp_path, ca
     data = json.loads(text)
     cls = mincolor.Certificate if data["kind"] == "mt" else gridperiod.GpCertificate
     cert = cls.from_json(data)
-    assert canon_dumps(cert.to_json()) + "\n" == text
+    assert canon_dumps(cert.doc()) + "\n" == canon_dumps(cert.to_json()) + "\n" == text
     for x in (cert, cert.seed, cert.final):
         assert canon_dumps(x.to_json()) == std_dumps(x.to_json())
 

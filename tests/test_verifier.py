@@ -1104,3 +1104,36 @@ def test_verify_accepts_what_the_naive_verifier_accepts(meaning_dir, cmd, specs,
     code = run_quiet(["verify", "--spec", str(meaning_dir / "mutated.json")])
     assert code in (0, 2, 4)
     assert (code == 0) == naive(doc)
+
+
+def small_mt_universe():
+    """Every mt certificate that installs one shift t, nonzero in [-1, 1]²,
+    with a witness set T ⊆ [-1, 1] x [-1, 0] on a 2x2 window (8,192 cases).
+    A T that lists one box's cells in lex order is read as a Box, any other
+    as a frozenset."""
+    offsets = [(x, y) for x in (-1, 0, 1) for y in (-1, 0)]
+    shifts = [[x, y] for x in (-1, 0, 1) for y in (-1, 0, 1) if (x, y) != (0, 0)]
+    for bits in range(16):
+        rows = [f"{bits & 3:02b}", f"{bits >> 2:02b}"]
+        p = {"rect": [0, 1, 0, 1], "rows": rows, "holes": []}
+        seed = {"p": p, "odd": False, "shifts": [], "patterns": []}
+        for t in shifts:
+            for k in range(1 << len(offsets)):
+                T = [list(o) for i, o in enumerate(offsets) if k >> i & 1]
+                yield {"kind": "mt", "seed": seed,
+                       "final": {"p": p, "odd": False, "shifts": [{"t": t, "T": T}],
+                                 "patterns": []},
+                       "steps": [{"req": {"op": "shift", "t": t}, "mode": "extend"}],
+                       "limits": {"max_side": 8, "max_steps": 4}}
+
+
+def test_verify_agrees_with_the_naive_verifier_on_a_small_mt_universe():
+    accepted, disagree = 0, []
+    for cert in small_mt_universe():
+        want = naive_verify_mt(cert)
+        accepted += want
+        if verify_certificate(mincolor.Certificate.from_json(cert))["ok"] != want:
+            disagree.append((cert["final"]["p"]["rows"], cert["final"]["shifts"]))
+    assert disagree == []
+    # Both answers occur, so the universe tells a sound verifier from a constant one.
+    assert 0 < accepted < 8192

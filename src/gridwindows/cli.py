@@ -108,9 +108,9 @@ def _build(args, kind):
     (out / "certificate.json").write_text(canon_dumps(data) + "\n")
     del data, text
     if args.format == "pgm":
-        (out / "window.pgm").write_text(window.to_pgm())
+        (out / "window.pgm").write_bytes(window.to_pgm())
         if kind == "gp":
-            (out / "hole_lattice.pgm").write_text(_hole_lattice_pgm(cert.final, seed))
+            (out / "hole_lattice.pgm").write_bytes(_hole_lattice_pgm(cert.final, seed))
     elif args.format == "ascii":
         (out / "window.txt").write_text(window.to_ascii())
     return _verdict(report)
@@ -158,9 +158,11 @@ def cmd_toast(args):
     report = toast_report(t, _probes(spec))
     if args.out is not None and args.format == "pgm":
         check_side(max(t.window.width, t.window.height), DEFAULT_LIMITS["max_side"])
+        if len(t.levels) > 65535:  # a P2 maxval is at most 65535
+            raise ValueError(f"toast.levels: a PGM holds at most 65535 levels, got {len(t.levels)}")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "toast.pgm").write_text(_toast_pgm(t))
+        (out / "toast.pgm").write_bytes(_toast_pgm(t))
     print(canon_dumps(report))
     return 0
 
@@ -187,7 +189,7 @@ def _markers_stack(args, spec):
         bits = np.zeros((m, m), dtype=np.uint8)
         bits[a, a] = 1
         marker = Config._trusted(Rect.from_bounds(-a, a, -a, a), bits)
-        (out / "stack.pgm").write_text(build_shifted_stack(marker, side - 1).to_pgm())
+        (out / "stack.pgm").write_bytes(build_shifted_stack(marker, side - 1).to_pgm())
     print(canon_dumps(report))
     return 0
 

@@ -141,8 +141,8 @@ class Config:
         return cfg
 
     def to_pgm(self):
-        """P2 image, top row of text = highest-y row; 0/1 cells map to 0/2,
-        holes to the middle gray 1."""
+        """P2 file bytes, top row of text = highest-y row; 0/1 cells map to
+        0/2, holes to the middle gray 1."""
         gray = self._bits[::-1] << 1
         np.copyto(gray, 1, where=gray > 2)  # HOLE << 1 wraps to 254
         return pgm_dumps(gray, 2)

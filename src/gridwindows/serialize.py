@@ -158,8 +158,8 @@ def _write(v, put):
 
 
 def pgm_dumps(rows, maxval):
-    """Plain-text PGM (P2). ``rows`` is a 2-D array, or a list of rows, of
-    non-negative ints or bools, the first row being the TOP line of the image."""
+    """The bytes of a plain-text PGM (P2) file. ``rows`` is a 2-D array, or a
+    list of rows, of non-negative ints or bools, the first row the TOP line."""
     img = np.asarray(rows)
     if img.ndim != 2 or img.size == 0:
         raise ValueError(f"expected a non-empty rectangular image, got shape {img.shape}")
@@ -189,5 +189,5 @@ def pgm_dumps(rows, maxval):
         cells[..., -1] = ord(" ")
         cells[:, -1, -1] = ord("\n")
         cells = cells[keep]
-    body = cells.tobytes().decode("ascii")
-    return f"P2\n{img.shape[1]} {img.shape[0]}\n{maxval}\n" + body
+    header = f"P2\n{img.shape[1]} {img.shape[0]}\n{maxval}\n".encode("ascii")
+    return b"".join((header, cells.data))

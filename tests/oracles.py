@@ -380,6 +380,29 @@ def ref_pgm_dumps(rows, maxval):
     return "\n".join(lines) + "\n"
 
 
+def parse_pgm(data):
+    """The sample rows, top line first, of a plain PGM file's bytes. Raises
+    ValueError unless the file is the magic ``P2``, a positive width and
+    height, a maxval in 1..65535 and exactly width * height decimal samples,
+    each at most maxval, all separated by whitespace (comments are not
+    read)."""
+    tokens = data.split()
+    if not data.startswith(b"P2") or tokens[:1] != [b"P2"]:
+        raise ValueError("magic is not P2")
+    if len(tokens) < 4 or not all(tok.isdigit() for tok in tokens[1:]):
+        raise ValueError("header and samples must be decimal integers")
+    width, height, maxval, *samples = map(int, tokens[1:])
+    if width < 1 or height < 1:
+        raise ValueError(f"image is {width} x {height}")
+    if not 1 <= maxval <= 65535:
+        raise ValueError(f"maxval {maxval} is outside 1..65535")
+    if len(samples) != width * height:
+        raise ValueError(f"{len(samples)} samples for a {width} x {height} image")
+    if max(samples) > maxval:
+        raise ValueError(f"sample {max(samples)} exceeds maxval {maxval}")
+    return [samples[i : i + width] for i in range(0, len(samples), width)]
+
+
 def ref_to_pgm(bits):
     """Window PGM: top line = highest-y row; 0/1 -> 0/2, holes -> 1."""
     rows = []

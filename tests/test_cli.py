@@ -13,7 +13,10 @@ import gridwindows
 from gridwindows import cli, mincolor
 from gridwindows.cli import main
 from gridwindows.geometry import Box
-from gridwindows.serialize import Raw, canon_dumps
+from gridwindows.grid import Config
+from gridwindows.serialize import Raw, canon_dumps, pgm_dumps
+
+from oracles import parse_pgm
 
 
 CHECKER = {"rect": [0, 2, 0, 2], "rows": ["010", "101", "010"], "holes": []}
@@ -51,6 +54,13 @@ def gp_spec(**overrides):
         "limits": {"max_side": 256, "max_steps": 64},
     }
     data.update(overrides)
+    return data
+
+
+def read_pgm(path):
+    """The file's bytes, once parse_pgm has read them as a plain PGM."""
+    data = path.read_bytes()
+    parse_pgm(data)
     return data
 
 
@@ -103,8 +113,7 @@ def test_build_mt_formats(tmp_path, capsys):
     code, _, _ = run_cli(["build-mt", "--spec", spec, "--out", str(pgm_dir),
                           "--format", "pgm"], capsys)
     assert code == 0
-    pgm = (pgm_dir / "window.pgm").read_text()
-    assert pgm.startswith("P2\n")
+    assert read_pgm(pgm_dir / "window.pgm").startswith(b"P2\n")
 
     txt_dir = tmp_path / "txt"
     code, _, _ = run_cli(["build-mt", "--spec", spec, "--out", str(txt_dir),
@@ -276,8 +285,8 @@ def test_build_gp_pgm_highlights_hole_lattice(tmp_path, capsys):
     code, _, _ = run_cli(["build-gp", "--spec", spec, "--out", str(out_dir),
                           "--format", "pgm"], capsys)
     assert code == 0
-    assert (out_dir / "window.pgm").read_text().startswith("P2\n")
-    assert (out_dir / "hole_lattice.pgm").read_text().startswith("P2\n")
+    assert read_pgm(out_dir / "window.pgm").startswith(b"P2\n")
+    assert read_pgm(out_dir / "hole_lattice.pgm").startswith(b"P2\n")
 
 
 def test_build_gp_invalid_seed_exit_2(tmp_path, capsys):
@@ -454,6 +463,25 @@ def test_build_writes_the_window_text_once(tmp_path, capsys, cmd, spec):
     assert json.loads(cert)["final"]["p"] == json.loads(window)
 
 
+@pytest.mark.parametrize("cmd,spec", [(cmd, spec) for (cmd, spec, _c, _r) in PINNED],
+                         ids=["mt", "odd", "neg", "neg-odd", "gp", "gp-neg", "gp-n3"])
+def test_build_pgms_are_the_library_bytes(tmp_path, capsys, cmd, spec):
+    # window.pgm is Config.to_pgm() of window.json, and hole_lattice.pgm is
+    # pgm_dumps of the mask of the final hole's class modulo the seed block.
+    out_dir = tmp_path / "out"
+    code, _, _ = run_cli([cmd, "--spec", write_spec(tmp_path / "spec.json", spec),
+                          "--out", str(out_dir), "--format", "pgm"], capsys)
+    assert code == 0
+    window = Config.from_json(json.loads((out_dir / "window.json").read_text()))
+    assert read_pgm(out_dir / "window.pgm") == window.to_pgm()
+    if cmd == "build-gp":
+        a, b, c, d = spec["seed"]["p"]["rect"]
+        (ux, uy), (x0, y0), (x1, y1) = *window.holes, window.rect.lo, window.rect.hi
+        mask = [[(x - ux) % (b - a + 1) == 0 and (y - uy) % (d - c + 1) == 0
+                 for x in range(x0, x1 + 1)] for y in range(y1, y0 - 1, -1)]
+        assert read_pgm(out_dir / "hole_lattice.pgm") == pgm_dumps(mask, 1)
+
+
 @pytest.mark.parametrize("spec,cert_sha,report_sha",
                          [(spec, c, r) for (cmd, spec, c, r) in PINNED if cmd == "build-mt"],
                          ids=["mt", "odd", "neg", "neg-odd"])
@@ -585,7 +613,7 @@ def test_toast_artifacts_byte_identical(tmp_path, capsys, data, report_sha, pgm_
                             "--format", "pgm"], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == report_sha
-    assert hashlib.sha256((out_dir / "toast.pgm").read_bytes()).hexdigest() == pgm_sha
+    assert hashlib.sha256(read_pgm(out_dir / "toast.pgm")).hexdigest() == pgm_sha
 
 
 def huge_toast_spec():
@@ -627,8 +655,26 @@ def test_toast_pgm_side_limit(tmp_path, capsys, window, code):
                            "--format", "pgm"], capsys)
     assert got == code
     assert code == 0 or "exceeds max_side=512" in err
+    if code == 0:
+        read_pgm(tmp_path / "o" / "toast.pgm")
     # A refused image leaves no output directory behind.
     assert (tmp_path / "o").exists() == (code == 0)
+
+
+# A P2 maxval is at most 65535, so a depth map of more levels is no PGM: such
+# a toast is refused before its map is allocated, and no file is written.
+@pytest.mark.parametrize("count,code", [(65535, 0), (65536, 2)])
+def test_toast_pgm_level_limit(tmp_path, capsys, count, code):
+    data = {"toast": {"layered": True, "window": [0, 1, 0, 1], "levels": [[]] * count}}
+    spec = write_spec(tmp_path / "toast.json", data)
+    got, _, err = run_cli(["toast", "--spec", spec, "--out", str(tmp_path / "o"),
+                           "--format", "pgm"], capsys)
+    assert got == code
+    if code == 0:
+        assert parse_pgm((tmp_path / "o" / "toast.pgm").read_bytes()) == [[0, 0], [0, 0]]
+    else:
+        assert err == "error: toast.levels: a PGM holds at most 65535 levels, got 65536\n"
+        assert not (tmp_path / "o" / "toast.pgm").exists()
 
 
 def test_toast_pgm_far_coordinates(tmp_path, capsys):
@@ -643,7 +689,7 @@ def test_toast_pgm_far_coordinates(tmp_path, capsys):
         code, _, _ = run_cli(["toast", "--spec", path, "--out", str(tmp_path / name),
                               "--format", "pgm"], capsys)
         assert code == 0
-        pgms.append((tmp_path / name / "toast.pgm").read_bytes())
+        pgms.append(read_pgm(tmp_path / name / "toast.pgm"))
     assert pgms[0] == pgms[1]
 
 
@@ -756,7 +802,7 @@ def test_toast_pgm_artifact(tmp_path, capsys):
     code, _, _ = run_cli(["toast", "--spec", spec, "--out", str(out_dir),
                           "--format", "pgm"], capsys)
     assert code == 0
-    assert (out_dir / "toast.pgm").read_text().startswith("P2\n")
+    assert read_pgm(out_dir / "toast.pgm").startswith(b"P2\n")
 
 
 # ---------------------------------------------------------------- markers demo
@@ -853,6 +899,8 @@ def test_markers_stack_pgm_side_limit(tmp_path, capsys, side, code):
     assert got == code
     assert code == 0 or "exceeds max_side=512" in err
     assert (tmp_path / "o").exists() == (code == 0)
+    if code == 0:
+        read_pgm(tmp_path / "o" / "stack.pgm")
 
 
 # a = 40 gives the default side 5 * 81**2 = 32805: an 8 GiB stack before. A
@@ -877,7 +925,7 @@ def test_markers_stack_pgm(tmp_path, capsys):
     code, _, _ = run_cli(["markers", "--spec", spec, "--out", str(out_dir),
                           "--format", "pgm"], capsys)
     assert code == 0
-    assert (out_dir / "stack.pgm").read_text().startswith("P2\n")
+    assert read_pgm(out_dir / "stack.pgm").startswith(b"P2\n")
 
 
 # ------------------------------------------------------------ top-level JSON
@@ -913,7 +961,8 @@ def test_missing_subcommand_exit_2(capsys):
 # ------------------------------------------------------- one parser per process
 
 def artifacts(out_dir):
-    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+    return {p.name: read_pgm(p) if p.suffix == ".pgm" else p.read_bytes()
+            for p in sorted(out_dir.iterdir())}
 
 
 def test_repeated_main_matches_fresh_processes(tmp_path, capsys):

@@ -3,6 +3,7 @@ against the standard library's, the point-set reader and the row and PGM
 codecs against the per-cell references in oracles.py."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ from gridwindows.witness import ColorGrid, OddSet
 
 from test_cli import PINNED, run_bounded, write_spec
 
-from oracles import (REF_HOLE, _json_points, _Reject, ref_from_rows, ref_pgm_dumps, ref_rows,
-                     ref_to_pgm, seeded)
+from oracles import (REF_HOLE, _json_points, _Reject, parse_pgm, ref_from_rows, ref_pgm_dumps,
+                     ref_rows, ref_to_pgm, seeded)
 
 
 # ------------------------------------------------------------------- JSON
@@ -188,7 +189,7 @@ def test_window_codecs_match_reference_with_holes():
         bits = ref_from_rows(w, h, rows)
         assert cfg.array.tolist() == bits
         assert cfg.rows() == ref_rows(bits) == rows
-        assert cfg.to_pgm() == ref_to_pgm(bits)
+        assert cfg.to_pgm() == ref_to_pgm(bits).encode("ascii")
         assert cfg.holes == ref_holes(cfg.rect, bits)
         # A sub-window is a strided view of the array, and a translate shares it.
         x1, y1 = rng.randint(a, a + w - 1), rng.randint(c, c + h - 1)
@@ -198,7 +199,7 @@ def test_window_codecs_match_reference_with_holes():
         for view, want in [(cfg.restrict(Rect.from_bounds(x0, x1, y0, y1)), sub),
                            (cfg.translate(move), bits)]:
             assert view.rows() == ref_rows(want)
-            assert view.to_pgm() == ref_to_pgm(want)
+            assert view.to_pgm() == ref_to_pgm(want).encode("ascii")
             assert view.holes == ref_holes(view.rect, want)
 
 
@@ -208,7 +209,7 @@ def test_pgm_dumps_matches_reference(maxval):
     for _ in range(30):
         w, h = rng.randint(1, 9), rng.randint(1, 9)
         img = [[rng.randint(0, maxval) for _ in range(w)] for _ in range(h)]
-        expected = ref_pgm_dumps(img, maxval)
+        expected = ref_pgm_dumps(img, maxval).encode("ascii")
         assert pgm_dumps(img, maxval) == expected
         assert pgm_dumps(np.array(img), maxval) == expected
 
@@ -232,7 +233,7 @@ def test_pgm_dumps_dtypes_and_shapes_match_reference(dtype, top, maxval, shape):
     img = rng.integers(0, top + 1, size=shape)
     img.flat[0] = top
     img = img.astype(dtype)
-    expected = ref_pgm_dumps(img.tolist(), maxval)
+    expected = ref_pgm_dumps(img.tolist(), maxval).encode("ascii")
     assert pgm_dumps(img, maxval) == expected
     assert pgm_dumps(np.asfortranarray(img), maxval) == expected
 
@@ -248,6 +249,7 @@ def test_toast_pgm_with_two_digit_levels_matches_reference(tmp_path, capsys):
     assert main(["toast", "--spec", str(path), "--out", str(out_dir), "--format", "pgm"]) == 0
     capsys.readouterr()
     expected = [[x + 7 if y <= 3 else 0 for x in range(-5, 6)] for y in range(5, -6, -1)]
+    assert parse_pgm((out_dir / "toast.pgm").read_bytes()) == expected
     assert (out_dir / "toast.pgm").read_text() == ref_pgm_dumps(expected, 12)
 
 
@@ -280,6 +282,7 @@ def test_toast_pgm_box_and_point_classes_match_reference(tmp_path, capsys):
                        if any([x, y] in cl for cl in level)], default=0)
                   for x in range(win[0], win[1] + 1)]
                  for y in range(win[3], win[2] - 1, -1)]
+        assert parse_pgm((out_dir / "toast.pgm").read_bytes()) == depth
         assert (out_dir / "toast.pgm").read_text() == ref_pgm_dumps(depth, max(1, len(levels)))
 
 
@@ -301,7 +304,7 @@ def test_pgm_dumps_wide_levels_match_reference(dtype, top):
     rng = seeded(top % 1000)
     for _ in range(20):
         img = wide_image(rng, top)
-        expected = ref_pgm_dumps(img, top)
+        expected = ref_pgm_dumps(img, top).encode("ascii")
         arr = np.array(img, dtype=dtype)
         assert pgm_dumps(arr, top) == expected
         assert pgm_dumps(np.asfortranarray(arr), top) == expected
@@ -324,9 +327,9 @@ for dtype, top in [(np.uint64, 2**64 - 1), (np.int64, 2**63 - 1), (np.uint32, 2*
         body = "".join(" ".join(map(str, row)) + "\\n" for row in img)
         arr = np.array(img, dtype=dtype)
         for a in (arr, np.asfortranarray(arr)):
-            assert pgm_dumps(a, top) == f"P2\\n{len(img[0])} {len(img)}\\n{top}\\n" + body
-print(pgm_dumps([[2**40]], 2**40) == "P2\\n1 1\\n1099511627776\\n1099511627776\\n",
-      pgm_dumps([[10**7, 0]], 10**7) == "P2\\n2 1\\n10000000\\n10000000 0\\n")
+            assert pgm_dumps(a, top) == (f"P2\\n{len(img[0])} {len(img)}\\n{top}\\n" + body).encode()
+print(pgm_dumps([[2**40]], 2**40) == b"P2\\n1 1\\n1099511627776\\n1099511627776\\n",
+      pgm_dumps([[10**7, 0]], 10**7) == b"P2\\n2 1\\n10000000\\n10000000 0\\n")
 """
 
 
@@ -377,6 +380,43 @@ def test_pgm_dumps_rejects_gray_levels_outside_maxval(img):
 def test_pgm_dumps_rejects_float_images():
     with pytest.raises(ValueError, match="gray levels must be integers"):
         pgm_dumps([[0.0, 1.0]], 2)
+
+
+def test_window_pgm_peak_memory_per_cell():
+    # The file is the header and the body array's bytes joined once; the
+    # body decoded to text and encoded back peaked at 7 bytes per cell.
+    rng = seeded(3)
+    rows = ["".join(rng.choice("01") for _ in range(1024)) for _ in range(512)]
+    rows[100] = rows[100][:7] + "." + rows[100][8:]
+    cfg = Config.from_rows(Rect.from_bounds(0, 1023, 0, 511), rows)
+    cfg.to_pgm()
+    tracemalloc.start()
+    try:
+        cfg.to_pgm()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * 1024 * 512
+
+
+# What P2 forbids: another magic, an empty image, a maxval outside 1..65535,
+# too few or too many samples, and a sample above maxval or not a decimal.
+@pytest.mark.parametrize("data", [
+    b"P5\n1 1\n1\n0\n", b"P2\n0 1\n1\n", b"P2\n1 1\n0\n0\n", b"P2\n1 1\n65536\n0\n",
+    b"P2\n2 1\n1\n0\n", b"P2\n1 1\n1\n0 0\n", b"P2\n1 1\n1\n2\n", b"P2\n1 1\n1\n-1\n",
+    b"P2\n1 1\n1\n0x1\n", b"\nP2\n1 1\n1\n0\n",
+], ids=["magic", "empty", "maxval-0", "maxval-65536", "short", "long", "above-maxval",
+        "negative", "hex", "leading-space"])
+def test_parse_pgm_refuses_what_p2_forbids(data):
+    with pytest.raises(ValueError):
+        parse_pgm(data)
+
+
+@pytest.mark.parametrize("top", [1, 9, 12, 65535])
+def test_parse_pgm_reads_back_what_pgm_dumps_writes(top):
+    rng = seeded(top)
+    img = [[rng.randint(0, top) for _ in range(rng.randint(1, 9))]] * rng.randint(1, 9)
+    assert parse_pgm(pgm_dumps(img, top)) == img
 
 
 # Each reader names the bad field's JSON path below ``where``. Before, these

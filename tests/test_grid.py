@@ -223,13 +223,13 @@ def test_pgm_render():
     cfg = Config.from_rows(Rect.from_bounds(0, 2, 0, 1), ["01.", "110"])
     text = cfg.to_pgm()
     lines = text.splitlines()
-    assert lines[0] == "P2"
-    assert lines[1] == "3 2"
-    assert lines[2] == "2"
+    assert lines[0] == b"P2"
+    assert lines[1] == b"3 2"
+    assert lines[2] == b"2"
     # Top line of the image is the high-y row.
-    assert lines[3] == "2 2 0"
-    assert lines[4] == "0 2 1"
-    assert text.endswith("\n")
+    assert lines[3] == b"2 2 0"
+    assert lines[4] == b"0 2 1"
+    assert text.endswith(b"\n")
 
 
 def test_ascii_render():

@@ -1137,3 +1137,61 @@ def test_verify_agrees_with_the_naive_verifier_on_a_small_mt_universe():
     assert disagree == []
     # Both answers occur, so the universe tells a sound verifier from a constant one.
     assert 0 < accepted < 8192
+
+
+
+# Steps of the gp universe: a shift, a row clear and a cover up and right.
+GP_UNIVERSE_STEPS = [{"op": "shift", "s": [1, 0]}, {"op": "line_clear", "axis": "row", "index": 1},
+                     {"op": "cover", "g": [2, 3]}]
+
+
+def small_gp_universe():
+    """Every n = 2 seed on the 2x2 window [0, 1]² with one hole (32), built
+    by every schedule of one or two GP_UNIVERSE_STEPS (12): the honest
+    certificate, each single-cell flip of its final window off the hole, and
+    each deletion, duplication, doubling or halving of one side of one
+    stages entry (11,904 cases). A one-step universe leaves the chain,
+    congruence and periodicity checks of the stages untested: with two
+    stages, the seed extension and the stage count decide every case."""
+    schedules = [[a] for a in GP_UNIVERSE_STEPS] + [
+        [a, b] for a in GP_UNIVERSE_STEPS for b in GP_UNIVERSE_STEPS]
+    for hole in range(4):
+        for fill in range(8):
+            bits = iter(f"{fill:03b}")
+            cells = ["." if i == hole else next(bits) for i in range(4)]
+            p = {"rect": [0, 1, 0, 1], "rows": ["".join(cells[:2]), "".join(cells[2:])],
+                 "holes": [[hole % 2, hole // 2]]}
+            seed = gridperiod.GpCondition.from_json({"n": 2, "p": p})
+            for schedule in schedules:
+                cert = gridperiod.build_generic_gp(
+                    seed, parse_schedule(schedule, gridperiod.STEPS),
+                    {"max_side": 16, "max_steps": 4}).to_json()
+                yield cert
+                # Each case copies what it changes; the verifiers never edit their input.
+                final, stages = cert["final"], cert["stages"]
+                rows = final["p"]["rows"]
+                for j, row in enumerate(rows):
+                    for i, v in enumerate(row):
+                        if v != ".":
+                            flip = row[:i] + "10"[int(v)] + row[i + 1:]
+                            window = dict(final["p"], rows=[*rows[:j], flip, *rows[j + 1:]])
+                            yield dict(cert, final=dict(final, p=window))
+                for k, st in enumerate(stages):
+                    for entries in ([], [st, st], [dict(st, w=2 * st["w"])],
+                                    [dict(st, h=2 * st["h"])], [dict(st, w=st["w"] // 2)],
+                                    [dict(st, h=st["h"] // 2)]):
+                        yield dict(cert, stages=[*stages[:k], *entries, *stages[k + 1:]])
+
+
+def test_verify_agrees_with_the_naive_verifier_on_a_small_gp_universe():
+    accepted, count, disagree = 0, 0, []
+    for cert in small_gp_universe():
+        want = naive_verify_gp(cert)
+        accepted += want
+        count += 1
+        if verify_gp_certificate(GpCertificate.from_json(cert))["ok"] != want:
+            disagree.append((cert["final"]["p"]["rows"], cert["steps"], cert["stages"]))
+    assert disagree == []
+    assert count == 11904
+    # Both answers occur, so the universe tells a sound verifier from a constant one.
+    assert 0 < accepted < count

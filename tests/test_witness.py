@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from gridwindows.geometry import Lattice, Rect, taxicab_norm
+from gridwindows.geometry import Box, Lattice, Rect, taxicab_norm
 from gridwindows.grid import Config, PatternSet
 from gridwindows.witness import (
     ColorGrid,
@@ -195,6 +197,81 @@ def test_window_check_stable_under_subwindows():
         sub = x.restrict(Rect.from_bounds(a, b, c, d))
         assert window_two_coloring_check(sub, s, T)
     assert hits >= 5
+
+
+COORD = st.integers(-3, 3) | st.sampled_from([-10**30, 10**30])
+NEAR = st.tuples(st.integers(-7, 7), st.integers(-7, 7))
+
+
+@st.composite
+def clause_a_cases(draw):
+    """(window, t, T, want): a hole-free window of at most 5 x 5 cells
+    anywhere, a nonzero t in [-3, 3]² and a witness set T, as a Box or a
+    frozenset, near the origin or moved 10**30 away. ``want`` is clause a's
+    verdict where the draw decides it, else None:
+    - no pair t apart differs, so clause a fails whatever T is;
+    - "full": T holds the box of every offset whose two probes fit in the
+      window from some cell, so clause a holds when some pair t apart differs;
+    - "picked": T holds, for each cell, one offset to a differing pair;
+    - moved away, no probe fits and clause a fails."""
+    t = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any))
+    # The window is wide enough for a pair t apart; a narrower one fails clause a.
+    w, h = (draw(st.integers(abs(k) + 1, 5)) for k in t)
+    x0, y0 = draw(COORD), draw(COORD)
+    rng = draw(st.randoms(use_true_random=False))
+    rows = ["".join(rng.choice("01") for _ in range(w)) for _ in range(h)]
+    p = Config.from_rows(Rect.from_bounds(x0, x0 + w - 1, y0, y0 + h - 1), rows)
+    _, cells = cells_of(p)
+    starts = [d for d, v in cells.items() if cells.get((d[0] + t[0], d[1] + t[1]), v) != v]
+    # tau_k fits from some cell when 1 - side <= tau_k + min(0, t_k) and
+    # tau_k + max(0, t_k) <= side - 1.
+    lo = (1 - w - min(0, t[0]), 1 - h - min(0, t[1]))
+    hi = (w - 1 - max(0, t[0]), h - 1 - max(0, t[1]))
+    kind = draw(st.sampled_from(["full", "picked", "picked", "box", "points"]))
+    want = None if starts else False
+    if kind == "full" and lo[0] <= hi[0] and lo[1] <= hi[1]:
+        T, want = Box(lo[0], hi[0], lo[1], hi[1]), bool(starts)
+        extra = draw(st.frozensets(NEAR, max_size=3))
+        if extra:
+            T = frozenset(T) | extra
+    elif kind == "picked" and starts:
+        T, want = frozenset(draw(st.sampled_from([(a - x, b - y) for a, b in starts]))
+                            for x, y in cells), True
+    elif kind != "points":
+        (a, b), (c, d) = draw(NEAR), draw(NEAR)
+        T = Box(min(a, c), max(a, c), min(b, d), max(b, d))
+    else:
+        T = draw(st.frozensets(NEAR, min_size=1, max_size=12))
+    far = draw(st.sampled_from([0] * 8 + [10**30, -10**30]))
+    if far:
+        T, want = (Box(T.x0 + far, T.x1 + far, T.y0 - far, T.y1 - far) if isinstance(T, Box)
+                   else frozenset((x + far, y - far) for x, y in T)), False
+    return p, t, T, want
+
+
+@given(clause_a_cases())
+def test_clause_a_implies_the_window_check(case):
+    """Clause a on a hole-free window implies the window check, so
+    ``window two-coloring`` fails only where ``final validate`` fails too
+    (a final with a hole fails ``final validate`` by itself).
+
+    Proof. Let clause a hold for (t, T) on the hole-free window [lo, hi].
+    At the cell lo it gives some tau in T with lo + tau and lo + tau + t in
+    the window, so tau_k >= max(0, -t_k) on each axis k, and hence
+    max_T tau_k >= max(0, -t_k). At the cell hi it gives some tau with
+    tau_k <= min(0, -t_k), so min_T tau_k <= min(0, -t_k). The window check
+    admits the positions g with
+        lo_k - min_T tau_k - min(0, t_k) <= g_k <= hi_k - max_T tau_k - max(0, t_k),
+    so every admissible g has lo_k + |t_k| <= g_k <= hi_k - |t_k|: it is a
+    cell of the window. There clause a gives a tau whose probes g + tau and
+    g + tau + t are defined and differ, which is all the window check asks
+    of g. With no admissible position the check holds vacuously."""
+    p, t, T, want = case
+    clause_a = check_shift_witness(p, t, T)
+    # The premise is not vacuous: the draw makes clause a hold often.
+    assert want is None or clause_a == want
+    if clause_a:
+        assert window_two_coloring_check(p, t, T)
 
 
 # ------------------------------------------------------------------- recurrence

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import gridperiod, mincolor
 from .errors import ResourceLimitError, check_side
-from .geometry import Rect
+from .geometry import Box, Rect
 from .grid import Config
 from .markers import (
     RectPartition,
@@ -83,6 +83,13 @@ def _hole_lattice_pgm(final, seed):
     return pgm_dumps(np.outer(ys, xs), 1)
 
 
+def _write_line(path, text):
+    """Write ``text`` and a newline, without copying the text to append it."""
+    with open(path, "w") as fh:
+        fh.write(text)
+        fh.write("\n")
+
+
 def _build(args, kind):
     spec = _load_json(args.spec)
     if kind == "mt":
@@ -104,8 +111,8 @@ def _build(args, kind):
     # dumped once for both files, and freed before rendering.
     data = cert.doc()
     text = data["final"]["p"] = Raw(canon_dumps(data["final"]["p"]))
-    (out / "window.json").write_text(text + "\n")
-    (out / "certificate.json").write_text(canon_dumps(data) + "\n")
+    _write_line(out / "window.json", text)
+    _write_line(out / "certificate.json", canon_dumps(data))
     del data, text
     if args.format == "pgm":
         (out / "window.pgm").write_bytes(window.to_pgm())
@@ -141,12 +148,20 @@ def _probes(spec):
 def _toast_pgm(t):
     """Depth map of the toast: each window cell's highest level + 1, else 0."""
     win = t.window
-    lo_x, hi_y = win.lo[0], win.hi[1]
+    a, b, c, d = win.bounds()
     depth = np.zeros((win.height, win.width), dtype=np.int64)
-    # Levels ascend, so a cell's last write is its highest level. Offsets are
-    # taken in Python, so far-out coordinates never reach numpy.
+    # Levels ascend, so a cell's last write is its highest level. A Box class
+    # is one slice clipped to the window. Offsets are taken in Python, so
+    # far-out coordinates never reach numpy.
     for n, level in enumerate(t.levels):
-        cells = [(hi_y - y, x - lo_x) for cl in level for (x, y) in cl if win.contains((x, y))]
+        cells = []
+        for cl in level:
+            if type(cl) is not Box:
+                cells += [(d - y, x - a) for (x, y) in cl if win.contains((x, y))]
+                continue
+            x0, x1, y0, y1 = max(cl.x0, a), min(cl.x1, b), max(cl.y0, c), min(cl.y1, d)
+            if x0 <= x1 and y0 <= y1:
+                depth[d - y1 : d - y0 + 1, x0 - a : x1 - a + 1] = n + 1
         if cells:
             depth[tuple(zip(*cells))] = n + 1
     return pgm_dumps(depth, max(1, len(t.levels)))

@@ -12,14 +12,19 @@ checks here report which nesting clause fails and where.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add, itemgetter, sub
 
 import numpy as np
 
-from .geometry import Rect, dist_to_set
+from .geometry import Box, Rect, dist_to_set
 from .grid import boundary, Config
 from .serialize import at, points_json, read_bool, read_int, read_list, read_object, read_points
+
+_LEVEL = itemgetter(0)
 
 
 # ---------------------------------------------------------------- shifted stack
@@ -216,9 +221,11 @@ class ToastViolation:
 class Toast:
     """Leveled cell classes inside a window.
 
-    ``levels[n]`` is a tuple of disjoint classes (frozensets of cells). In a
-    layered toast a class at level n must nest into a single class one level
-    up; unlayered toasts may skip levels.
+    ``levels[n]`` is a tuple of disjoint classes. A class read as a
+    ``geometry.Box`` (``read_points`` reads one box's cells as a Box) stays a
+    Box, and the checks read its bounds; any other class is a frozenset of
+    cells. In a layered toast a class at level n must nest into a single
+    class one level up; unlayered toasts may skip levels.
     """
 
     levels: tuple
@@ -229,34 +236,53 @@ class Toast:
         # Cells are (x, y) int tuples already (read_points checks JSON ones).
         # Each level lists its classes by least cell, empty classes first.
         norm = tuple(
-            tuple(sorted(map(frozenset, level), key=lambda cl: [min(cl)] if cl else []))
+            tuple(sorted((cl if type(cl) in (Box, frozenset) else frozenset(cl) for cl in level),
+                         key=lambda cl: [_least(cl)] if cl else []))
             for level in self.levels
         )
         object.__setattr__(self, "levels", norm)
 
     @cached_property
-    def interiors(self):
-        """Per level, each class minus its boundary ring."""
-        return tuple(tuple(cl - boundary(cl) for cl in level) for level in self.levels)
+    def extents(self):
+        """Per level, each class's (x0, x1, y0, y1, taxicab diameter), or
+        None for an empty class."""
+        return tuple(tuple(map(_extent, level)) for level in self.levels)
 
     @cached_property
-    def rings(self):
-        """Per level, the union of its classes' boundary rings."""
-        return tuple(
-            frozenset().union(*(cl - i for cl, i in zip(level, inner)))
-            for level, inner in zip(self.levels, self.interiors)
-        )
+    def interiors(self):
+        """Per level, each class minus its boundary ring: for a Box, the Box
+        shrunk by one, or an empty frozenset."""
+        return tuple(tuple(map(_interior, level)) for level in self.levels)
+
+    @cached_property
+    def owners(self):
+        """Per level, (map, shared). The map sends each cell to the index of
+        its class (the last one, where classes overlap). ``shared`` is None
+        when the classes are disjoint, else it holds, per class, the least
+        cell the class shares with the classes before it, or None."""
+        out = []
+        for level in self.levels:
+            seen, shared = {}, []
+            for i, cl in enumerate(level):
+                mine = dict.fromkeys(cl, i)
+                shared.append(min(seen.keys() & mine.keys(), default=None))
+                seen.update(mine)
+            out.append((seen, tuple(shared) if any(shared) else None))
+        return tuple(out)
 
     @cached_property
     def exempt(self):
         """Per level, whether each class is excused from nesting (_rim_exempt)."""
-        return tuple(tuple(_rim_exempt(self, cl) for cl in level) for level in self.levels)
+        return tuple(tuple(_rim_exempt(self.window, e) for e in ext) for ext in self.extents)
 
     def to_json(self):
+        """The toast's JSON value for ``canon_dumps``, with each Box class
+        kept as a Box, which it writes from the bounds."""
         return {
             "layered": self.layered,
             "window": self.window.to_json(),
-            "levels": [[points_json(cl) for cl in level] for level in self.levels],
+            "levels": [[cl if type(cl) is Box else points_json(cl) for cl in level]
+                       for level in self.levels],
         }
 
     @classmethod
@@ -275,16 +301,82 @@ class Toast:
         )
 
 
-def _taxicab_diameter(cl):
-    s = [x + y for (x, y) in cl]
-    d = [x - y for (x, y) in cl]
-    return max(max(s) - min(s), max(d) - min(d))
+def _least(cl):
+    """The least cell of a nonempty class."""
+    return (cl.x0, cl.y0) if type(cl) is Box else min(cl)
 
 
-def _rim_exempt(t, cl):
+def _extent(cl):
+    if type(cl) is Box:
+        x0, x1, y0, y1 = cl.bounds
+        return x0, x1, y0, y1, x1 - x0 + y1 - y0
+    if not cl:
+        return None
+    xs, ys = zip(*cl)
+    s, d = list(map(add, xs, ys)), list(map(sub, xs, ys))
+    return min(xs), max(xs), min(ys), max(ys), max(max(s) - min(s), max(d) - min(d))
+
+
+def _interior(cl):
+    if type(cl) is Box:
+        x0, x1, y0, y1 = cl.bounds
+        return Box(x0 + 1, x1 - 1, y0 + 1, y1 - 1) if x1 - x0 > 1 and y1 - y0 > 1 else frozenset()
+    return cl - boundary(cl)
+
+
+def _rim_exempt(win, ext):
     # A class that cannot dilate inside the window is excused from nesting.
-    a, b, c, d = t.window.bounds()
-    return not all(a < x < b and c < y < d for (x, y) in cl)
+    if ext is None:
+        return False
+    a, b, c, d = win.bounds()
+    x0, x1, y0, y1, _ = ext
+    return not (a < x0 and x1 < b and c < y0 and y1 < d)
+
+
+def _within(cl, ext, sup):
+    """Is the nonempty class cl, of extent ext, a subset of sup? By the
+    bounds alone when sup is a Box."""
+    if type(sup) is Box:
+        x0, x1, y0, y1, _ = ext
+        return sup.x0 <= x0 and x1 <= sup.x1 and sup.y0 <= y0 and y1 <= sup.y1
+    return sup.issuperset(cl)
+
+
+def _holders(t, checks):
+    """Candidate superclasses of the classes to check, given as (level,
+    class, extent, least cell g) records: for each g, the (level, class
+    index) pairs of the classes holding g, and of those whose interior holds
+    g, in level order. cl ⊆ sup puts the least cell of cl in sup, so no
+    other class can hold cl. Only the levels above g's classes (one level
+    up, when layered) are looked up; a level whose classes overlap offers
+    all of its classes."""
+    held, inside = defaultdict(list), defaultdict(list)
+    below = [[] for _ in t.levels]
+    for (n, _cl, _ext, g) in checks:
+        below[n].append(g)
+    pending = set()
+    for m, (level, inner, (seen, shared)) in enumerate(zip(t.levels, t.interiors, t.owners)):
+        for g in seen.keys() & pending:
+            for j in range(len(level)) if shared else (seen[g],):
+                held[g].append((m, j))
+                if g in inner[j]:
+                    inside[g].append((m, j))
+        if t.layered:
+            pending.clear()
+        pending.update(below[m])
+    return held, inside
+
+
+def _holds(cl, ext, cands, n, top, classes):
+    """Is the nonempty class cl, of extent ext, within classes[m][j] for a
+    candidate (m, j) of cands (in level order) with n < m <= top?"""
+    for k in range(bisect_right(cands, n, key=_LEVEL), len(cands)):
+        m, j = cands[k]
+        if m > top:
+            break
+        if _within(cl, ext, classes[m][j]):
+            return True
+    return False
 
 
 def check_toast(t):
@@ -297,45 +389,42 @@ def check_toast(t):
     from the superclass boundary ring).
     """
     vs = []
-    covered = set()
+    win = t.window
+    a, b, c, d = win.bounds()
     margin = 0
-    for n, level in enumerate(t.levels):
-        seen = set()
-        for cl in level:
-            if not cl:
+    for n, (level, extents, (_seen, shared)) in enumerate(zip(t.levels, t.extents, t.owners)):
+        for i, (cl, ext) in enumerate(zip(level, extents)):
+            if ext is None:
                 vs.append(ToastViolation("structure", n, None))
                 continue
-            margin = max(margin, _taxicab_diameter(cl))
-            outside = [g for g in cl if not t.window.contains(g)]
-            if outside:
-                vs.append(ToastViolation("structure", n, min(outside)))
-            overlap = seen & cl
-            if overlap:
-                vs.append(ToastViolation("structure", n, min(overlap)))
-            seen |= cl
-            covered |= cl
+            x0, x1, y0, y1, diameter = ext
+            margin = max(margin, diameter)
+            if not (a <= x0 and x1 <= b and c <= y0 and y1 <= d):
+                vs.append(ToastViolation("structure", n, min(g for g in cl if not win.contains(g))))
+            if shared and shared[i] is not None:
+                vs.append(ToastViolation("structure", n, shared[i]))
 
-    a, b, c, d = t.window.bounds()
     # Cells with rim >= margin, x-major: at most len(covered) + 1 are visited.
     # The ranges are walked lazily, and not at all when no row is left.
     xs, ys = range(a + margin, b - margin + 1), range(c + margin, d - margin + 1)
-    cells = ((x, y) for x in xs for y in ys) if ys else ()
-    gap = next((g for g in cells if g not in covered), None)
-    if gap is not None:
-        vs.append(ToastViolation("0", None, gap))
+    if xs and ys:
+        covered = set().union(*(seen for (seen, _shared) in t.owners))
+        gap = next((g for g in ((x, y) for x in xs for y in ys) if g not in covered), None)
+        if gap is not None:
+            vs.append(ToastViolation("0", None, gap))
 
+    # Clauses 1 and 2/2': a class excused by the rim is never looked up.
     strict = "2'" if t.layered else "2"
-    for n, (level, exempt) in enumerate(zip(t.levels, t.exempt)):
-        up = slice(n + 1, n + 2 if t.layered else None)
-        above = [sup for lv in t.levels[up] for sup in lv]
-        inner = [sup for lv in t.interiors[up] for sup in lv]
-        for cl, ex in zip(level, exempt):
-            if not cl or ex:
-                continue
-            if not any(cl <= sup for sup in above):
-                vs.append(ToastViolation("1", n, min(cl)))
-            if not any(cl <= sup for sup in inner):
-                vs.append(ToastViolation(strict, n, min(cl)))
+    checks = [(n, cl, ext, _least(cl))
+              for n, (level, extents, exempt) in enumerate(zip(t.levels, t.extents, t.exempt))
+              for cl, ext, ex in zip(level, extents, exempt) if ext is not None and not ex]
+    held, inside = _holders(t, checks)
+    for n, cl, ext, g in checks:
+        top = n + 1 if t.layered else len(t.levels)
+        if not _holds(cl, ext, held[g], n, top, t.levels):
+            vs.append(ToastViolation("1", n, g))
+        if not _holds(cl, ext, inside[g], n, top, t.interiors):
+            vs.append(ToastViolation(strict, n, g))
     return vs
 
 
@@ -368,11 +457,30 @@ def toast_report(t, probes):
 
 def fx_profile(t, g):
     """Per level: 0 when the (x, y) tuple ``g`` is in no class there, else
-    the taxicab distance from ``g`` to the union of that level's class rings."""
-    return [
-        int(dist_to_set(g, ring)) if any(g in cl for cl in level) else 0
-        for level, ring in zip(t.levels, t.rings)
-    ]
+    the taxicab distance from ``g`` to the union of that level's class rings.
+    A path from g out of its class crosses that class's ring first, so in a
+    level of disjoint classes the nearest ring cell is on the ring of g's
+    own class; a level whose classes overlap takes the union."""
+    prof = []
+    for level, inner, (seen, shared) in zip(t.levels, t.interiors, t.owners):
+        i = seen.get(g)
+        if i is None:
+            prof.append(0)
+        elif shared:
+            prof.append(int(dist_to_set(g, [h for cl, ci in zip(level, inner) for h in cl - ci])))
+        else:
+            prof.append(int(dist_to_set(g, _ring_near(g, level[i], inner[i]))))
+    return prof
+
+
+def _ring_near(g, cl, inner):
+    """Cells of the boundary ring of the class cl (interior ``inner``) that
+    hold one nearest to g, a cell of cl: for a Box, g's four feet on its
+    edges."""
+    if type(cl) is not Box:
+        return cl - inner
+    x, y = g
+    return ((cl.x0, y), (cl.x1, y), (x, cl.y0), (x, cl.y1))
 
 
 @dataclass(frozen=True)
@@ -387,7 +495,7 @@ def _fx_growth(t, probes, profiles):
     failures = []
     uncovered = []
     for g, prof in zip(probes, profiles):
-        in_level = [any(g in cl for cl in level) for level in t.levels]
+        in_level = [g in seen for (seen, _shared) in t.owners]
         if not any(in_level):
             uncovered.append(g)
             continue

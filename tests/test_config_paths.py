@@ -11,7 +11,7 @@ import random
 import numpy as np
 import pytest
 
-from gridwindows.geometry import Rect
+from gridwindows.geometry import Box, Rect
 from gridwindows.grid import HOLE, Config, flip, tile
 from gridwindows.gridperiod import (
     STEPS as GP_STEPS,
@@ -178,7 +178,10 @@ def test_toast_levels_and_reports_unchanged():
     t = Toast.from_json(data)
     raw = [[{tuple(g) for g in cl} for cl in level] for level in data["levels"]]
     assert t.levels == old_levels(raw)
-    assert all(type(cl) is frozenset for level in t.levels for cl in level)
+    # A class read as a box keeps its bounds; any other class is a frozenset.
+    assert type(t.levels[1][2]) is Box and t.levels[1][2].bounds == (-2, 2, -2, 2)
+    assert [type(cl) for cl in t.levels[0]] == [frozenset, frozenset, Box, frozenset, Box]
+    assert t.levels[0][3] == {(0, 0), (0, 1), (1, 1)}
     # The empty classes come first, in their level, as they always did.
     assert [len(cl) for cl in t.levels[0]] == [0, 0, 1, 3, 2]
     again = Toast(levels=tuple(map(tuple, raw)), layered=True, window=t.window)

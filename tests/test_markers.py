@@ -5,12 +5,13 @@ from collections import Counter
 import pytest
 
 from gridwindows import markers
-from gridwindows.cli import main
-from gridwindows.geometry import Rect
+from gridwindows.cli import _toast_pgm, main
+from gridwindows.geometry import Box, Rect
 from gridwindows.grid import Config
 from gridwindows.markers import (
     RectPartition,
     Toast,
+    ToastViolation,
     build_shifted_stack,
     check_fx_strict_growth,
     check_partition_props,
@@ -503,6 +504,126 @@ def test_toast_checkers_match_cell_scans(monkeypatch):
     # Every clause is reached, and at least a quarter of the toasts are
     # structurally broken.
     assert min(kinds.values()) >= 50 and kinds["structure"] >= TOASTS // 4, kinds
+
+
+FAR = 10**30
+
+
+def as_box(cl):
+    """The Box of the class's cells when they fill one, else the class."""
+    pts = sorted(cl)
+    return Box.from_lex([x for x, _ in pts], [y for _, y in pts]) or cl
+
+
+def mixed_toast(rng):
+    """A random_toast with most box-shaped classes as Boxes, and often one
+    more Box in a random level: thin (1 x n or 2 x n, so no interior),
+    across the window's edge, far out at +-10**30, or overlapping a Box of
+    its level. Returns the toast and the kind of Box added, or None."""
+    t = random_toast(rng)
+    a, b, c, d = t.window.bounds()
+    levels = [[as_box(cl) if cl and rng.random() < 0.8 else cl for cl in level]
+              for level in t.levels]
+    level = rng.choice(levels)
+    boxes = [cl for cl in level if type(cl) is Box]
+
+    def across(lo, hi):
+        if rng.random() < 0.5:
+            return rng.randint(lo - 3, lo - 1), rng.randint(lo, hi + 2)
+        return rng.randint(lo - 2, hi), rng.randint(hi + 1, hi + 3)
+
+    kind = rng.choice(("thin", "across", "far", "overlap", None))
+    if kind == "thin":
+        x0, y0 = rng.randint(a, b), rng.randint(c, d)
+        w, h = rng.randint(1, 2), rng.randint(1, 6)
+        if rng.random() < 0.5:
+            w, h = h, w
+        level.append(Box(x0, x0 + w - 1, y0, y0 + h - 1))
+    elif kind == "across":
+        ys = across(c, d) if rng.random() < 0.5 else sorted((rng.randint(c, d), rng.randint(c, d)))
+        level.append(Box(*across(a, b), *ys))
+    elif kind == "far":
+        x0, y0 = rng.choice((-FAR, FAR)) + rng.randint(-3, 3), rng.choice((-FAR, FAR, c))
+        level.append(Box(x0, x0 + rng.randint(0, 3), y0, y0 + rng.randint(0, 3)))
+    elif kind == "overlap" and boxes:
+        x0, x1, y0, y1 = rng.choice(boxes).bounds
+        dx, dy = rng.randint(-1, 1), rng.randint(-1, 1)
+        level.append(Box(x0 + dx, x1 + dx + rng.randint(0, 1), y0 + dy, y1 + dy))
+    else:
+        kind = None
+    return Toast(levels=tuple(map(tuple, levels)), layered=t.layered, window=t.window), kind
+
+
+MIXED_TOASTS = 2000
+
+
+def test_box_toasts_match_cell_scans_of_frozenset_copies(monkeypatch):
+    """Boxes are checked by their bounds; the cell scans of the oracles run
+    on copies with every class a frozenset."""
+    rng = random.Random(2311)
+    kinds = Counter()
+    for _ in range(MIXED_TOASTS):
+        t, added = mixed_toast(rng)
+        kinds[added] += 1
+        kinds.update(type(cl).__name__ for level in t.levels for cl in level)
+        copy = Toast(levels=tuple(tuple(map(frozenset, level)) for level in t.levels),
+                     layered=t.layered, window=t.window)
+        a, b, c, d = t.window.bounds()
+        probes = [(rng.randint(a - 1, b + 1), rng.randint(c - 1, d + 1)) for _ in range(3)]
+        probes += [rng.choice(sorted(cl)) for level in t.levels for cl in level if cl][:3]
+        want = naive_check_toast(copy)
+        kinds.update({v.clause for v in want} or {"ok"})
+        assert check_toast(t) == want
+        assert [fx_profile(t, g) for g in probes] == [naive_fx_profile(copy, g) for g in probes]
+        assert _toast_pgm(t) == _toast_pgm(copy)
+        got_report = toast_report(t, probes)
+        got_growth = check_fx_strict_growth(t, probes) if t.layered else None
+        with monkeypatch.context() as mp:
+            mp.setattr(markers, "check_toast", naive_check_toast)
+            mp.setattr(markers, "fx_profile", naive_fx_profile)
+            assert got_report == toast_report(copy, probes)
+            if t.layered:
+                assert got_growth == check_fx_strict_growth(copy, probes)
+    assert min(kinds[k] for k in ("thin", "across", "far", "overlap")) >= 150, kinds
+    assert min(kinds["Box"], kinds["frozenset"]) >= MIXED_TOASTS, kinds
+    assert min(kinds[k] for k in ("structure", "0", "1", "2", "2'", "ok")) >= 50, kinds
+
+
+def test_superclasses_looked_up_only_for_classes_that_need_a_check(tmp_path, monkeypatch,
+                                                                    capsys):
+    """An unlayered toast of 10,000 one-cell levels in [0, 1]^2 touches the
+    window rim everywhere: no class looks for a superclass. In the spotted
+    toast every class but the top one does, once per clause."""
+    lookups = Counter()
+    real = markers._holds
+    monkeypatch.setattr(markers, "_holds",
+                        lambda *args: lookups.update([args[3]]) or real(*args))
+    spec = tmp_path / "toast.json"
+    spec.write_text(json.dumps({"toast": {"layered": False, "window": [0, 1, 0, 1],
+                                          "levels": [[[[0, 0]]]] * 10_000}}))
+    assert main(["toast", "--spec", str(spec)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["rim_exempt"] == report["levels"] == 10_000
+    assert report["violations"] == [{"clause": "0", "level": None, "where": [0, 1]}]
+    assert lookups == {}
+    assert check_toast(spotted_toast()) == []
+    assert lookups == {0: 8, 1: 8, 2: 2}
+
+
+def test_deep_unlayered_toast_tests_one_candidate_per_class(monkeypatch):
+    """2,000 unlayered levels of the one cell (2, 2) in [0, 4]^2: each class
+    is held by the class one level up, and no class has an interior, so one
+    subset test per class (none for the top one) decides both clauses."""
+    tests = []
+    real = markers._within
+    monkeypatch.setattr(markers, "_within", lambda *args: tests.append(1) or real(*args))
+    levels = ((Box(2, 2, 2, 2),),) * 2000
+    t = Toast(levels=levels, layered=False, window=Rect.from_bounds(0, 4, 0, 4))
+    vs = check_toast(t)
+    assert vs == [ToastViolation("0", None, (0, 0)),
+                  *(ToastViolation("2", n, (2, 2)) for n in range(1999)),
+                  ToastViolation("1", 1999, (2, 2)), ToastViolation("2", 1999, (2, 2))]
+    assert len(tests) == 1999
 
 
 SPOTS = [(-3, -3), (-3, 3), (3, -3), (3, 3)]

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import gridperiod, mincolor
 from .errors import ResourceLimitError, check_side
-from .geometry import Box, Rect
+from .geometry import Rect
 from .grid import Config
 from .markers import (
     RectPartition,
@@ -148,20 +148,12 @@ def _probes(spec):
 def _toast_pgm(t):
     """Depth map of the toast: each window cell's highest level + 1, else 0."""
     win = t.window
-    a, b, c, d = win.bounds()
+    lo_x, hi_y = win.lo[0], win.hi[1]
     depth = np.zeros((win.height, win.width), dtype=np.int64)
-    # Levels ascend, so a cell's last write is its highest level. A Box class
-    # is one slice clipped to the window. Offsets are taken in Python, so
-    # far-out coordinates never reach numpy.
+    # Levels ascend, so a cell's last write is its highest level. Offsets are
+    # taken in Python, so far-out coordinates never reach numpy.
     for n, level in enumerate(t.levels):
-        cells = []
-        for cl in level:
-            if type(cl) is not Box:
-                cells += [(d - y, x - a) for (x, y) in cl if win.contains((x, y))]
-                continue
-            x0, x1, y0, y1 = max(cl.x0, a), min(cl.x1, b), max(cl.y0, c), min(cl.y1, d)
-            if x0 <= x1 and y0 <= y1:
-                depth[d - y1 : d - y0 + 1, x0 - a : x1 - a + 1] = n + 1
+        cells = [(hi_y - y, x - lo_x) for cl in level for (x, y) in cl if win.contains((x, y))]
         if cells:
             depth[tuple(zip(*cells))] = n + 1
     return pgm_dumps(depth, max(1, len(t.levels)))

@@ -12,19 +12,16 @@ checks here report which nesting clause fails and where.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, itemgetter, sub
+from itertools import islice
+from operator import add, sub
 
 import numpy as np
 
 from .geometry import Box, Rect, dist_to_set
 from .grid import boundary, Config
 from .serialize import at, points_json, read_bool, read_int, read_list, read_object, read_points
-
-_LEVEL = itemgetter(0)
 
 
 # ---------------------------------------------------------------- shifted stack
@@ -276,13 +273,10 @@ class Toast:
         return tuple(tuple(_rim_exempt(self.window, e) for e in ext) for ext in self.extents)
 
     def to_json(self):
-        """The toast's JSON value for ``canon_dumps``, with each Box class
-        kept as a Box, which it writes from the bounds."""
         return {
             "layered": self.layered,
             "window": self.window.to_json(),
-            "levels": [[cl if type(cl) is Box else points_json(cl) for cl in level]
-                       for level in self.levels],
+            "levels": [[points_json(cl) for cl in level] for level in self.levels],
         }
 
     @classmethod
@@ -342,41 +336,23 @@ def _within(cl, ext, sup):
     return sup.issuperset(cl)
 
 
-def _holders(t, checks):
-    """Candidate superclasses of the classes to check, given as (level,
-    class, extent, least cell g) records: for each g, the (level, class
-    index) pairs of the classes holding g, and of those whose interior holds
-    g, in level order. cl ⊆ sup puts the least cell of cl in sup, so no
-    other class can hold cl. Only the levels above g's classes (one level
-    up, when layered) are looked up; a level whose classes overlap offers
-    all of its classes."""
-    held, inside = defaultdict(list), defaultdict(list)
-    below = [[] for _ in t.levels]
-    for (n, _cl, _ext, g) in checks:
-        below[n].append(g)
-    pending = set()
-    for m, (level, inner, (seen, shared)) in enumerate(zip(t.levels, t.interiors, t.owners)):
-        for g in seen.keys() & pending:
-            for j in range(len(level)) if shared else (seen[g],):
-                held[g].append((m, j))
-                if g in inner[j]:
-                    inside[g].append((m, j))
-        if t.layered:
-            pending.clear()
-        pending.update(below[m])
-    return held, inside
-
-
-def _holds(cl, ext, cands, n, top, classes):
-    """Is the nonempty class cl, of extent ext, within classes[m][j] for a
-    candidate (m, j) of cands (in level order) with n < m <= top?"""
-    for k in range(bisect_right(cands, n, key=_LEVEL), len(cands)):
-        m, j = cands[k]
-        if m > top:
-            break
-        if _within(cl, ext, classes[m][j]):
-            return True
-    return False
+def _nests(t, n, cl, ext, g):
+    """(clause 1, clause 2/2') for the nonempty class cl of level n, of
+    extent ext and least cell g: is it within a class of a level above (the
+    next one, when layered), and within the interior of one? cl ⊆ sup puts
+    g in sup, so a level offers only the class its cell -> class map sends g
+    to, or all of its classes where they overlap."""
+    held = False
+    top = n + 2 if t.layered else None
+    for (seen, shared), level, inner in islice(zip(t.owners, t.levels, t.interiors), n + 1, top):
+        i = seen.get(g)
+        if i is None:
+            continue
+        for j in range(len(level)) if shared else (i,):
+            if g in inner[j] and _within(cl, ext, inner[j]):
+                return True, True
+            held = held or (g in level[j] and _within(cl, ext, level[j]))
+    return held, False
 
 
 def check_toast(t):
@@ -415,16 +391,16 @@ def check_toast(t):
 
     # Clauses 1 and 2/2': a class excused by the rim is never looked up.
     strict = "2'" if t.layered else "2"
-    checks = [(n, cl, ext, _least(cl))
-              for n, (level, extents, exempt) in enumerate(zip(t.levels, t.extents, t.exempt))
-              for cl, ext, ex in zip(level, extents, exempt) if ext is not None and not ex]
-    held, inside = _holders(t, checks)
-    for n, cl, ext, g in checks:
-        top = n + 1 if t.layered else len(t.levels)
-        if not _holds(cl, ext, held[g], n, top, t.levels):
-            vs.append(ToastViolation("1", n, g))
-        if not _holds(cl, ext, inside[g], n, top, t.interiors):
-            vs.append(ToastViolation(strict, n, g))
+    for n, (level, extents, exempt) in enumerate(zip(t.levels, t.extents, t.exempt)):
+        for cl, ext, ex in zip(level, extents, exempt):
+            if ext is None or ex:
+                continue
+            g = _least(cl)
+            held, inside = _nests(t, n, cl, ext, g)
+            if not held:
+                vs.append(ToastViolation("1", n, g))
+            if not inside:
+                vs.append(ToastViolation(strict, n, g))
     return vs
 
 

@@ -365,6 +365,15 @@ def test_toast_round_trip():
     assert canon_dumps(back.to_json()) == blob
 
 
+def test_toast_to_json_is_a_plain_json_value():
+    """Box classes stay Boxes in the toast, but its JSON value lists them."""
+    data = json.loads(canon_dumps(spotted_toast().to_json()))
+    t = Toast.from_json(data)
+    assert [type(cl) for cl in t.levels[1]] == [Box] * 4
+    assert t.to_json() == data
+    assert json.loads(json.dumps(t.to_json())) == data
+
+
 # ------------------------------------------------------------------ fx profiles
 
 def test_fx_profile_center_exact():
@@ -593,11 +602,11 @@ def test_superclasses_looked_up_only_for_classes_that_need_a_check(tmp_path, mon
                                                                     capsys):
     """An unlayered toast of 10,000 one-cell levels in [0, 1]^2 touches the
     window rim everywhere: no class looks for a superclass. In the spotted
-    toast every class but the top one does, once per clause."""
+    toast every class but the top one does, once."""
     lookups = Counter()
-    real = markers._holds
-    monkeypatch.setattr(markers, "_holds",
-                        lambda *args: lookups.update([args[3]]) or real(*args))
+    real = markers._nests
+    monkeypatch.setattr(markers, "_nests",
+                        lambda *args: lookups.update([args[1]]) or real(*args))
     spec = tmp_path / "toast.json"
     spec.write_text(json.dumps({"toast": {"layered": False, "window": [0, 1, 0, 1],
                                           "levels": [[[[0, 0]]]] * 10_000}}))
@@ -607,13 +616,15 @@ def test_superclasses_looked_up_only_for_classes_that_need_a_check(tmp_path, mon
     assert report["violations"] == [{"clause": "0", "level": None, "where": [0, 1]}]
     assert lookups == {}
     assert check_toast(spotted_toast()) == []
-    assert lookups == {0: 8, 1: 8, 2: 2}
+    assert lookups == {0: 4, 1: 4, 2: 1}
 
 
 def test_deep_unlayered_toast_tests_one_candidate_per_class(monkeypatch):
     """2,000 unlayered levels of the one cell (2, 2) in [0, 4]^2: each class
-    is held by the class one level up, and no class has an interior, so one
-    subset test per class (none for the top one) decides both clauses."""
+    is held by the class one level up, and no class has an interior. Every
+    level above is looked up for clause 2, but only one subset test per
+    class (none for the top one) is made: clause 1 stops at the first holder,
+    and an interior that misses the least cell is not tested."""
     tests = []
     real = markers._within
     monkeypatch.setattr(markers, "_within", lambda *args: tests.append(1) or real(*args))

@@ -268,7 +268,7 @@ def main(argv=None):
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return handler(args)
-    except ResourceLimitError as exc:
+    except (ResourceLimitError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, KeyError, TypeError, OSError) as exc:

@@ -22,7 +22,7 @@ from .serialize import at, fail, is_int, is_point, read_int, read_object, read_p
 
 
 def _is_power(k, n):
-    if k < 1:
+    if k < 1 or n < 2:
         return False
     while k % n == 0:
         k //= n
@@ -171,6 +171,8 @@ def discriminate_shift_gp(q, s, max_side, avoid_lines=()):
     s = (int(s[0]), int(s[1]))
     if s == (0, 0):
         raise ValueError("shift must be nonzero")
+    if q.n < 2:
+        raise ValueError(f"base must be >= 2, got {q.n}")
     u = q.u
     w, h = q.p.rect.width, q.p.rect.height
     a, _b, cc, _d = q.p.rect.bounds()

@@ -12,6 +12,7 @@ checks here report which nesting clause fails and where.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -149,17 +150,18 @@ def _validate_partition(part):
     for r in part.rects:
         if not win.contains_rect(r):
             raise ValueError(f"rect {r} leaves the window {win}")
-    # Paint on the grid cut by the window's and the rects' edges, which is
-    # never larger than the window: each of its cells lies wholly inside or
-    # outside every rect. at[k] maps an edge coordinate to its grid index.
-    at = []
-    for k in (0, 1):
-        edges = sorted({e for r in (win, *part.rects) for e in (r.lo[k], r.hi[k] + 1)})
-        at.append({e: i for i, e in enumerate(edges)})
-    paint = np.zeros((len(at[1]) - 1, len(at[0]) - 1), dtype=np.int32)
-    for r in part.rects:
-        paint[at[1][r.lo[1]] : at[1][r.hi[1] + 1], at[0][r.lo[0]] : at[0][r.hi[0] + 1]] += 1
-    if not (paint == 1).all():
+    # The indicator of [x0, x1] x [y0, y1] has mixed difference +1 at (x0, y0)
+    # and (x1+1, y1+1), -1 at (x1+1, y0) and (x0, y1+1), and that map is
+    # injective. So the rects cover the window once iff the rects' + corners
+    # with the window's - corners make the same multiset as the rest. An
+    # inverted Rect covers nothing and adds no corner.
+    signed = [], []
+    for flip, r in ((1, win), *((0, r) for r in part.rects)):
+        (x0, y0), (x1, y1) = r.lo, (r.hi[0] + 1, r.hi[1] + 1)
+        if x0 < x1 and y0 < y1:
+            signed[flip].extend(((x0, y0), (x1, y1)))
+            signed[1 - flip].extend(((x1, y0), (x0, y1)))
+    if Counter(signed[0]) != Counter(signed[1]):
         raise ValueError("rects must cover the window exactly once")
 
 
@@ -191,8 +193,7 @@ def check_partition_props(parts, probes):
     for g in probes:
         col = []
         for part in parts:
-            a, b, c, d = _containing_rect(part, g).bounds()
-            col.append(min(g[0] - a, b - g[0], g[1] - c, d - g[1]))
+            col.append(_edge_dist(g, *_containing_rect(part, g).bounds()))
         phi.append(col)
     return {
         "v": v,
@@ -444,19 +445,16 @@ def fx_profile(t, g):
             prof.append(0)
         elif shared:
             prof.append(int(dist_to_set(g, [h for cl, ci in zip(level, inner) for h in cl - ci])))
+        elif type(level[i]) is Box:
+            prof.append(_edge_dist(g, *level[i].bounds))
         else:
-            prof.append(int(dist_to_set(g, _ring_near(g, level[i], inner[i]))))
+            prof.append(int(dist_to_set(g, level[i] - inner[i])))
     return prof
 
 
-def _ring_near(g, cl, inner):
-    """Cells of the boundary ring of the class cl (interior ``inner``) that
-    hold one nearest to g, a cell of cl: for a Box, g's four feet on its
-    edges."""
-    if type(cl) is not Box:
-        return cl - inner
-    x, y = g
-    return ((cl.x0, y), (cl.x1, y), (x, cl.y0), (x, cl.y1))
+def _edge_dist(g, x0, x1, y0, y1):
+    """Taxicab distance from a cell g of [x0, x1] x [y0, y1] to its ring."""
+    return min(g[0] - x0, x1 - g[0], g[1] - y0, y1 - g[1])
 
 
 @dataclass(frozen=True)

@@ -139,18 +139,22 @@ def window_two_coloring_check(x, s, T):
         raise ValueError("shift must be nonzero")
     if not T:
         return False
-    # g is admissible on [lo - min tau - min(0, s), hi - max tau - max(0, s)]
-    # per axis. Python ints, so offsets of any size are accepted.
-    rect = x.rect
     boxes = _boxes(T)
-    x0s, x1s, y0s, y1s = zip(*boxes)
-    x0, x1, y0, y1 = min(x0s), max(x1s), min(y0s), max(y1s)
-    lo = (rect.lo[0] - x0 - min(0, s[0]), rect.lo[1] - y0 - min(0, s[1]))
-    hi = (rect.hi[0] - x1 - max(0, s[0]), rect.hi[1] - y1 - max(0, s[1]))
-    if lo[0] > hi[0] or lo[1] > hi[1]:
-        return True
-    region = Rect(lo, hi)
-    return bool(_reach(region, *_differs(x, s), boxes).all())
+    region = _admissible(x.rect, boxes, [(0, 0, 0, 0), (s[0], s[0], s[1], s[1])])
+    return region is None or bool(_reach(region, *_differs(x, s), boxes).all())
+
+
+def _admissible(rect, boxes, probes):
+    """The positions g whose probes g + tau + u stay inside rect for every
+    tau in the union of ``boxes`` (from ``_boxes``) and u in the union of
+    ``probes``, both nonempty lists of bounds (x0, x1, y0, y1): a Rect, or
+    None when there are none. Python ints, so offsets of any size are
+    accepted."""
+    lo_x, hi_x, lo_y, hi_y = rect.bounds()
+    for bounds in (boxes, probes):
+        x0s, x1s, y0s, y1s = zip(*bounds)
+        lo_x, hi_x, lo_y, hi_y = lo_x - min(x0s), hi_x - max(x1s), lo_y - min(y0s), hi_y - max(y1s)
+    return Rect((lo_x, lo_y), (hi_x, hi_y)) if lo_x <= hi_x and lo_y <= hi_y else None
 
 
 @dataclass(frozen=True)
@@ -175,24 +179,16 @@ def recurrence_check(x, B, T):
     T = [tuple(t) for t in T]
     if not T:
         return RecurrenceReport(False, (), 0, rect.area)
-    umin_x = min(f.rect.lo[0] for f in B.patterns)
-    umax_x = max(f.rect.hi[0] for f in B.patterns)
-    umin_y = min(f.rect.lo[1] for f in B.patterns)
-    umax_y = max(f.rect.hi[1] for f in B.patterns)
-    ax = rect.lo[0] - umin_x - min(t[0] for t in T)
-    bx = rect.hi[0] - umax_x - max(t[0] for t in T)
-    ay = rect.lo[1] - umin_y - min(t[1] for t in T)
-    by = rect.hi[1] - umax_y - max(t[1] for t in T)
-    if ax > bx or ay > by:
-        return RecurrenceReport(True, (), 0, rect.area)
-    region = Rect((ax, ay), (bx, by))
-    ok = np.zeros((region.height, region.width), dtype=bool)
     boxes = _boxes(T)
+    region = _admissible(rect, boxes, [f.rect.bounds() for f in B.patterns])
+    if region is None:
+        return RecurrenceReport(True, (), 0, rect.area)
+    ok = np.zeros((region.height, region.width), dtype=bool)
     for f in B.patterns:
         ok |= _reach(region, *_match_offsets(x, f, False), boxes)
     # Failing positions x-major, like region.points().
     xs, ys = np.nonzero(~ok.T)
-    failing = tuple((i + ax, j + ay) for i, j in zip(xs.tolist(), ys.tolist()))
+    failing = tuple((i + region.lo[0], j + region.lo[1]) for i, j in zip(xs.tolist(), ys.tolist()))
     inside = region.intersect(rect)
     rim = rect.area - (inside.area if inside is not None else 0)
     return RecurrenceReport(not failing, failing, region.area, rim)

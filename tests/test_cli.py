@@ -193,6 +193,23 @@ def test_build_mt_far_request_exit_3_before_tiling(tmp_path, step, side):
     assert f"window side {side} exceeds max_side=128" in err
 
 
+# Limits that allow more than the machine holds: the tiling's allocation
+# failed with an _ArrayMemoryError traceback, 2.33 GiB for mt and 1.00 GiB
+# for gp, under the child's 1.5 GiB cap.
+@pytest.mark.parametrize("cmd,spec", [
+    ("build-mt", mt_spec(seed={"rect": [0, 0, 0, 0], "rows": ["0"], "holes": []},
+                         schedule=[{"op": "cover", "g": [49999, 49999]}],
+                         limits={"max_side": 50000, "max_steps": 64})),
+    ("build-gp", gp_spec(schedule=[{"op": "cover", "g": [65535, 65535]}],
+                         limits={"max_side": 65536, "max_steps": 64})),
+], ids=["mt", "gp"])
+def test_build_out_of_memory_exit_3(tmp_path, cmd, spec):
+    spec = write_spec(tmp_path / "spec.json", spec)
+    code, err = run_cli_bounded([cmd, "--spec", spec, "--out", str(tmp_path / "o")])
+    assert code == 3, err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 # Limits were read with int(): Infinity ended in an OverflowError traceback,
 # and "100", true and 2.9 were taken as 100, 1 and 2.
 @pytest.mark.parametrize("cmd,spec", [("build-mt", mt_spec()), ("build-gp", gp_spec())],
@@ -876,19 +893,33 @@ def test_markers_partitions_demo(tmp_path, capsys):
     assert report["phi"][0] == [3]
 
 
+def staggered(overlap=False):
+    """Rects of [0, 25000] x [0, 24999], one row each side of a cut after
+    column y on row y: 50,000 rects with 25,002 distinct x edges.
+    ``overlap`` starts one row's right rect a cell early."""
+    return [r for y in range(25000)
+            for r in ([0, y, y, y], [y + 1 - (overlap and y == 4321), 25000, y, y])]
+
+
 # The partition check painted a cell array over the whole window: 3.64 TiB
-# for this one. Either verdict is now reached within the child's memory cap.
-@pytest.mark.parametrize("rects,code,msg", [
-    ([[0, 1000000, 0, 1000000]], 0, ""),
-    ([[0, 999999, 0, 1000000], [999999, 1000000, 0, 1000000]], 2, "exactly once"),
-], ids=["cover", "overlap"])
-def test_markers_partitions_far_window_bounded(tmp_path, rects, code, msg):
+# for the far window. Then it painted one over the grid cut by the rects'
+# edges: 2.33 GiB for the staggered rows. Either verdict is now reached
+# within the child's memory cap.
+@pytest.mark.parametrize("window,rects,code,msg", [
+    ([0, 1000000, 0, 1000000], [[0, 1000000, 0, 1000000]], 0, ""),
+    ([0, 1000000, 0, 1000000], [[0, 999999, 0, 1000000], [999999, 1000000, 0, 1000000]], 2,
+     "exactly once"),
+    ([0, 25000, 0, 24999], staggered(), 0, ""),
+    ([0, 25000, 0, 24999], staggered(overlap=True), 2, "exactly once"),
+], ids=["cover", "overlap", "staggered", "staggered-overlap"])
+def test_markers_partitions_far_window_bounded(tmp_path, window, rects, code, msg):
     spec = write_spec(tmp_path / "m.json", {
-        "demo": "partitions", "window": [0, 1000000, 0, 1000000],
+        "demo": "partitions", "window": window,
         "levels": [{"level": 0, "rects": rects}], "probes": [[3, 3]]})
     got, err = run_cli_bounded(["markers", "--spec", spec])
-    assert got == code
+    assert got == code, err
     assert msg in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("side,code", [(512, 0), (513, 3)])

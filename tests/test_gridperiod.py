@@ -27,6 +27,7 @@ from gridwindows.gridperiod import (
 from gridwindows.serialize import canon_dumps
 
 from oracles import naive_extend_tile_gp, naive_min_period, rect_cells
+from test_cli import run_bounded
 
 
 def gp(rows, n=2, lo=(0, 0)):
@@ -181,6 +182,32 @@ def test_discriminate_small_shift():
 def test_discriminate_rejects_zero():
     with pytest.raises(ValueError):
         discriminate_shift_gp(SEED, (0, 0), 256)
+
+
+# A base below 2 never ended: _is_power(k, 1) divided by 1 for ever and the
+# shift's block counts were multiplied by 1 or 0; extend_tile_gp with n = 0
+# raised ZeroDivisionError. A child process with a timeout keeps a hang from
+# stalling the suite.
+SMALL_BASES = """
+from gridwindows.geometry import Rect
+from gridwindows.grid import Config
+from gridwindows.gridperiod import GpCondition, discriminate_shift_gp, extend_tile_gp
+seed = Config.from_rows(Rect.from_bounds(0, 1, 0, 1), ["01", "1."])
+for n in (1, 0):
+    q = GpCondition(n=n, p=seed)
+    for grow in (lambda: extend_tile_gp(q, ((0, 1), (0, 0)), (2, 0)),
+                 lambda: discriminate_shift_gp(q, (1, 0), 256)):
+        try:
+            grow()
+        except ValueError as exc:
+            print(type(exc).__name__)
+"""
+
+
+def test_gp_growth_refuses_a_base_below_2():
+    proc = run_bounded(["-c", SMALL_BASES], timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ValueError"] * 4
 
 
 def test_discriminate_random_shifts():

@@ -225,19 +225,71 @@ def test_partition_validation():
         check_partition_props([overlapping], [])
 
 
+def guillotine(rng, r):
+    """Rects that partition r, from random cuts along x or y."""
+    a, b, c, d = r.bounds()
+    if rng.random() < 0.25 or (a == b and c == d):
+        return [r]
+    if c == d or (a < b and rng.random() < 0.5):
+        x = rng.randint(a, b - 1)
+        halves = Rect.from_bounds(a, x, c, d), Rect.from_bounds(x + 1, b, c, d)
+    else:
+        y = rng.randint(c, d - 1)
+        halves = Rect.from_bounds(a, b, c, y), Rect.from_bounds(a, b, y + 1, d)
+    return [q for h in halves for q in guillotine(rng, h)]
+
+
+def mutate_cover(rng, win, rects):
+    """One change to an exact cover of win: drop a rect, duplicate one, move
+    one edge of one by a cell, or add a one-cell rect. The doubled cell may
+    come with a directly built inverted Rect whose signed corners alone would
+    cancel it."""
+    rects = list(rects)
+    i = rng.randrange(len(rects))
+    kind = rng.choice(("drop", "dup", "edge", "cell"))
+    if kind == "drop":
+        del rects[i]
+    elif kind == "dup":
+        rects.append(rects[i])
+    elif kind == "edge":
+        lo, hi = map(list, (rects[i].lo, rects[i].hi))
+        rng.choice((lo, hi))[rng.randrange(2)] += rng.choice((-1, 1))
+        rects[i] = Rect(tuple(lo), tuple(hi))
+    else:
+        x, y = rng.choice(win.points())
+        rects.append(Rect((x, y), (x, y)))
+        if win.contains((x - 1, y)) and win.contains((x + 1, y)) and rng.random() < 0.5:
+            rects.append(Rect((x + 1, y), (x - 1, y)))
+    return rects
+
+
 def test_partition_validation_matches_oracle():
     rng = random.Random(53)
-    win = Rect.from_bounds(-2, 3, 1, 5)
-    verdicts = Counter()
-    for _ in range(400):
-        rects = []
-        for _r in range(rng.randint(0, 5)):
-            x0, y0 = rng.randint(-3, 3), rng.randint(0, 5)
-            rects.append(Rect.from_bounds(x0, x0 + rng.randint(0, 6), y0, y0 + rng.randint(0, 5)))
-        if rng.random() < 0.3:
-            # Cut the window in two along a random column, so exact covers occur.
-            x = rng.randint(-2, 2)
-            rects = [Rect.from_bounds(-2, x, 1, 5), Rect.from_bounds(x + 1, 3, 1, 5)] + rects[:1]
+    verdicts, inverted = Counter(), 0
+    for k in range(1500):
+        x0, y0 = rng.randint(-3, 3), rng.randint(-3, 3)
+        win = Rect.from_bounds(x0, x0 + rng.randint(0, 6), y0, y0 + rng.randint(0, 5))
+        if k == 0:
+            # Cell (1, 0) twice, and an inverted Rect whose corners are the
+            # negatives of that cell's.
+            win = Rect.from_bounds(0, 2, 0, 0)
+            rects = [win, Rect((1, 0), (1, 0)), Rect((2, 0), (0, 0))]
+        elif k % 3 == 0:
+            rects = []
+            for _r in range(rng.randint(0, 5)):
+                x0, y0 = rng.randint(-4, 3), rng.randint(-4, 3)
+                rects.append(Rect.from_bounds(x0, x0 + rng.randint(0, 6),
+                                              y0, y0 + rng.randint(0, 5)))
+        else:
+            rects = guillotine(rng, win)
+            if k % 3 == 2:
+                rects = mutate_cover(rng, win, rects)
+        if k and rng.random() < 0.2:
+            # A directly built Rect with some bound inverted and both corners
+            # in the window covers no cell.
+            p, q = rng.choice(win.points()), rng.choice(win.points())
+            rects.insert(rng.randint(0, len(rects)), Rect(p, q))
+        inverted += sum(r.lo[0] > r.hi[0] or r.lo[1] > r.hi[1] for r in rects)
         part = RectPartition(level=0, rects=tuple(rects), window=win)
         try:
             check_partition_props([part], [])
@@ -248,9 +300,9 @@ def test_partition_validation_matches_oracle():
             want = "leaves"
         else:
             want = "ok" if naive_partition_exact(win, rects) else "cover"
-        assert got == want, rects
+        assert got == want, (win, rects)
         verdicts[got] += 1
-    assert len(verdicts) == 3
+    assert len(verdicts) == 3 and inverted > 50, (verdicts, inverted)
 
 
 def test_partition_props_single_level():
@@ -665,10 +717,11 @@ def test_toast_boundary_once_per_class(monkeypatch):
 
 
 def test_toast_run_profiles_each_probe_and_scans_each_class_once(tmp_path, monkeypatch, capsys):
-    """A ``gridwin toast`` run profiles each probe once (the ring scan runs
-    once per covering level) and tests each class against the rim once."""
+    """A ``gridwin toast`` run profiles each probe once (one ring distance
+    per covering level: from the bounds for a Box class, by a scan of the
+    ring otherwise) and tests each class against the rim once."""
     calls = Counter()
-    for name in ("fx_profile", "dist_to_set", "_rim_exempt"):
+    for name in ("fx_profile", "dist_to_set", "_edge_dist", "_rim_exempt"):
         real = getattr(markers, name)
         monkeypatch.setattr(markers, name,
                             lambda *args, name=name, real=real: calls.update([name]) or real(*args))
@@ -680,5 +733,6 @@ def test_toast_run_profiles_each_probe_and_scans_each_class_once(tmp_path, monke
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] and report["growth"]["uncovered"] == [[20, 20]]
     covering = sum(any(g in cl for cl in level) for g in probes for level in t.levels)
-    assert calls == {"fx_profile": len(probes), "dist_to_set": covering,
+    assert calls.pop("dist_to_set", 0) + calls.pop("_edge_dist", 0) == covering
+    assert calls == {"fx_profile": len(probes),
                      "_rim_exempt": sum(len(level) for level in t.levels)}

@@ -1140,6 +1140,59 @@ def test_verify_agrees_with_the_naive_verifier_on_a_small_mt_universe():
 
 
 
+# Steps of the second mt universe: a self pattern and two unit shifts.
+MT_UNIVERSE_STEPS = [{"op": "self_pattern"}, {"op": "shift", "t": [1, 0]},
+                     {"op": "shift", "t": [0, 1]}]
+
+
+def small_mt_schedule_universe():
+    """Every 1x2 and 2x1 seed window (8), built by every schedule of one or
+    two MT_UNIVERSE_STEPS (12): the honest certificate, each single-cell
+    flip of its final window, and each deletion or duplication of one
+    ``steps``, final ``shifts`` or final ``patterns`` entry (1,240 cases)."""
+    schedules = [[a] for a in MT_UNIVERSE_STEPS] + [
+        [a, b] for a in MT_UNIVERSE_STEPS for b in MT_UNIVERSE_STEPS]
+    for w, h in ((2, 1), (1, 2)):
+        for bits in range(4):
+            cells = f"{bits:02b}"
+            p = {"rect": [0, w - 1, 0, h - 1], "rows": [cells] if h == 1 else list(cells),
+                 "holes": []}
+            seed = mincolor.MtCondition.from_json(
+                {"p": p, "odd": False, "shifts": [], "patterns": []})
+            for schedule in schedules:
+                cert = mincolor.build_generic(seed, parse_schedule(schedule, mincolor.STEPS),
+                                              {"max_side": 16, "max_steps": 4}).to_json()
+                yield cert
+                # Each case copies what it changes; the verifiers never edit their input.
+                final = cert["final"]
+                rows = final["p"]["rows"]
+                for j, row in enumerate(rows):
+                    for i, v in enumerate(row):
+                        flip = row[:i] + "10"[int(v)] + row[i + 1:]
+                        window = dict(final["p"], rows=[*rows[:j], flip, *rows[j + 1:]])
+                        yield dict(cert, final=dict(final, p=window))
+                for key, doc in (("steps", cert), ("shifts", final), ("patterns", final)):
+                    entries = doc[key]
+                    for k, e in enumerate(entries):
+                        for mid in ([], [e, e]):
+                            new = dict(doc, **{key: [*entries[:k], *mid, *entries[k + 1:]]})
+                            yield new if doc is cert else dict(cert, final=new)
+
+
+def test_verify_agrees_with_the_naive_verifier_on_an_mt_schedule_universe():
+    accepted, count, disagree = 0, 0, []
+    for cert in small_mt_schedule_universe():
+        want = naive_verify_mt(cert)
+        accepted += want
+        count += 1
+        if verify_certificate(mincolor.Certificate.from_json(cert))["ok"] != want:
+            disagree.append((cert["final"], cert["steps"]))
+    assert disagree == []
+    assert count == 1240
+    # Both answers occur, so the universe tells a sound verifier from a constant one.
+    assert 0 < accepted < count
+
+
 # Steps of the gp universe: a shift, a row clear and a cover up and right.
 GP_UNIVERSE_STEPS = [{"op": "shift", "s": [1, 0]}, {"op": "line_clear", "axis": "row", "index": 1},
                      {"op": "cover", "g": [2, 3]}]

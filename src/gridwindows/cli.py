@@ -41,7 +41,10 @@ DEFAULT_LIMITS = {"max_side": 512, "max_steps": 256}
 def _load_json(path):
     """The JSON object in the file; any other top-level value exits 2."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON nests too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object")
     return data
@@ -269,7 +272,7 @@ def main(argv=None):
     try:
         return handler(args)
     except (ResourceLimitError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except (ValueError, KeyError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

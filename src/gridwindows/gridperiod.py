@@ -152,11 +152,13 @@ def _grow(q, ranges, lines, max_side, skip=(), fills=None):
     grown = [side * (hi - lo + 1) for side, (lo, hi) in zip(sides, ranges)]
     check_side(max(grown), max_side)
     (i0, i1), (j0, j1) = ranges
-    cands = [t for i in range(i1, i0 - 1, -1) for j in range(j1, j0 - 1, -1)
-             if (t := (i * sides[0], j * sides[1])) not in skip]
+
+    def cands():
+        return (t for i in range(i1, i0 - 1, -1) for j in range(j1, j0 - 1, -1)
+                if (t := (i * sides[0], j * sides[1])) not in skip)
     lines = [(_AXIS[axis], idx) for axis, idx in lines if axis in ("col", "row")]
-    clean = (t for t in cands if all((idx - u[k] - t[k]) % grown[k] for k, idx in lines))
-    return extend_tile_gp(q, ranges, next(clean, cands[0]), fills)
+    clean = (t for t in cands() if all((idx - u[k] - t[k]) % grown[k] for k, idx in lines))
+    return extend_tile_gp(q, ranges, next(clean, None) or next(cands()), fills)
 
 
 def discriminate_shift_gp(q, s, max_side, avoid_lines=()):

@@ -5,6 +5,7 @@ the same build produce byte-identical artifacts. Each ``read_*`` raises a
 ValueError naming the value's JSON path ``where`` when its type is wrong.
 """
 
+import io
 import json
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -168,26 +169,16 @@ def pgm_dumps(rows, maxval):
     top = int(img.max())
     if img.min() < 0 or top > maxval:
         raise ValueError(f"gray levels must lie in 0..{maxval}")
-    if top < 10:
-        # Every level is one digit: each cell is one little-endian uint16,
-        # that digit in its low byte and a separator in its high byte.
-        cells = np.empty(img.shape, dtype="<u2")
-        np.add(img, np.uint16(ord("0") | ord(" ") << 8), out=cells, casting="unsafe")
-        cells[:, -1] -= (ord(" ") - ord("\n")) << 8
-    else:
-        # Each cell as ``digits`` columns, most significant first, and a
-        # separator; a leading zero column is dropped after the fill.
-        digits = len(str(top))
-        levels = img.astype(np.uint64)
-        cells = np.empty((*img.shape, digits + 1), dtype=np.uint8)
-        keep = np.ones(cells.shape, dtype=bool)
-        for j in range(digits):
-            power = np.uint64(10 ** (digits - 1 - j))
-            np.add(levels // power % 10, ord("0"), out=cells[..., j], casting="unsafe")
-            if j < digits - 1:
-                keep[..., j] = levels >= power
-        cells[..., -1] = ord(" ")
-        cells[:, -1, -1] = ord("\n")
-        cells = cells[keep]
     header = f"P2\n{img.shape[1]} {img.shape[0]}\n{maxval}\n".encode("ascii")
+    if top >= 10:
+        # Wider levels: numpy's text writer, one decimal row at a time.
+        buf = io.BytesIO()
+        buf.write(header)
+        np.savetxt(buf, img, fmt="%d")
+        return buf.getvalue()
+    # Every level is one digit: each cell is one little-endian uint16, that
+    # digit in its low byte and a separator in its high byte.
+    cells = np.empty(img.shape, dtype="<u2")
+    np.add(img, np.uint16(ord("0") | ord(" ") << 8), out=cells, casting="unsafe")
+    cells[:, -1] -= (ord(" ") - ord("\n")) << 8
     return b"".join((header, cells.data))

@@ -976,6 +976,33 @@ def test_top_level_json_not_an_object_exit_2(tmp_path, capsys, cmd, text):
     assert "expected a JSON object" in err
 
 
+# JSON nested deeper than the interpreter's recursion limit: json.load raised
+# RecursionError, a traceback and exit 1, also under an object member.
+DEEP = "[" * 200000 + "]" * 200000
+
+
+@pytest.mark.parametrize("cmd", ["build-mt", "build-gp", "verify", "toast", "markers"])
+@pytest.mark.parametrize("text", [DEEP, '{"seed": ' + DEEP + "}"], ids=["bare", "member"])
+def test_deeply_nested_json_exit_2(tmp_path, capsys, cmd, text):
+    path = tmp_path / "spec.json"
+    path.write_text(text + "\n")
+    args = [cmd, "--spec", str(path)]
+    if cmd.startswith("build"):
+        args += ["--out", str(tmp_path / "out")]
+    assert run_cli(args, capsys) == (2, "", "error: JSON nests too deeply\n")
+
+
+# A MemoryError raised by Python itself has no text: exit 3 printed a bare
+# "error: ".
+def test_memory_error_without_text_names_the_cause(tmp_path, capsys, monkeypatch):
+    def exhausted(path):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "_load_json", exhausted)
+    args = ["verify", "--spec", str(tmp_path / "certificate.json")]
+    assert run_cli(args, capsys) == (3, "", "error: out of memory\n")
+
+
 # ----------------------------------------------------------------- entry point
 
 def test_module_entry_point_help():

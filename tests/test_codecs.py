@@ -214,9 +214,9 @@ def test_pgm_dumps_matches_reference(maxval):
         assert pgm_dumps(np.array(img), maxval) == expected
 
 
-# One-digit images are written one byte per cell, wider ones digit column by
-# digit column, so the cases straddle the digit boundary in both the levels
-# and the header.
+# One-digit images are written one uint16 per cell, wider ones row by row by
+# numpy's text writer, so the cases straddle the digit boundary in both the
+# levels and the header.
 LEVEL_CASES = [(bool, 1, 1), (bool, 1, 10)] + [
     (dtype, top, maxval)
     for dtype in (np.uint8, np.uint16, np.int32, np.int64)
@@ -397,6 +397,22 @@ def test_window_pgm_peak_memory_per_cell():
     finally:
         tracemalloc.stop()
     assert peak <= 5.5 * 1024 * 512
+
+
+def test_pgm_dumps_wide_levels_peak_memory():
+    # Levels of 10 or more are written a row at a time; digit columns over
+    # the whole image as uint64 peaked at 9.0 MiB here.
+    img = np.random.default_rng(5).integers(0, 65536, (512, 512), dtype=np.uint16)
+    img[0, 0] = 65535
+    expected = ref_pgm_dumps(img.tolist(), 65535).encode("ascii")
+    assert pgm_dumps(img, 65535) == expected
+    tracemalloc.start()
+    try:
+        pgm_dumps(img, 65535)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
 
 
 # What P2 forbids: another magic, an empty image, a maxval outside 1..65535,

@@ -48,6 +48,26 @@ def test_config_rejects_bad_rows():
         Config.from_rows(Rect.from_bounds(0, 1, 0, 0), ["0"])
 
 
+@pytest.mark.parametrize("bits,shape", [([[0, 1]], "(1, 2)"), ([[0], [1], [0]], "(3, 1)"),
+                                        ([0, 1, 0], "(3,)")])
+def test_config_rejects_bits_of_the_wrong_shape(bits, shape):
+    with pytest.raises(ValueError) as exc:
+        Config(Rect.from_bounds(0, 2, 0, 0), bits)
+    assert str(exc.value) == f"bit array shape {shape} does not match rect 3x1"
+
+
+def test_equal_windows_hash_alike():
+    rect = Rect.from_bounds(-1, 1, 2, 3)
+    made = Config(rect, [[0, 1, 255], [1, 1, 0]])
+    read = Config.from_rows(rect, ["01.", "110"])
+    big = Config.from_rows(Rect.from_bounds(-2, 2, 1, 3), ["00000", "001.0", "01100"])
+    cut = big.restrict(rect)
+    assert made == read == cut
+    assert hash(made) == hash(read) == hash(cut)
+    assert len({made, read, cut}) == 1
+    assert made != Config.from_rows(rect, ["011", "110"])
+
+
 def test_flip_examples():
     cfg = Config.from_rows(Rect.from_bounds(0, 1, 0, 0), ["01"])
     assert flip(cfg).rows() == ["10"]

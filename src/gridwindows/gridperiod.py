@@ -133,24 +133,21 @@ def extend_tile_gp(q, ranges, t_star, hole_fills=None):
     return GpCondition(q.n, Config._trusted(rect, out, frozenset({new_hole})))
 
 
-def _span(b, count):
-    """Range of count block indices from block 0 toward block b."""
-    return (0, count - 1) if b >= 0 else (1 - count, 0)
-
-
 # Axis index of a scheduled line: a column fixes x, a row fixes y.
 _AXIS = {"col": 0, "row": 1}
 
 
-def _grow(q, ranges, lines, max_side, skip=(), fills=None):
-    """Tile q over the block ranges, moving the hole to the lex-greatest
-    block offset outside skip whose hole dodges every scheduled line in the
-    grown window; if none can, ignore the schedule. A grown side above
-    max_side raises ResourceLimitError before anything is built."""
+def _grow(q, counts, toward, lines, max_side, skip=(), fills=None):
+    """Tile q with counts[k] blocks along axis k, laid from block 0 toward
+    block toward[k], moving the hole to the lex-greatest block offset
+    outside skip whose hole dodges every scheduled line in the grown
+    window; if none can, ignore the schedule. A grown side above max_side
+    raises ResourceLimitError before anything is built."""
     u = q.u
     sides = (q.p.rect.width, q.p.rect.height)
-    grown = [side * (hi - lo + 1) for side, (lo, hi) in zip(sides, ranges)]
+    grown = [side * c for side, c in zip(sides, counts)]
     check_side(max(grown), max_side)
+    ranges = [(0, c - 1) if b >= 0 else (1 - c, 0) for b, c in zip(toward, counts)]
     (i0, i1), (j0, j1) = ranges
 
     def cands():
@@ -195,8 +192,7 @@ def discriminate_shift_gp(q, s, max_side, avoid_lines=()):
     # Every skipped offset is a tiled block, so this widens until one is left.
     while counts[0] * counts[1] <= len(skip):
         counts[0] *= q.n
-    ranges = [_span(b, cnt) for b, cnt in zip((bi, bj), counts)]
-    return _grow(q, ranges, avoid_lines, max_side, skip, fills), (u, target)
+    return _grow(q, counts, (bi, bj), avoid_lines, max_side, skip, fills), (u, target)
 
 
 def detect_line_period(cfg, axis, index):
@@ -289,12 +285,11 @@ def _grow_line(q, req, env):
         counts = [1, 1]
         counts[k] = q.n
         on_line = tuple(m % cnt * side for cnt, side in zip(counts, sides))
-        ranges = [(0, cnt - 1) for cnt in counts]
-        q = _grow(q, ranges, env["lines"], env["max_side"], skip={on_line})
+        q = _grow(q, counts, (0, 0), env["lines"], env["max_side"], skip={on_line})
     if (req.axis, req.index) in env["tiled"]:
-        ranges = [(0, 0), (0, 0)]
-        ranges[1 - k] = (0, q.n - 1)
-        q = _grow(q, ranges, env["lines"], env["max_side"])
+        counts = [1, 1]
+        counts[1 - k] = q.n
+        q = _grow(q, counts, (0, 0), env["lines"], env["max_side"])
     return q, {}
 
 
@@ -310,12 +305,15 @@ def _check_line(final, req, rec, env):
 
 
 def _grow_cover(q, req, env):
+    # The grown window spans both the window and g, so a far g tiles nothing.
+    a, b, cc, d = q.p.rect.bounds()
+    check_side(max(req.g[0] - a, b - req.g[0], req.g[1] - cc, d - req.g[1]) + 1, env["max_side"])
     while not q.p.rect.contains(req.g):
         rect = q.p.rect
         counts = [1, 1]
         counts[int(rect.lo[0] <= req.g[0] <= rect.hi[0])] = q.n
-        ranges = [_span(x - hi, cnt) for x, hi, cnt in zip(req.g, rect.hi, counts)]
-        q = _grow(q, ranges, env["lines"], env["max_side"])
+        toward = (req.g[0] - rect.hi[0], req.g[1] - rect.hi[1])
+        q = _grow(q, counts, toward, env["lines"], env["max_side"])
     return q, {}
 
 

@@ -42,10 +42,9 @@ def build_shifted_stack(p, b):
     m = 2 * a + 1
     if b < m:
         raise ValueError(f"window bound {b} too small for {m}x{m} copies")
-    xs, ys = np.meshgrid(np.arange(b + 1), np.arange(b + 1))
-    cols = xs // m
+    x = np.arange(b + 1)
     # copy at column block c is dropped by c mod m rows
-    out = p.array[(ys + cols) % m, xs % m]
+    out = p.array[(x[:, None] + x // m) % m, x % m]
     return Config._trusted(Rect.from_bounds(0, b, 0, b), out)
 
 

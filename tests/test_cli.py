@@ -332,6 +332,30 @@ def test_build_gp_far_shift_exit_3_before_allocation(tmp_path, s):
     assert "exceeds max_side=256" in err
 
 
+# Limits far above what numpy can hold let a grow ask numpy for its shape:
+# an OverflowError traceback from np.tile, or exit 2 for a valid spec. A far
+# gp cover was tiled step by step until an allocation failed.
+TWO_BY_TWO = {"rect": [0, 1, 0, 1], "rows": ["01", "10"], "holes": []}
+
+
+@pytest.mark.parametrize("cmd,step,side", [
+    ("build-gp", {"op": "shift", "s": [10**30, 0]}, 2**100),
+    ("build-gp", {"op": "shift", "s": [2**62, 0]}, 2**63),
+    ("build-gp", {"op": "cover", "g": [10**30, 0]}, 10**30 + 1),
+    ("build-mt", {"op": "shift", "t": [10**30, 0]}, 10**30 + 1),
+    ("build-mt", {"op": "cover", "g": [10**30, 0]}, 10**30 + 1),
+    ("build-mt", {"op": "shift", "t": [2**40, 2**40]}, 2**40 + 1),
+], ids=["gp-1e30", "gp-2^62", "gp-cover-1e30", "mt-shift-1e30", "mt-cover-1e30", "mt-shift-2^40"])
+def test_window_side_above_2_31_exit_3_whatever_max_side(tmp_path, cmd, step, side):
+    limits = {"max_side": 10**31, "max_steps": 64}
+    spec = gp_spec(schedule=[step], limits=limits) if cmd == "build-gp" else mt_spec(
+        seed=TWO_BY_TWO, schedule=[step], limits=limits)
+    code, err = run_cli_bounded([cmd, "--spec", write_spec(tmp_path / "spec.json", spec),
+                                 "--out", str(tmp_path / "o")])
+    assert code == 3, err
+    assert err == f"error: window side {side} exceeds 2^31\n"
+
+
 def test_gp_certificate_tamper_exit_4(tmp_path, capsys):
     spec = write_spec(tmp_path / "spec.json", gp_spec())
     out_dir = tmp_path / "out"

@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from gridwindows import gridperiod
 from gridwindows.errors import ResourceLimitError
 from gridwindows.geometry import Lattice, Rect, lattice_points_in
 from gridwindows.grid import Config
@@ -183,6 +184,21 @@ def test_discriminate_small_shift():
 def test_discriminate_rejects_zero():
     with pytest.raises(ValueError):
         discriminate_shift_gp(SEED, (0, 0), 256)
+
+
+# _grow alone turns block counts into block ranges: counts[k] blocks from
+# block 0 toward block toward[k], the hole moved to the lex-greatest block.
+@pytest.mark.parametrize("counts,toward,bounds,u", [
+    ((2, 1), (0, 0), (0, 3, 0, 1), (3, 1)),
+    ((4, 2), (3, -1), (0, 7, -2, 1), (7, 1)),
+    ((1, 4), (-5, -9), (0, 1, -6, 1), (1, 1)),
+    ((2, 2), (-1, 1), (-2, 1, 0, 3), (1, 3)),
+])
+def test_grow_lays_block_counts_toward_the_target(counts, toward, bounds, u):
+    out = gridperiod._grow(SEED, counts, toward, [], 256)
+    assert out.p.rect == Rect.from_bounds(*bounds)
+    assert out.u == u
+    assert is_extension_gp(out, SEED)
 
 
 # _grow listed every block offset of the grown window, one tuple each, to

@@ -10,6 +10,7 @@ hole, every residue class modulo any past block size stays constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -148,14 +149,16 @@ def _grow(q, counts, toward, lines, max_side, skip=(), fills=None):
     grown = [side * c for side, c in zip(sides, counts)]
     check_side(max(grown), max_side)
     ranges = [(0, c - 1) if b >= 0 else (1 - c, 0) for b, c in zip(toward, counts)]
-    (i0, i1), (j0, j1) = ranges
-
-    def cands():
-        return (t for i in range(i1, i0 - 1, -1) for j in range(j1, j0 - 1, -1)
-                if (t := (i * sides[0], j * sides[1])) not in skip)
-    lines = [(_AXIS[axis], idx) for axis, idx in lines if axis in ("col", "row")]
-    clean = (t for t in cands() if all((idx - u[k] - t[k]) % grown[k] for k, idx in lines))
-    return extend_tile_gp(q, ranges, next(clean, None) or next(cands()), fills)
+    offsets = [range(hi * side, (lo - 1) * side, -side) for (lo, hi), side in zip(ranges, sides)]
+    # bad[k]: the offset residues that put the hole on a line across axis k. Each rules
+    # out one block at most, so len(skip) + 1 clean offsets per axis hold the lex-greatest.
+    bad = [{(i - u[k]) % g for axis, i in lines if _AXIS.get(axis) == k}
+           for k, g in enumerate(grown)]
+    xs, ys = [list(islice((t for t in offs if t % g not in b), len(skip) + 1))
+              for offs, g, b in zip(offsets, grown, bad)]
+    clean = ((x, y) for x in xs for y in ys if (x, y) not in skip)
+    cands = ((x, y) for x in offsets[0] for y in offsets[1] if (x, y) not in skip)
+    return extend_tile_gp(q, ranges, next(clean, None) or next(cands), fills)
 
 
 def discriminate_shift_gp(q, s, max_side, avoid_lines=()):
@@ -209,10 +212,21 @@ def detect_line_period(cfg, axis, index):
     n = len(seq)
     if n < 2:
         return None
-    for p in range(1, n):
-        if (seq[: n - p] == seq[p:]).all():
-            return p
-    return n
+    # The least rotation r of a line is its least period when r < n (Fine-Wilf).
+    b = seq.tobytes()
+    r = (b + b).find(b, 1)
+    if r < n:
+        return r
+    # Otherwise one prefix-function pass finds the longest border.
+    border = [0] * n
+    m = 0
+    for i in range(1, n):
+        while m and b[i] != b[m]:
+            m = border[m - 1]
+        if b[i] == b[m]:
+            m += 1
+        border[i] = m
+    return n - m
 
 
 def verify_grid_periodicity(x, w, h, u):

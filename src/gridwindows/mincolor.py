@@ -152,18 +152,26 @@ def extend_cover(c, g):
     """Grow the window by whole unflipped copies until it contains g."""
     if c.p.rect.contains(g):
         return c
-    a, b, cc, d = c.p.rect.bounds()
-    cnt_x, lo_x = _cover_axis(g[0], a, b, c.p.rect.width, c.odd_mode)
-    cnt_y, lo_y = _cover_axis(g[1], cc, d, c.p.rect.height, c.odd_mode)
-    newp = tile(c.p, (cnt_x, cnt_y), lambda i, j: False, (lo_x, lo_y))
-    return MtCondition(newp, c.shifts, c.patterns, c.odd_mode)
+    return MtCondition(_cover_tiling(c, g, False), c.shifts, c.patterns, c.odd_mode)
 
 
-def _cover_axis(gx, a, b, w, odd):
+def _cover_axis(gx, a, b, odd):
+    """Fewest copies of the side [a, b] reaching gx, odd in odd mode, and their low anchor."""
+    w = b - a + 1
     cnt = max(gx - a, b - gx) // w + 1
     if odd and cnt % 2 == 0:
         cnt += 1
     return cnt, (a if gx >= a else b - cnt * w + 1)
+
+
+def _cover_tiling(c, g, flip):
+    """The window tiled by the fewest whole copies that reach cell g, the
+    copy holding g complemented when flip is set."""
+    a, b, cc, d = c.p.rect.bounds()
+    nx, ax = _cover_axis(g[0], a, b, c.odd_mode)
+    ny, ay = _cover_axis(g[1], cc, d, c.odd_mode)
+    target = ((g[0] - ax) // c.p.rect.width, (g[1] - ay) // c.p.rect.height) if flip else None
+    return tile(c.p, (nx, ny), lambda i, j: (i, j) == target, (ax, ay))
 
 
 def extend_shift(c, t):
@@ -171,10 +179,9 @@ def extend_shift(c, t):
 
     When the current window already shows a differing pair at offset t, the
     witness set points every position at that pair and the window is left
-    alone. Otherwise the window is tiled out toward t so that its corner
-    facing t can be compared against its image under t, flipping the block
-    the image lands in when the unflipped tiling would make the two values
-    agree.
+    alone. Otherwise the window is tiled to cover the image under t of its
+    corner facing t, flipping the image's copy when unflipped it would make
+    the two agree, and T reaches that copy from every cell of the tiling.
     """
     t = (int(t[0]), int(t[1]))
     if t == (0, 0):
@@ -187,39 +194,27 @@ def extend_shift(c, t):
     if u is not None:
         T = Box(u[0] - b, u[0] - a, u[1] - d, u[1] - cc)
         return MtCondition(c.p, c.shifts + ((t, T),), c.patterns, c.odd_mode)
-    nx, ax, cx, (tx0, tx1) = _shift_axis(t[0], a, b, c.odd_mode)
-    ny, ay, cy, (ty0, ty1) = _shift_axis(t[1], cc, d, c.odd_mode)
     w, h = c.p.rect.width, c.p.rect.height
+    cx, cy = (b if t[0] >= 0 else a), (d if t[1] >= 0 else cc)
     image = (cx + t[0], cy + t[1])
     # Unflipped, the image shows the window's value at the image reduced into it.
     same = c.p.value((cx, cy)) == c.p.value((a + (image[0] - a) % w, cc + (image[1] - cc) % h))
-    flipped = ((image[0] - ax) // w, (image[1] - ay) // h) if same else None
-    grown = tile(c.p, (nx, ny), lambda i, j: (i, j) == flipped, (ax, ay))
+    grown = _cover_tiling(c, image, same)
+    W, H = grown.rect.width, grown.rect.height
+    tx0, tx1 = (w - W, w - 1) if t[0] >= 0 else (1 - w, W - w)
+    ty0, ty1 = (h - H, h - 1) if t[1] >= 0 else (1 - h, H - h)
     T = Box(tx0, tx1, ty0, ty1)
     return MtCondition(grown, c.shifts + ((t, T),), c.patterns, c.odd_mode)
 
 
-def _shift_axis(tx, a, b, odd):
-    """One axis of extend_shift's tiling: the block count, the low anchor,
-    the window's coordinate facing tx, and the witness interval."""
-    w = b - a + 1
-    k = (w - 1 + abs(tx)) // w
-    if odd:
-        k += k % 2
-    if tx < 0:
-        return k + 1, a - k * w, a, (a - b, k * w)
-    return k + 1, a, b, (-k * w, b - a)
-
-
 def extend_pattern(c):
-    """Append the current window as a pattern of the condition, doubling the
-    window with a complemented copy (plus a plain third copy in odd mode)
-    so both polarities occur. The witness box covers a full block period,
-    so it keeps working under all later tilings."""
+    """Append the current window as a pattern of the condition, covering the
+    cell just right of it with a complemented copy (two copies, three in
+    odd mode) so both polarities occur. The witness box covers a full block
+    period, so it keeps working under all later tilings."""
     q = c.p
     a, b, cc, d = q.rect.bounds()
-    copies = 3 if c.odd_mode else 2
-    newp = tile(q, (copies, 1), lambda i, j: i == 1, (a, cc))
+    newp = _cover_tiling(c, (b + 1, cc), True)
     # Offsets reaching both polarities from every cell of any window built
     # from whole copies of the doubled block, flips included.
     F = Box(a - 2 * b - 1, b - 2 * a + 1, -d, -cc)

@@ -253,6 +253,36 @@ def naive_min_period(seq):
     return n
 
 
+def naive_line_period(seq):
+    """detect_line_period's loop over the line's array before it ran in
+    linear time: O(n * p) for least period p."""
+    n = len(seq)
+    if n < 2:
+        return None
+    for p in range(1, n):
+        if (seq[: n - p] == seq[p:]).all():
+            return p
+    return n
+
+
+def naive_hole_offset(q, counts, toward, lines, skip=()):
+    """The block offset gridperiod._grow moves the hole by, from its walk
+    over every block offset of the grown window before it chose one axis at
+    a time: the lex-greatest offset outside skip whose hole misses every
+    line, else the lex-greatest outside skip."""
+    u = q.u
+    sides = (q.p.rect.width, q.p.rect.height)
+    grown = [side * c for side, c in zip(sides, counts)]
+    ranges = [(0, c - 1) if b >= 0 else (1 - c, 0) for b, c in zip(toward, counts)]
+    (i0, i1), (j0, j1) = ranges
+    cands = [(i * sides[0], j * sides[1]) for i in range(i1, i0 - 1, -1)
+             for j in range(j1, j0 - 1, -1) if (i * sides[0], j * sides[1]) not in skip]
+    axes = {"col": 0, "row": 1}
+    lines = [(axes[axis], idx) for axis, idx in lines if axis in axes]
+    clean = [t for t in cands if all((idx - u[k] - t[k]) % grown[k] for k, idx in lines)]
+    return (clean or cands)[0]
+
+
 def naive_largest_two_colored(values):
     """values: dict point -> color. Best proper <=2-color sub-rect bounds, or None.
 

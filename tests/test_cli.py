@@ -356,6 +356,33 @@ def test_window_side_above_2_31_exit_3_whatever_max_side(tmp_path, cmd, step, si
     assert err == f"error: window side {side} exceeds 2^31\n"
 
 
+# A shift far along a row, then a clear of the hole's row. _grow walked all
+# 2^29 block offsets of the shift's tiling, since no hole could leave that
+# row, before it fell back and asked for 2 GiB; and detect_line_period cost
+# O(n * p) on the grown row, over 40 s for a window 2^20 wide. Each spec ran
+# past the 20 s limit.
+def far_row_shift(e, max_side):
+    return gp_spec(schedule=[{"op": "shift", "s": [2**e, 0]},
+                             {"op": "line_clear", "axis": "row", "index": 1}],
+                   limits={"max_side": max_side, "max_steps": 64})
+
+
+def test_build_gp_far_shift_on_a_cleared_row_exit_3_without_a_walk(tmp_path):
+    spec = write_spec(tmp_path / "spec.json", far_row_shift(29, 10**31))
+    code, err = run_cli_bounded(["build-gp", "--spec", spec, "--out", str(tmp_path / "o")])
+    assert code == 3, err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_build_gp_long_cleared_row_builds_and_verifies(tmp_path):
+    spec = write_spec(tmp_path / "spec.json", far_row_shift(18, 10**9))
+    out_dir = tmp_path / "o"
+    code, err = run_cli_bounded(["build-gp", "--spec", spec, "--out", str(out_dir)])
+    assert code == 0, err
+    code, err = run_cli_bounded(["verify", "--spec", str(out_dir / "certificate.json")])
+    assert code == 0, err
+
+
 def test_gp_certificate_tamper_exit_4(tmp_path, capsys):
     spec = write_spec(tmp_path / "spec.json", gp_spec())
     out_dir = tmp_path / "out"

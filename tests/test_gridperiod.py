@@ -28,7 +28,10 @@ from gridwindows.gridperiod import (
 )
 from gridwindows.serialize import canon_dumps
 
-from oracles import naive_extend_tile_gp, naive_min_period, rect_cells
+import numpy as np
+
+from oracles import (naive_extend_tile_gp, naive_hole_offset, naive_line_period,
+                     naive_min_period, rect_cells)
 from test_cli import run_bounded
 
 
@@ -217,6 +220,37 @@ def test_discriminate_walks_block_offsets_lazily():
     assert peak < 16 * 2**20
 
 
+# _grow picks the hole's block one axis at a time, from the first few clean
+# offsets of each; the walk over every block offset is the oracle. Lines
+# through the hole's class on an axis of one block leave no clean offset, so
+# some cases fall back to ignoring the lines.
+def test_grow_hole_choice_matches_the_full_walk():
+    rng = random.Random(211)
+    fallbacks = 0
+    for _ in range(600):
+        n = rng.choice((2, 3))
+        w, h = n ** rng.randint(0, 2), n ** rng.randint(0, 2)
+        bits = [[str(rng.randrange(2)) for _ in range(w)] for _ in range(h)]
+        hx, hy = rng.randrange(w), rng.randrange(h)
+        bits[hy][hx] = "."
+        q = gp(["".join(r) for r in bits], n=n, lo=(rng.randint(-3, 3), rng.randint(-3, 3)))
+        counts = (n ** rng.randint(0, 2), n ** rng.randint(0, 2))
+        toward = (rng.randint(-2, 2), rng.randint(-2, 2))
+        lines = [(rng.choice(("col", "row")), rng.randint(-12, 12))
+                 for _ in range(rng.randint(0, 6))]
+        ranges = [(0, c - 1) if b >= 0 else (1 - c, 0) for b, c in zip(toward, counts)]
+        blocks = [(i * w, j * h) for i in range(ranges[0][0], ranges[0][1] + 1)
+                  for j in range(ranges[1][0], ranges[1][1] + 1)]
+        skip = set(rng.sample(blocks, rng.randint(0, min(3, len(blocks) - 1))))
+        want = naive_hole_offset(q, counts, toward, lines, skip)
+        out = gridperiod._grow(q, counts, toward, lines, 10**6, skip)
+        assert (out.u[0] - q.u[0], out.u[1] - q.u[1]) == want
+        grown = (w * counts[0], h * counts[1])
+        fallbacks += any((i - q.u[k] - want[k]) % grown[k] == 0
+                         for axis, i in lines for k in [("col", "row").index(axis)])
+    assert 20 <= fallbacks <= 580
+
+
 # A base below 2 never ended: _is_power(k, 1) divided by 1 for ever and the
 # shift's block counts were multiplied by 1 or 0; extend_tile_gp with n = 0
 # raised ZeroDivisionError. A child process with a timeout keeps a hang from
@@ -313,6 +347,16 @@ def test_detect_line_period_matches_oracle():
     for _ in range(100):
         bits = "".join(str(rng.randrange(2)) for _ in range(rng.randint(2, 12)))
         assert detect_line_period(line_cfg(bits), "row", 0) == naive_min_period(bits)
+
+
+# The rotation test answers lines whose least period divides their length;
+# the prefix-function pass answers the rest. The O(n * p) loop is the oracle.
+@pytest.mark.parametrize("bits", ["0", "1", "00", "01", "10", "0110", "01001", "0010010",
+                                  "0" * 999 + "1", "1" + "0" * 999, "01" * 500 + "0",
+                                  "011" * 333, "0110" * 250 + "01", "0" * 1000])
+def test_detect_line_period_matches_the_quadratic_loop(bits):
+    want = naive_line_period(np.frombuffer(bits.encode(), np.uint8) - ord("0"))
+    assert detect_line_period(line_cfg(bits), "row", 0) == want
 
 
 # ------------------------------------------------------------ grid periodicity

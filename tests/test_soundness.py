@@ -156,7 +156,17 @@ def test_verify_agrees_with_the_naive_verifier_on_a_base_3_universe():
 
 # Names the builders own. verify re-derives every claim from the
 # certificate alone, so none of these may run under it.
-BUILDER = re.compile(r"extend_|build_generic|discriminate_shift_gp$|run_schedule$|_grow|_cover")
+BUILDER = re.compile(r"extend_|build_generic|discriminate_shift_gp$|run_schedule$|_grow|_cover"
+                     r"|duplicate_odd$")
+
+
+def test_builder_names_every_growth_helper():
+    """The pin below holds only for the names BUILDER matches, so every
+    function that grows a window for a build step must be one of them."""
+    helpers = [mincolor.extend_cover, mincolor.extend_shift, mincolor.extend_pattern,
+               mincolor.duplicate_odd, mincolor._cover_tiling, mincolor._cover_axis,
+               gridperiod.extend_tile_gp, gridperiod.discriminate_shift_gp, gridperiod._grow]
+    assert [f.__name__ for f in helpers if not BUILDER.match(f.__name__)] == []
 
 
 def traced_verify(path):

@@ -185,19 +185,20 @@ def tile(q, counts, flip_mask, anchor):
         raise ValueError("cannot tile a window with holes")
     w, h = q.rect.width, q.rect.height
     qa = q.array
-    qf = flip(q).array
     out = np.empty((ny * h, nx * w), dtype=np.uint8)
     for j in range(ny):
         for i in range(nx):
-            out[j * h : (j + 1) * h, i * w : (i + 1) * w] = qf if flip_mask(i, j) else qa
+            # q is hole-free, so a flipped copy is q ^ 1, made only where asked.
+            out[j * h : (j + 1) * h, i * w : (i + 1) * w] = qa ^ 1 if flip_mask(i, j) else qa
     rect = Rect(anchor, (anchor[0] + nx * w - 1, anchor[1] + ny * h - 1))
     return Config._trusted(rect, out, _NO_HOLES)
 
 
-def _match_offsets(p, f, flipped):
-    """(offset rect, boolean grid over it) marking the offsets s with
-    s + rect(f) in the hole-free part of p and every cell matching
-    (complemented when ``flipped``); (None, None) when f cannot fit in p."""
+def _match_offsets(p, f):
+    """(offset rect, boolean stack (2, rows, cols) over it): plane 0 marks
+    the offsets s with s + rect(f) in the hole-free part of p and every cell
+    matching f, plane 1 those where every cell matches f complemented;
+    (None, None) when f cannot fit in p. A hole matches neither."""
     if not f.hole_free():
         raise ValueError("pattern must be hole-free")
     pa = p.array
@@ -208,20 +209,24 @@ def _match_offsets(p, f, flipped):
     if sx0 > sx1 or sy0 > sy1:
         return None, None
     nsx, nsy = sx1 - sx0 + 1, sy1 - sy0 + 1
-    fa = (flip(f) if flipped else f).array
+    fa = f.array
     fh, fw = fa.shape
     # Offset (sx0, sy0) puts f's low corner on p's low corner. Loop over
     # f's cells or over the offsets, whichever are fewer.
     if fh * fw <= nsx * nsy:
-        acc = np.ones((nsy, nsx), dtype=bool)
-        for v in range(fh):
-            for u in range(fw):
-                acc &= pa[v : v + nsy, u : u + nsx] == fa[v, u]
+        # A cell of value b matches planes[b] plain, planes[b + 1] complemented.
+        planes = pa == np.array((0, 1, 0), dtype=np.uint8).reshape(3, 1, 1)
+        acc = np.ones((2, nsy, nsx), dtype=bool)
+        for v, row in enumerate(fa.tolist()):
+            for u, b in enumerate(row):
+                acc &= planes[b : b + 2, v : v + nsy, u : u + nsx]
     else:
-        acc = np.empty((nsy, nsx), dtype=bool)
+        acc = np.empty((2, nsy, nsx), dtype=bool)
         for j in range(nsy):
             for i in range(nsx):
-                acc[j, i] = np.array_equal(pa[j : j + fh, i : i + fw], fa)
+                d = pa[j : j + fh, i : i + fw] ^ fa
+                acc[0, j, i] = not d.any()
+                acc[1, j, i] = (d == 1).all()
     return Rect((sx0, sy0), (sx1, sy1)), acc
 
 
@@ -230,11 +235,11 @@ def find_occurrences(p, f, flipped):
     p(s + u) = f(u) for every cell u of f (values complemented when
     ``flipped``). Cell coordinates of ``f`` are absolute: its own rect.
     Offsets are searched over [lo(p) - hi(f), hi(p)] per axis."""
-    srect, grid = _match_offsets(p, f, flipped)
+    srect, grids = _match_offsets(p, f)
     if srect is None:
         return set()
     (x0, y0), (hx, hy) = srect.lo, p.rect.hi
-    ys, xs = np.nonzero(grid[: max(0, hy - y0 + 1), : max(0, hx - x0 + 1)])
+    ys, xs = np.nonzero(grids[int(flipped)][: max(0, hy - y0 + 1), : max(0, hx - x0 + 1)])
     return {(x + x0, y + y0) for x, y in zip(xs.tolist(), ys.tolist())}
 
 

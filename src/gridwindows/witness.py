@@ -65,23 +65,24 @@ def _boxes(offsets):
 
 def _reach(target, srect, grid, boxes):
     """Boolean grid over target: True at g when some offset o in the union
-    of ``boxes`` (from ``_boxes``) has g + o in srect and grid True there.
+    of ``boxes`` (from ``_boxes``) has g + o in srect and grid True there;
+    a grid with a leading axis of planes gives one such grid per plane.
 
-    One summed-area table of grid answers each box with one O(area) query,
-    so a clause costs O(area) per box, not per offset. Only offsets in
-    [lx, hx] x [ly, hy] can reach srect from target: each box is clipped to
-    that range in Python ints and taken relative to (lx, ly), so every
-    numpy value is bounded by the sides of target and srect whatever the
-    coordinates are."""
-    ok = np.zeros((target.height, target.width), dtype=bool)
+    One summed-area table of grid, all planes at once, answers each box
+    with one O(area) query, so a clause costs O(area) per box, not per
+    offset. Only offsets in [lx, hx] x [ly, hy] can reach srect from
+    target: each box is clipped to that range in Python ints and taken
+    relative to (lx, ly), so every numpy value is bounded by the sides of
+    target and srect whatever the coordinates are."""
+    ok = np.zeros(np.shape(grid)[:-2] + (target.height, target.width), dtype=bool)
     if srect is None or not grid.any():
         return ok
     lx, hx = srect.lo[0] - target.hi[0], srect.hi[0] - target.lo[0]
     ly, hy = srect.lo[1] - target.hi[1], srect.hi[1] - target.lo[1]
-    sh, sw = grid.shape
-    dtype = np.int32 if grid.size < 2**31 else np.int64
-    sat = np.zeros((sh + 1, sw + 1), dtype=dtype)
-    sat[1:, 1:] = grid.cumsum(axis=0, dtype=dtype).cumsum(axis=1, dtype=dtype)
+    sh, sw = grid.shape[-2:]
+    dtype = np.int32 if sh * sw < 2**31 else np.int64  # one plane's sums
+    sat = np.zeros(grid.shape[:-2] + (sh + 1, sw + 1), dtype=dtype)
+    sat[..., 1:, 1:] = grid.cumsum(axis=-2, dtype=dtype).cumsum(axis=-1, dtype=dtype)
     # Target cell g as an srect array index plus (lx, ly): g - target.hi.
     # Cell g and relative box [x0, x1] x [y0, y1] count the grid cells of
     # g + (lx, ly) + box; mode="clip" clips the box to srect.
@@ -91,8 +92,8 @@ def _reach(target, srect, grid, boxes):
         x0, x1, y0, y1 = max(x0, lx) - lx, min(x1, hx) - lx, max(y0, ly) - ly, min(y1, hy) - ly
         if x0 > x1 or y0 > y1:
             continue
-        rows = sat.take(ys + y1 + 1, 0, mode="clip") - sat.take(ys + y0, 0, mode="clip")
-        ok |= rows.take(xs + x1 + 1, 1, mode="clip") != rows.take(xs + x0, 1, mode="clip")
+        rows = sat.take(ys + y1 + 1, -2, mode="clip") - sat.take(ys + y0, -2, mode="clip")
+        ok |= rows.take(xs + x1 + 1, -1, mode="clip") != rows.take(xs + x0, -1, mode="clip")
     return ok
 
 
@@ -102,10 +103,12 @@ def _shift_ok_grid(p, t, T):
     return _reach(p.rect, *_differs(p, t), _boxes(T))
 
 
-def _pattern_ok_grid(p, f, F, flipped):
-    """Boolean grid over p's window: True where some sigma in F lands on an
-    occurrence offset of f (flipped or not)."""
-    return _reach(p.rect, *_match_offsets(p, f, flipped), _boxes(F))
+def _pattern_ok_grid(p, f, F):
+    """The grids of clauses b1 and b2 over p's window, from one occurrence
+    pass and one table: True where some sigma in F lands on an occurrence
+    offset of f, plain in the first and complemented in the second."""
+    ok = _reach(p.rect, *_match_offsets(p, f), _boxes(F))
+    return ok if ok.ndim == 3 else (ok, ok)  # f too large: one all-False grid
 
 
 def check_shift_witness(p, t, T):
@@ -121,7 +124,7 @@ def check_shift_witness(p, t, T):
 def check_pattern_witness(p, f, F, flipped):
     """Every defined cell g admits sigma in F with g+sigma an occurrence
     offset of f in p (complemented when ``flipped``)."""
-    ok = _pattern_ok_grid(p, f, F, flipped)
+    ok = _pattern_ok_grid(p, f, F)[int(flipped)]
     defined = p.array != HOLE
     return bool(ok[defined].all())
 
@@ -185,7 +188,9 @@ def recurrence_check(x, B, T):
         return RecurrenceReport(True, (), 0, rect.area)
     ok = np.zeros((region.height, region.width), dtype=bool)
     for f in B.patterns:
-        ok |= _reach(region, *_match_offsets(x, f, False), boxes)
+        srect, occ = _match_offsets(x, f)
+        if srect is not None:
+            ok |= _reach(region, srect, occ[0], boxes)
     # Failing positions x-major, like region.points().
     xs, ys = np.nonzero(~ok.T)
     failing = tuple((i + region.lo[0], j + region.lo[1]) for i, j in zip(xs.tolist(), ys.tolist()))
@@ -243,11 +248,11 @@ def find_lattice_in(x, B, max_spacing, min_points=9):
     fits = np.zeros((rect.height, rect.width), dtype=bool)
     occurs = fits.copy()
     for f in B.patterns:
-        srect, occ = _match_offsets(x, f, False)
+        srect, occ = _match_offsets(x, f)
         inside = srect and srect.intersect(rect)
         if inside:
             fits[_slices(rect, inside)] = True
-            occurs[_slices(rect, inside)] |= occ[_slices(srect, inside)]
+            occurs[_slices(rect, inside)] |= occ[0][_slices(srect, inside)]
     for w in range(1, max_spacing + 1):
         for h in range(1, max_spacing + 1):
             for i in range(w):

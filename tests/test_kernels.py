@@ -1,7 +1,11 @@
 """The mt witness kernels against their reference loops: Box against the
 frozenset of its cells, offset sets split into boxes, the summed-area
-reach, pattern offsets in both loop orders and the windowed two-coloring
-check, with offsets far outside the window."""
+reach over one plane or two, both pattern polarities in both loop orders
+and the windowed two-coloring check, with offsets far outside the window;
+and validate against the per-polarity clause oracles."""
+
+import dataclasses
+from collections import Counter
 
 import numpy as np
 from hypothesis import given
@@ -9,10 +13,12 @@ from hypothesis import strategies as st
 
 from gridwindows import witness
 from gridwindows.geometry import Box, Rect
-from gridwindows.grid import HOLE, Config, PatternSet, _match_offsets
+from gridwindows.grid import HOLE, Config, PatternSet, _match_offsets, flip
+from gridwindows.mincolor import MtCondition, extend_cover, extend_pattern, extend_shift, validate
 from gridwindows.witness import _boxes, _reach, window_two_coloring_check
 
-from oracles import cells_of, naive_occurrences, naive_reach, naive_window_check, seeded
+from oracles import (cells_of, naive_occurrences, naive_pattern_ok, naive_reach, naive_shift_ok,
+                     naive_window_check, seeded)
 
 
 def box_cells(box):
@@ -198,6 +204,35 @@ def test_reach_box_matches_point_set_and_loop(target, srect, data, c, d, seed):
     assert np.array_equal(_reach(target, srect, grid, _boxes(frozenset(box))), want)
 
 
+def test_stacked_reach_matches_per_offset_loop_on_each_plane():
+    # Two planes over srect share one summed-area table; each plane of the
+    # result is the reach of that plane alone, for targets near srect and
+    # moved far away with the offsets moved back, and for empty box lists.
+    rng = seeded(137)
+    for _ in range(150):
+        srect = rand_rect(rng, 7)
+        stack = np.stack([
+            np.array([[rng.random() < density for _ in range(srect.width)]
+                      for _ in range(srect.height)], dtype=bool).reshape(srect.height, srect.width)
+            for density in (rng.choice((0.0, 0.2, 1.0)), rng.choice((0.0, 0.5)))
+        ])
+        for c in [(0, 0), rng.choice(FAR)]:
+            target = rand_rect(rng, 7).translate(c)
+            for kind, offsets in offset_sets(rng).items():
+                moved_offsets = [(o[0] - c[0], o[1] - c[1]) for o in offsets]
+                got = _reach(target, srect, stack, _boxes(moved_offsets))
+                assert got.shape == (2, target.height, target.width), kind
+                for plane in (0, 1):
+                    want = naive_reach(target, srect, stack[plane], moved_offsets)
+                    assert np.array_equal(got[plane], want), (kind, plane)
+            assert not _reach(target, srect, stack, []).any()
+            assert _reach(target, srect, stack, []).shape == (2, target.height, target.width)
+    # One box over all 256 cells of two full 16 x 16 planes: a count that
+    # a table of 8-bit sums would read as 0.
+    full = np.ones((2, 16, 16), dtype=bool)
+    assert _reach(Rect((0, 0), (0, 0)), Rect((0, 0), (15, 15)), full, [(0, 15, 0, 15)]).all()
+
+
 @given(boxes(-3, 3, 3), FAR_SHIFTS, st.sampled_from([(1, 0), (0, 1), (-1, 2), (2, -1)]),
        st.randoms())
 def test_window_check_box_matches_point_set_and_loop(box, c, s, rnd):
@@ -247,6 +282,15 @@ def marked(srect, grid):
     return {(int(x) + srect.lo[0], int(y) + srect.lo[1]) for x, y in zip(xs, ys)}
 
 
+def planes(srect, grids):
+    """The offsets each plane of a ``_match_offsets`` stack marks, plain
+    matches first: two empty sets when f cannot fit."""
+    if srect is None:
+        return set(), set()
+    assert grids.shape == (2, srect.height, srect.width)
+    return marked(srect, grids[0]), marked(srect, grids[1])
+
+
 def check_offsets(p, f):
     """Both polarities against the oracle; True when _match_offsets loops
     over f's cells (f has no more cells than there are offsets). The oracle
@@ -254,10 +298,11 @@ def check_offsets(p, f):
     pb, pc = cells_of(p)
     dx, dy = f.rect.lo
     _, fc = cells_of(f.translate((-dx, -dy)))
+    got = planes(*_match_offsets(p, f))
     for flipped in (False, True):
         want = {(sx - dx, sy - dy) for sx, sy in naive_occurrences(pb, pc, fc, flipped)}
-        assert marked(*_match_offsets(p, f, flipped)) == want
-    srect, _occ = _match_offsets(p, f, False)
+        assert got[flipped] == want
+    srect, _occ = _match_offsets(p, f)
     return srect is not None and f.rect.area <= srect.area
 
 
@@ -289,8 +334,56 @@ def test_match_offsets_large_pattern_loops_over_offsets():
             f = rand_config(rng, sub)
         f = f.translate((rng.randint(-4, 4), rng.randint(-4, 4)))
         by_offsets += not check_offsets(p, f)
-        matched += bool(marked(*_match_offsets(p, f, False)))
+        matched += bool(planes(*_match_offsets(p, f))[0])
     assert by_offsets >= 100 and matched >= 50
+
+
+def test_match_offsets_planes_through_both_loops():
+    # Each plane against the oracle for its polarity, on windows with and
+    # without holes, through the cell loop and the offset loop; an f wider
+    # or taller than p gives (None, None). f is a piece of p, plain or
+    # complemented, or random, so both planes mark offsets in both loops.
+    rng = seeded(131)
+    seen = Counter()
+    for _ in range(400):
+        p = rand_config(rng, rand_rect(rng, 7, spread=3),
+                        hole_prob=rng.choice((0.0, 0.05, 0.2)))
+        w, h = rng.randint(1, p.rect.width + 1), rng.randint(1, p.rect.height + 1)
+        if w > p.rect.width or h > p.rect.height:
+            f = rand_config(rng, Rect((0, 0), (w - 1, h - 1))).translate((rng.randint(-4, 4), 0))
+            assert _match_offsets(p, f) == (None, None)
+            seen["no fit"] += 1
+            continue
+        x0 = rng.randint(p.rect.lo[0], p.rect.hi[0] - w + 1)
+        y0 = rng.randint(p.rect.lo[1], p.rect.hi[1] - h + 1)
+        f = p.restrict(Rect((x0, y0), (x0 + w - 1, y0 + h - 1)))
+        if not f.hole_free() or rng.random() < 0.2:
+            f = rand_config(rng, f.rect)
+        if rng.random() < 0.5:
+            f = flip(f)
+        f = f.translate((rng.randint(-4, 4), rng.randint(-4, 4)))
+        loop = "cells" if check_offsets(p, f) else "offsets"
+        plain, complemented = planes(*_match_offsets(p, f))
+        holed = not p.hole_free()
+        seen[loop, "holes"] += holed
+        seen[loop, "plain"] += bool(plain)
+        seen[loop, "complemented"] += bool(complemented)
+        seen[loop, "both on holes"] += holed and bool(plain) and bool(complemented)
+    assert seen["no fit"] >= 20 and seen["cells", "both on holes"] >= 5
+    for loop in ("cells", "offsets"):
+        for what in ("holes", "plain", "complemented"):
+            assert seen[loop, what] >= 5, (loop, what, seen)
+    # The offset loop with both polarities next to a hole column, which
+    # matches neither: f at offset 0, f complemented at offset 3.
+    f = Config.from_rows(Rect.from_bounds(0, 2, 0, 1), ["011", "100"])
+    p = Config.from_rows(Rect.from_bounds(0, 6, 0, 1), ["011100.", "100011."])
+    assert not check_offsets(p, f)
+    assert planes(*_match_offsets(p, f)) == ({(0, 0)}, {(3, 0)})
+    # The same copies, each with one cell a hole: under a 1 of f at offset
+    # 0 and under a 0 of f at offset 3. Neither polarity matches there.
+    p = Config.from_rows(p.rect, ["0.1100.", "1000.1."])
+    assert not check_offsets(p, f)
+    assert planes(*_match_offsets(p, f)) == (set(), set())
 
 
 # ------------------------------------------------------- window two-coloring
@@ -351,3 +444,103 @@ def test_window_check_far_translated_witness_set():
     x = Config.from_rows(Rect.from_bounds(0, 4, 0, 4), ["01000"] * 5)
     assert window_two_coloring_check(x, (1, 0), {(10**30, 0)}) is False
     assert window_two_coloring_check(x, (1, 0), {(10**30, 0), (10**30 + 1, 0)}) is False
+
+
+# ------------------------------------------------------------ validate
+
+
+def first_failing(rect, ok):
+    """Least cell (by x, then y) where a boolean grid over rect is False."""
+    bad = [(x, y) for x in range(rect.width) for y in range(rect.height) if not ok[y, x]]
+    return (bad[0][0] + rect.lo[0], bad[0][1] + rect.lo[1]) if bad else None
+
+
+def reference_violations(c):
+    """validate's clause violations from the per-polarity oracles: each
+    clause's verdict from naive_shift_ok or naive_pattern_ok, and its first
+    failing cell from naive_reach over the differing pairs or over the
+    naive_occurrences of that polarity."""
+    bounds, cells = cells_of(c.p)
+    rect = c.p.rect
+    out = []
+    for i, (t, T) in enumerate(c.shifts):
+        differs = np.array([[cells[x, y] != cells.get((x + t[0], y + t[1]), cells[x, y])
+                             for x in range(bounds[0], bounds[1] + 1)]
+                            for y in range(bounds[2], bounds[3] + 1)], dtype=bool)
+        g = first_failing(rect, naive_reach(rect, rect, differs, T))
+        assert naive_shift_ok(cells, t, T) == (g is None)
+        if g is not None:
+            out.append(("a", i, g))
+    for j, (f, F) in enumerate(c.patterns):
+        _, fc = cells_of(f)
+        for clause, flipped in (("b1", False), ("b2", True)):
+            occ = naive_occurrences(bounds, cells, fc, flipped)
+            # Every offset the oracle scans lies in this rect.
+            srect = Rect.from_bounds(bounds[0] - f.rect.hi[0], bounds[1],
+                                     bounds[2] - f.rect.hi[1], bounds[3])
+            grid = np.zeros((srect.height, srect.width), dtype=bool)
+            for sx, sy in occ:
+                grid[sy - srect.lo[1], sx - srect.lo[0]] = True
+            g = first_failing(rect, naive_reach(rect, srect, grid, F))
+            assert naive_pattern_ok(cells, fc, F, flipped) == (g is None)
+            if g is not None:
+                out.append((clause, j, g))
+    return out
+
+
+def rand_condition(rng):
+    """A condition grown by up to three random steps from a window of at
+    most 3 x 3 cells, odd mode or not, then maybe broken: some cells of the
+    window flipped, or one witness set replaced by a few offsets near 0."""
+    odd = rng.random() < 0.3
+    sides = (1, 3) if odd else (1, 2, 3)
+    rect = Rect.from_bounds(0, rng.choice(sides) - 1, 0, rng.choice(sides) - 1)
+    c = MtCondition(rand_config(rng, rect), (), (), odd)
+    for _ in range(rng.randint(1, 3)):
+        if c.p.rect.area > 40:
+            break
+        op = rng.choice(("shift", "shift", "pattern", "cover"))
+        if op == "shift":
+            c = extend_shift(c, rng.choice([(x, y) for x in range(-3, 4) for y in range(-3, 4)
+                                            if (x, y) != (0, 0)]))
+        elif op == "pattern":
+            c = extend_pattern(c)
+        else:
+            c = extend_cover(c, (c.p.rect.hi[0] + rng.randint(-2, 3),
+                                 c.p.rect.lo[1] + rng.randint(-3, 2)))
+    kind = rng.choice(("honest", "cells", "cells", "set"))
+    if kind == "cells":
+        bits = c.p.array.copy()
+        for _ in range(rng.randint(1, 3)):
+            bits[rng.randrange(bits.shape[0]), rng.randrange(bits.shape[1])] ^= 1
+        c = MtCondition(Config(c.p.rect, bits), c.shifts, c.patterns, odd)
+    elif kind == "set" and (c.shifts or c.patterns):
+        near = frozenset((rng.randint(-4, 4), rng.randint(-4, 4))
+                         for _ in range(rng.randint(0, 6)))
+        entries = [("shifts", k) for k in range(len(c.shifts))]
+        entries += [("patterns", k) for k in range(len(c.patterns))]
+        key, k = rng.choice(entries)
+        items = list(getattr(c, key))
+        items[k] = (items[k][0], near)
+        c = dataclasses.replace(c, **{key: tuple(items)})
+    return c
+
+
+def test_validate_matches_per_polarity_oracles():
+    rng = seeded(139)
+    seen = Counter()
+    for _ in range(1000):
+        c = rand_condition(rng)
+        got = [(v.clause, v.index, v.g) for v in validate(c)]
+        assert got == reference_violations(c), c
+        seen.update(clause for clause, _i, _g in got)
+        seen["clean"] += not got
+        seen["patterns"] += bool(c.patterns)
+        failed = {(clause, index) for clause, index, _g in got}
+        for j in range(len(c.patterns)):
+            seen["b1", ("b2", j) in failed] += ("b1", j) in failed
+            seen["b2 alone"] += ("b2", j) in failed and ("b1", j) not in failed
+    # Both polarities fail, apart and together, and most conditions hold a pattern.
+    assert min(seen["a"], seen["b1"], seen["b2"], seen["clean"]) >= 50, seen
+    assert min(seen["b1", True], seen["b1", False], seen["b2 alone"]) >= 20, seen
+    assert seen["patterns"] >= 300, seen

@@ -1,5 +1,6 @@
 """The certificate verifiers: each mt witness clause is evaluated once,
-reports of broken finals keep their bytes, every gp stage and shift claim
+the window check only where clause a does not prove it, reports of broken
+finals keep their bytes, every gp stage and shift claim
 is checked against the window, and the clause kernels agree with the
 oracles."""
 
@@ -114,10 +115,11 @@ def test_verify_certificate_evaluates_each_clause_once(monkeypatch):
             calls[("a", tuple(t))] += 1
         return shift_grid(p, t, T)
 
-    def counted_pattern(p, f, F, flipped):
+    def counted_pattern(p, f, F):
+        # One call gives both polarities, clauses b1 and b2.
         if p is final.p:
-            calls[("b", id(f), flipped)] += 1
-        return pattern_grid(p, f, F, flipped)
+            calls[("b", id(f))] += 1
+        return pattern_grid(p, f, F)
 
     for module in (witness, mincolor):
         monkeypatch.setattr(module, "_shift_ok_grid", counted_shift)
@@ -126,8 +128,7 @@ def test_verify_certificate_evaluates_each_clause_once(monkeypatch):
     assert report["ok"]
     expected = Counter({("a", t): 1 for (t, _T) in final.shifts})
     for (f, _F) in final.patterns:
-        expected[("b", id(f), False)] = 1
-        expected[("b", id(f), True)] = 1
+        expected[("b", id(f))] = 1
     assert len(final.shifts) == 2 and len(final.patterns) == 2
     assert calls == expected
 
@@ -854,6 +855,109 @@ def test_mt_reader_non_box_list_is_a_point_set(tmp_path, capsys, spec, report_sh
     want = missing_sha if how == "missing" else report_sha
     assert hashlib.sha256(report.encode()).hexdigest() == want
     assert code == (0 if json.loads(report)["ok"] else 4)
+
+
+# ------------------------------------------------- derived window checks
+
+
+def count_window_checks(monkeypatch):
+    """The shifts t of each window check verify computes, in call order."""
+    calls = []
+    check = mincolor.window_two_coloring_check
+
+    def counted(x, s, T):
+        calls.append(tuple(s))
+        return check(x, s, T)
+
+    monkeypatch.setattr(mincolor, "window_two_coloring_check", counted)
+    return calls
+
+
+@pytest.mark.parametrize("spec,report_sha", MT_PINNED, ids=MT_IDS)
+def test_honest_verify_derives_every_window_check(tmp_path, capsys, monkeypatch, spec,
+                                                  report_sha):
+    """verify reports a shift's ``window two-coloring`` as True without
+    computing it when the final is hole-free and the shift's clause a holds.
+
+    That entry is what the check would compute: clause a on a hole-free
+    window implies the window check, by the proof in the docstring of
+    ``test_witness.test_clause_a_implies_the_window_check`` (every position
+    the check admits is a cell of the window, where clause a gives a
+    differing pair through T). On an honest certificate every final is
+    hole-free and every clause a holds, so no window check runs and the
+    report keeps its pinned bytes. Where clause a fails, or the final has a
+    hole, the check is computed (the tests below)."""
+    data = build_cert(tmp_path, capsys, "build-mt", spec)
+    calls = count_window_checks(monkeypatch)
+    code, report = verify_cert(tmp_path, capsys, data)
+    assert code == 0 and hashlib.sha256(report.encode()).hexdigest() == report_sha
+    # The odd route installs no shift; the other three install three or one.
+    assert report.count("window two-coloring") == len(data["final"]["shifts"])
+    assert calls == []
+
+
+def test_pattern_clauses_ask_nothing_of_the_final_holes(tmp_path, capsys):
+    # A hole is no cell of the window, so clause b1 holds on a final of
+    # zeros with one hole for f = "0" through F = {(0, 0)}, though no copy
+    # of f lies on the hole; clause b2 finds no 1 anywhere.
+    data = build_cert(tmp_path, capsys, "build-mt", MT_SPEC)
+    p = data["final"]["p"]
+    a, b, c, _d = p["rect"]
+    p["rows"] = ["." + "0" * (b - a)] + ["0" * (b - a + 1)] * (len(p["rows"]) - 1)
+    p["holes"] = [[a, c]]
+    data["final"]["patterns"] = [{"f": {"rect": [0, 0, 0, 0], "rows": ["0"], "holes": []},
+                                  "F": [[0, 0]]}]
+    code, report = verify_cert(tmp_path, capsys, data)
+    assert code == 4
+    assert check(report, "pattern[0] clause b1") and not check(report, "pattern[0] clause b2")
+
+
+def single_offset_T(data):
+    data["final"]["shifts"][0]["T"] = [[0, 0]]
+
+
+def far_T(data):
+    entry = data["final"]["shifts"][0]
+    entry["T"] = [[x + 10**30, y] for x, y in entry["T"]]
+
+
+# A first shift whose clause a fails, with the sha256 of the report printed
+# when verify computed every window check.
+CLAUSE_A_TAMPERS = [
+    (single_offset_T, MT_PINNED[0][0],
+     "cfc191250b68a09d3cdc76217de0455500b33f55aabd1a911029685f766530d6"),
+    (single_offset_T, MT_PINNED[2][0],
+     "aea30315fc9a5832d141aea9dd91b4bf109574ac71da9e28d900d2f72f494bb3"),
+    (far_T, MT_PINNED[0][0],
+     "c0432f4edc73b01d09ed68c86a2687c49418302ab86309a02d89db826a1af6f2"),
+    (far_T, MT_PINNED[3][0],
+     "d5914976e6661201140dd74a247996f0ca4166e56e3cc53d26f73c3561505fc6"),
+]
+
+
+@pytest.mark.parametrize("tamper,spec,report_sha", CLAUSE_A_TAMPERS,
+                         ids=["mt-single", "neg-single", "mt-far", "neg-odd-far"])
+def test_clause_a_tamper_computes_its_window_check(tmp_path, capsys, monkeypatch, tamper,
+                                                   spec, report_sha):
+    data = build_cert(tmp_path, capsys, "build-mt", spec)
+    tamper(data)
+    calls = count_window_checks(monkeypatch)
+    code, report = verify_cert(tmp_path, capsys, data)
+    assert code == 4 and hashlib.sha256(report.encode()).hexdigest() == report_sha
+    shifts = data["final"]["shifts"]
+    assert not check(report, f"shift[0] t=({shifts[0]['t'][0]},{shifts[0]['t'][1]}) clause a")
+    # Only the tampered shift's check runs; the others are derived.
+    assert calls == [tuple(shifts[0]["t"])]
+
+
+def test_final_with_a_hole_computes_every_window_check(tmp_path, capsys, monkeypatch):
+    data = build_cert(tmp_path, capsys, "build-mt", MT_PINNED[2][0])
+    hole_in_final(data)
+    calls = count_window_checks(monkeypatch)
+    code, report = verify_cert(tmp_path, capsys, data)
+    assert code == 4 and hashlib.sha256(report.encode()).hexdigest() == (
+        "8770a0842669028cb226d61061138416b1a1b74921a187e0227765122e554b08")
+    assert calls == [tuple(e["t"]) for e in data["final"]["shifts"]] and len(calls) == 3
 
 
 # Flags that are not JSON booleans were read with bool() and verified.

@@ -115,16 +115,12 @@ def validate(c):
     vs = _structure(c)
     if vs:
         return vs
-    for i, (t, T) in enumerate(c.shifts):
-        g = _first_bad(c.p.rect, ~_shift_ok_grid(c.p, t, T))
-        if g is not None:
-            vs.append(Violation("a", i, g))
-    for j, (f, F) in enumerate(c.patterns):
-        for clause, ok in zip(("b1", "b2"), _pattern_ok_grid(c.p, f, F)):
-            g = _first_bad(c.p.rect, ~ok)
-            if g is not None:
-                vs.append(Violation(clause, j, g))
-    return vs
+    grids = [("a", i, _shift_ok_grid(c.p, t, T)) for i, (t, T) in enumerate(c.shifts)]
+    grids += [(clause, j, ok) for j, (f, F) in enumerate(c.patterns)
+              for clause, ok in zip(("b1", "b2"), _pattern_ok_grid(c.p, f, F))]
+    # The complement grid only for a clause that fails.
+    return [Violation(clause, k, _first_bad(c.p.rect, ~ok)) for clause, k, ok in grids
+            if not ok.all()]
 
 
 def is_extension(c1, c2):

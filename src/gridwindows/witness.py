@@ -26,20 +26,32 @@ def _differs(p, t):
         return None, None
     au = p.array[_slices(rect, r)]
     av = p.array[_slices(rect, r.translate(t))]
-    return r, (au != HOLE) & (av != HOLE) & (au != av)
+    # 0 ^ 1 is 1 and equal values give 0; a HOLE (255) on either side gives
+    # 254 or 255, or 0 against another HOLE, so it never marks a pair.
+    return r, (au ^ av) == 1
 
 
 def _boxes(offsets):
     """Disjoint boxes ``(x0, x1, y0, y1)``, bounds inclusive, whose union is
-    the finite offset set: a Box's own bounds, else the maximal x-runs of
+    the finite offset set: a Box's own bounds; the bounding box of a set
+    with as many distinct cells as that box has; else the maximal x-runs of
     each row, each run extending the box of the same run on the row below.
-    Duplicates are allowed. Python ints throughout, so coordinates of any
-    size are exact; work grows with the number of points, never with the
-    area of their bounding box."""
+    The input may repeat a point; the boxes never overlap. Python ints
+    throughout, so coordinates of any size are exact; work grows with the
+    number of points, never with the area of their bounding box."""
     if isinstance(offsets, Box):
         return [offsets.bounds]
+    # Distinct cells only: a list with repeats can be as long as its
+    # bounding box is large and still miss cells of it.
+    cells = offsets if isinstance(offsets, (set, frozenset)) else set(map(tuple, offsets))
+    if not cells:
+        return []
+    xs, ys = zip(*cells)
+    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+    if len(cells) == (x1 - x0 + 1) * (y1 - y0 + 1):
+        return [(x0, x1, y0, y1)]
     rows = {}
-    for x, y in offsets:
+    for x, y in cells:
         rows.setdefault(y, set()).add(x)
     # below: each run of the last row seen, with the box it ends.
     boxes, below = [], {}

@@ -1,8 +1,9 @@
 """The mt witness kernels against their reference loops: Box against the
 frozenset of its cells, offset sets split into boxes, the summed-area
-reach over one plane or two, both pattern polarities in both loop orders
-and the windowed two-coloring check, with offsets far outside the window;
-and validate against the per-polarity clause oracles."""
+reach over one plane or two, both pattern polarities in both loop orders,
+the windowed two-coloring check and the differing-pair mask, with offsets
+far outside the window; and validate against the per-polarity clause
+oracles, with witness sets as Boxes and as frozensets."""
 
 import dataclasses
 from collections import Counter
@@ -15,7 +16,7 @@ from gridwindows import witness
 from gridwindows.geometry import Box, Rect
 from gridwindows.grid import HOLE, Config, PatternSet, _match_offsets, flip
 from gridwindows.mincolor import MtCondition, extend_cover, extend_pattern, extend_shift, validate
-from gridwindows.witness import _boxes, _reach, window_two_coloring_check
+from gridwindows.witness import _boxes, _differs, _reach, window_two_coloring_check
 
 from oracles import (cells_of, naive_occurrences, naive_pattern_ok, naive_reach, naive_shift_ok,
                      naive_window_check, seeded)
@@ -127,6 +128,26 @@ def test_boxes_full_rectangle_is_one_box(x0, y0, w, h, repeats):
     box = [(x0, x0 + w - 1, y0, y0 + h - 1)]
     assert _boxes(pts) == box
     assert _boxes(pts[::-1] + pts[:repeats]) == box
+
+
+def test_boxes_of_a_set_short_of_its_bounding_box():
+    # Three entries for a 3-cell bounding box, one a repeat: (0, 1) is
+    # missing, so the split is two boxes. A 3 x 3 box short of its middle
+    # cell is the rows below and above it and the two cells beside it.
+    assert sorted(_boxes([(0, 0), (0, 0), (0, 2)])) == [(0, 0, 0, 0), (0, 0, 2, 2)]
+    holed = frozenset(Rect.from_bounds(0, 2, 0, 2).points()) - {(1, 1)}
+    assert sorted(_boxes(holed)) == [(0, 0, 1, 1), (0, 2, 0, 0), (0, 2, 2, 2), (2, 2, 1, 1)]
+
+
+@given(boxes(-4, 4, 6), st.sampled_from([(0, 0), (10**30, -(10**30)), (-(10**30), 10**30),
+                                          (10**40, 10**40)]), st.randoms())
+def test_boxes_full_box_in_every_form_is_one_tuple(box, c, rnd):
+    box = moved(box, c)
+    pts = list(box)
+    shuffled = pts + rnd.sample(pts, rnd.randint(0, len(pts)))
+    rnd.shuffle(shuffled)
+    for form in (set(pts), frozenset(pts), shuffled, box):
+        assert _boxes(form) == [box.bounds], type(form)
 
 
 # ------------------------------------------------------------------ reach
@@ -446,6 +467,34 @@ def test_window_check_far_translated_witness_set():
     assert window_two_coloring_check(x, (1, 0), {(10**30, 0), (10**30 + 1, 0)}) is False
 
 
+# ------------------------------------------------------- differing pairs
+
+
+def test_differs_matches_per_cell_loop():
+    # Windows with holes and shifts up to past their sides: g is marked
+    # exactly when g and g + t are both defined and differ. Pairs of two
+    # holes, a hole and a value, and two equal or two different values all
+    # occur.
+    rng = seeded(149)
+    kinds = Counter()
+    for _ in range(600):
+        p = rand_config(rng, rand_rect(rng, 6), hole_prob=rng.choice((0.0, 0.2, 0.5)))
+        t = (rng.randint(-7, 7), rng.randint(-7, 7))
+        _, cells = cells_of(p)
+        pairs = [(g, (g[0] + t[0], g[1] + t[1])) for g in p.rect.points()
+                 if p.rect.contains((g[0] + t[0], g[1] + t[1]))]
+        r, mask = _differs(p, t)
+        assert (r is None) == (not pairs)
+        assert marked(r, mask) == {g for g, h in pairs
+                                   if g in cells and h in cells and cells[g] != cells[h]}
+        for g, h in pairs:
+            if g in cells and h in cells:
+                kinds["equal" if cells[g] == cells[h] else "different"] += 1
+            else:
+                kinds["hole" if g in cells or h in cells else "holes"] += 1
+    assert min(kinds[k] for k in ("equal", "different", "hole", "holes")) >= 50, kinds
+
+
 # ------------------------------------------------------------ validate
 
 
@@ -526,11 +575,34 @@ def rand_condition(rng):
     return c
 
 
-def test_validate_matches_per_polarity_oracles():
+def as_frozensets(c, cut):
+    """c with each witness set as the frozenset of its cells; with a random
+    source ``cut``, about half the sets of more than one cell short of one
+    of them."""
+    def cells(S):
+        S = frozenset(S)
+        return S - {cut.choice(sorted(S))} if cut and len(S) > 1 and cut.random() < 0.5 else S
+
+    return dataclasses.replace(c, shifts=tuple((t, cells(T)) for t, T in c.shifts),
+                               patterns=tuple((f, cells(F)) for f, F in c.patterns))
+
+
+def fills_its_bounding_box(S):
+    xs, ys = columns(list(S))
+    return len(S) == (max(xs) - min(xs) + 1) * (max(ys) - min(ys) + 1)
+
+
+def validate_differential(form=lambda c: c):
+    """validate against reference_violations on 1,000 rand_condition
+    conditions, each passed through ``form``; the count of each clause,
+    verdict and kind of witness set seen (one that fills its bounding box,
+    or another)."""
     rng = seeded(139)
     seen = Counter()
     for _ in range(1000):
-        c = rand_condition(rng)
+        c = form(rand_condition(rng))
+        for _key, S in c.shifts + c.patterns:
+            seen["full set" if S and fills_its_bounding_box(S) else "other set"] += 1
         got = [(v.clause, v.index, v.g) for v in validate(c)]
         assert got == reference_violations(c), c
         seen.update(clause for clause, _i, _g in got)
@@ -540,7 +612,23 @@ def test_validate_matches_per_polarity_oracles():
         for j in range(len(c.patterns)):
             seen["b1", ("b2", j) in failed] += ("b1", j) in failed
             seen["b2 alone"] += ("b2", j) in failed and ("b1", j) not in failed
+    return seen
+
+
+def test_validate_matches_per_polarity_oracles():
+    seen = validate_differential()
     # Both polarities fail, apart and together, and most conditions hold a pattern.
     assert min(seen["a"], seen["b1"], seen["b2"], seen["clean"]) >= 50, seen
     assert min(seen["b1", True], seen["b1", False], seen["b2 alone"]) >= 20, seen
     assert seen["patterns"] >= 300, seen
+
+
+def test_validate_matches_per_polarity_oracles_on_frozensets():
+    # The same conditions with every witness set a frozenset: full boxes
+    # split by their bounds, and sets short of a cell by their row runs.
+    full = validate_differential(lambda c: as_frozensets(c, None))
+    assert full == validate_differential(), "a Box and its frozenset must validate alike"
+    cut = seeded(151)
+    seen = validate_differential(lambda c: as_frozensets(c, cut))
+    assert min(seen["full set"], seen["other set"]) >= 300, seen
+    assert min(seen["a"], seen["b1"], seen["b2"], seen["clean"]) >= 50, seen

@@ -33,7 +33,7 @@ from .markers import (
     toast_report,
 )
 from .schedule import parse_schedule, read_bool, read_int, read_limits, read_point
-from .serialize import Raw, canon_dumps, pgm_dumps, read_records
+from .serialize import Raw, canon_dumps, construct, fail, pgm_dumps, read_records
 
 DEFAULT_LIMITS = {"max_side": 512, "max_steps": 256}
 
@@ -73,7 +73,7 @@ def _family(kind):
     if kind == "gp":
         return (gridperiod.STEPS, gridperiod.build_generic_gp, gridperiod.GpCertificate,
                 gridperiod.verify_gp_certificate)
-    raise ValueError(f"unknown certificate kind {kind!r}")
+    raise fail("kind", f"unknown certificate kind {kind!r}")
 
 
 def _hole_lattice_pgm(final, seed):
@@ -179,10 +179,13 @@ def cmd_toast(args):
 
 def _markers_stack(args, spec):
     a = read_int(spec.get("a"), "a")
+    if a < 0:
+        raise fail("a", f"a must be >= 0, got {a}")
     m = 2 * a + 1
     side = read_int(spec.get("side", 5 * m * m), "side")
-    win = Rect.from_bounds(0, side - 1, 0, side - 1)
-    long_ok, _ = check_segment_center_cover(a, win, 2 * m * m + 1)
+    # a is checked above, so a window too small for the long segment is the side's fault.
+    win = construct("side", Rect.from_bounds, 0, side - 1, 0, side - 1)
+    long_ok, _ = construct("side", check_segment_center_cover, a, win, 2 * m * m + 1)
     short_ok, _ = check_segment_center_cover(a, win, m)
     report = {
         "a": a,
@@ -221,7 +224,7 @@ def cmd_markers(args):
         return _markers_stack(args, spec)
     if demo == "partitions":
         return _markers_partitions(args, spec)
-    raise ValueError(f"unknown markers demo {demo!r}")
+    raise fail("demo", f"unknown markers demo {demo!r}")
 
 
 @functools.cache

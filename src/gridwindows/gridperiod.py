@@ -9,6 +9,7 @@ hole, every residue class modulo any past block size stays constant.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import islice
 
@@ -345,7 +346,7 @@ def build_generic_gp(seed, sched, limits):
     in the final window, as verify checks it, is tiled along itself at its
     step when the schedule runs again, until no new line fails."""
     if not validate_gp(seed):
-        raise ValueError("invalid seed condition")
+        raise fail("seed", "invalid seed condition")
     clears = [r for r in sched if type(r) is LineClear]
     lines = [(r.axis, r.index) for r in clears]
     tiled = set()
@@ -385,34 +386,27 @@ def verify_gp_certificate(cert):
     fu = next(iter(holes)) if len(holes) == 1 else None
     W, H = fin.rect.width, fin.rect.height
     first, last = (_stage(c) if len(c.p.holes) == 1 else None for c in (seed, final))
-    # A no-op line_clear repeats its stage; each distinct stage is checked once.
-    stage_ok = {}
+    # One stage rule, cached: a no-op line_clear repeats its stage, and each
+    # distinct stage is checked once. The stage's hole is in the final hole's
+    # class modulo its block sides, which are powers of n dividing the final sides.
+    @functools.cache
+    def periodic(w, h, su):
+        return (fu is not None and final.n >= 2
+                and all(_is_power(k, final.n) and side % k == 0 for k, side in ((w, W), (h, H)))
+                and (su[0] - fu[0]) % w == 0 and (su[1] - fu[1]) % h == 0
+                and verify_grid_periodicity(fin, w, h, su))
     # Fields of an entry that is not an object, or that it lacks, are None.
     fields = [(st.get("w"), st.get("h"), st.get("u")) if isinstance(st, dict) else (None,) * 3
               for st in stages]
-    for i, (st, (w, h, su)) in enumerate(zip(stages, fields)):
+    for i, (st, (w, h, su), after) in enumerate(zip(stages, fields, [*fields[1:], None])):
         # Non-integer claims fail here, before 2.0 could share the entry of 2.
-        key = (w, h, tuple(su)) if is_int(w) and is_int(h) and is_point(su) else None
-        if key is not None and key not in stage_ok:
-            # The stage's hole is in the final hole's class modulo its block
-            # sides, which are powers of n dividing the final sides.
-            stage_ok[key] = (
-                fu is not None
-                and final.n >= 2
-                and all(
-                    _is_power(k, final.n) and side % k == 0 for k, side in ((w, W), (h, H))
-                )
-                and (su[0] - fu[0]) % w == 0
-                and (su[1] - fu[1]) % h == 0
-                and verify_grid_periodicity(fin, w, h, su)
-            )
-        ok = stage_ok.get(key, False) and (i > 0 or st == first)
-        if i + 1 < len(stages):
-            nw, nh, _ = fields[i + 1]
-            ok = ok and is_int(nw) and is_int(nh) and nw % w == 0 and nh % h == 0
-        else:
+        ok = is_int(w) and is_int(h) and is_point(su) and periodic(w, h, tuple(su))
+        if after is None:
             ok = ok and st == last
-        checks.append((f"stage[{i}] periodicity {w}x{h}", ok))
+        else:
+            nw, nh, _ = after
+            ok = ok and is_int(nw) and is_int(nh) and nw % w == 0 and nh % h == 0
+        checks.append((f"stage[{i}] periodicity {w}x{h}", ok and (i > 0 or st == first)))
     checks += check_steps(cert.steps, STEPS, final, {"u": fu, "sides": (W, H)})
     return report(checks)
 

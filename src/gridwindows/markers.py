@@ -22,7 +22,8 @@ import numpy as np
 
 from .geometry import Box, Rect, dist_to_set
 from .grid import boundary, Config
-from .serialize import at, points_json, read_bool, read_int, read_list, read_object, read_points
+from .serialize import (at, construct, points_json, read_bool, read_int, read_list, read_object,
+                        read_points)
 
 
 # ---------------------------------------------------------------- shifted stack
@@ -177,23 +178,23 @@ def check_partition_props(parts, probes):
     v[k]/w[k] are the smallest/largest rectangle sides at level k. For each
     probe, phi lists its taxicab distance to the boundary ring of the
     containing rectangle, level by level. The increasing flags say whether
-    those profiles grow strictly.
+    those profiles grow strictly. A level that does not cover the window
+    exactly once, or a probe outside it, raises ValueError naming ``levels[i]`` or ``probes[k]``.
     """
     parts = list(parts)
     if parts:
         win = parts[0].window
-        for part in parts:
+        for i, part in enumerate(parts):
             if part.window != win:
                 raise ValueError("all partition levels must share one window")
-            _validate_partition(part)
+            construct(f"levels[{i}]", _validate_partition, part)
     v = [min(min(r.width, r.height) for r in part.rects) for part in parts]
     w = [max(max(r.width, r.height) for r in part.rects) for part in parts]
     phi = []
-    for g in probes:
-        col = []
-        for part in parts:
-            col.append(_edge_dist(g, *_containing_rect(part, g).bounds()))
-        phi.append(col)
+    for k, g in enumerate(probes):
+        where = f"probes[{k}]"
+        phi.append([_edge_dist(g, *construct(where, _containing_rect, part, g).bounds())
+                    for part in parts])
     return {
         "v": v,
         "w": w,

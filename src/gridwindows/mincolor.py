@@ -20,15 +20,9 @@ from .grid import HOLE, Config, tile
 from .errors import check_side
 from .schedule import (Cover, certificate_class, check_steps, covered, report, run_schedule,
                        within_limits)
-from .serialize import (at, canon_dumps, is_int, is_point, points_json, read_bool, read_object,
-                        read_point, read_points, read_records)
-from .witness import (
-    _differs,
-    _pattern_ok_grid,
-    _shift_ok_grid,
-    check_shift_witness,
-    window_two_coloring_check,
-)
+from .serialize import (at, canon_dumps, fail, is_int, is_point, points_json, read_bool,
+                        read_object, read_point, read_points, read_records)
+from .witness import _differs, _pattern_ok_grid, _shift_ok_grid, window_two_coloring_check
 
 
 @dataclass(frozen=True)
@@ -109,17 +103,26 @@ def _structure(c):
     return vs
 
 
+def _clauses(c):
+    """(clause, index, grid) of each witness clause: a per shift, then b1 and b2
+    per pattern from one ``_pattern_ok_grid`` call. A zero shift or a pattern
+    with a hole, which the kernels refuse, gets None: that clause fails."""
+    out = [("a", i, None if tuple(t) == (0, 0) else _shift_ok_grid(c.p, t, T))
+           for i, (t, T) in enumerate(c.shifts)]
+    for j, (f, F) in enumerate(c.patterns):
+        grids = _pattern_ok_grid(c.p, f, F) if f.hole_free() else (None, None)
+        out += [("b1", j, grids[0]), ("b2", j, grids[1])]
+    return out
+
+
 def validate(c):
     """All violations of the condition's clauses. Structural problems are
     reported alone, since the witness clauses assume a well-formed input."""
     vs = _structure(c)
     if vs:
         return vs
-    grids = [("a", i, _shift_ok_grid(c.p, t, T)) for i, (t, T) in enumerate(c.shifts)]
-    grids += [(clause, j, ok) for j, (f, F) in enumerate(c.patterns)
-              for clause, ok in zip(("b1", "b2"), _pattern_ok_grid(c.p, f, F))]
     # The complement grid only for a clause that fails.
-    return [Violation(clause, k, _first_bad(c.p.rect, ~ok)) for clause, k, ok in grids
+    return [Violation(clause, k, _first_bad(c.p.rect, ~ok)) for clause, k, ok in _clauses(c)
             if not ok.all()]
 
 
@@ -308,7 +311,7 @@ def build_generic(start, sched, limits):
     the same start and schedule always give the same certificate."""
     vs = validate(start)
     if vs:
-        raise ValueError(f"invalid start condition (clause {vs[0].clause})")
+        raise fail("seed", f"invalid start condition (clause {vs[0].clause})")
     chain, steps, used = run_schedule(start, sched, limits, STEPS)
     return Certificate(
         seed=start, final=chain[-1], steps=steps, limits=used, chain=tuple(chain)
@@ -316,15 +319,15 @@ def build_generic(start, sched, limits):
 
 
 def verify_certificate(cert):
-    """Recompute every witness clause on the final window, each once, a
-    pattern's b1 and b2 from one call. "final validate" is derived from the
-    structural check and the clause a/b1/b2 checks below, so it equals
-    ``validate(final) == []``; a shift's window check is True without
-    computing it where the final is hole-free and clause a holds. The step
-    records are tied to the final condition: the shifts their "extend"
-    steps install and the patterns their self_pattern steps add are the
-    final's beyond the seed's, and the limits hold. Each record's claim
-    lands in the check its row names; a record of no known op gets its own."""
+    """Recompute every witness clause on the final window once, through
+    ``_clauses`` as ``validate`` does. "final validate" is derived from the
+    structural check and those clause checks, so it equals ``validate(final)
+    == []``; a shift's window check is True without computing it where the
+    final is hole-free and clause a holds. The step records are tied to the
+    final condition: the shifts their "extend" steps install and the
+    patterns their self_pattern steps add are the final's beyond the seed's,
+    and the limits hold. Each record's claim lands in the check its row
+    names; a record of no known op gets its own."""
     seed, final = cert.seed, cert.final
     # The seed and extension checks run before the clauses, so a certificate
     # that would make several of them raise gets the first one's error.
@@ -342,22 +345,18 @@ def verify_certificate(cert):
     )
     checks, clauses_ok = [], True
     defined = final.p.array != HOLE
-    for i, (t, T) in enumerate(final.shifts):
-        # A zero shift fails both checks (``_structure`` flags it); the
-        # kernels refuse it.
-        nonzero = tuple(t) != (0, 0)
-        ok = nonzero and check_shift_witness(final.p, t, T)
+    for clause, k, grid in _clauses(final):
+        ok = grid is not None and bool(grid[defined].all())
         clauses_ok &= ok
-        name = f"shift[{i}] t=({t[0]},{t[1]})"
+        if clause != "a":
+            checks.append((f"pattern[{k}] clause {clause}", ok))
+            continue
+        t, T = final.shifts[k]
+        name = f"shift[{k}] t=({t[0]},{t[1]})"
         checks.append((f"{name} clause a", ok))
         # Clause a on a hole-free window implies the window check (tests/test_witness.py).
         checks.append((f"{name} window two-coloring", (ok and final.p.hole_free()) or (
-            nonzero and window_two_coloring_check(final.p, t, T))))
-    for j, (f, F) in enumerate(final.patterns):
-        for clause, grid in zip(("b1", "b2"), _pattern_ok_grid(final.p, f, F)):
-            ok = bool(grid[defined].all())
-            clauses_ok &= ok
-            checks.append((f"pattern[{j}] clause {clause}", ok))
+            grid is not None and window_two_coloring_check(final.p, t, T))))
     if final.odd_mode or "odd sides" in claims:
         odd = final.p.rect.width % 2 == 1 and final.p.rect.height % 2 == 1
         checks.append(("odd sides", claims.pop("odd sides", True) and odd))

@@ -742,14 +742,16 @@ def _json_mt_condition(v):
 
 def _naive_mt_valid(cond):
     """No holes, odd sides in odd mode, no zero shift, hole-free patterns,
-    and every clause a, b1 and b2 on the window."""
+    and every clause a, b1 and b2 on the window. The structure is checked
+    first, so a malformed condition is refused without a clause."""
     (a, b, c, d), cells, holes = cond["p"]
     _need(not holes)
     _need(not cond["odd"] or ((b - a) % 2 == 0 and (d - c) % 2 == 0))
+    _need(all(t != (0, 0) for t, _T in cond["shifts"]))
+    _need(not any(f_holes for (_bounds, _cells, f_holes), _F in cond["patterns"]))
     for t, T in cond["shifts"]:
-        _need(t != (0, 0) and naive_shift_ok(cells, t, T))
-    for (_bounds, f_cells, f_holes), F in cond["patterns"]:
-        _need(not f_holes)
+        _need(naive_shift_ok(cells, t, T))
+    for (_bounds, f_cells, _f_holes), F in cond["patterns"]:
         _need(naive_pattern_ok(cells, f_cells, F, False))
         _need(naive_pattern_ok(cells, f_cells, F, True))
 
@@ -827,10 +829,14 @@ def _naive_is_power(k, n):
 def _json_gp_condition(v):
     n = _json_field(v, "n")
     _need(_json_int(n))
-    p = _json_window(_json_field(v, "p"))
+    window = _json_field(v, "p")
     if "u" in v:
-        _need(p[2] == {_json_point(v["u"])})
-    return n, p
+        # The declared hole is the window's declared holes, which
+        # _json_window then checks are its '.' cells; so a window with
+        # another hole is refused before its cells are read.
+        _need(isinstance(window, dict))
+        _need(_json_points(window.get("holes", [])) == {_json_point(v["u"])})
+    return n, _json_window(window)
 
 
 def _naive_gp_valid(cond):

@@ -853,11 +853,23 @@ def test_checker_spec_errors_name_the_path(tmp_path, capsys, cmd, data, message)
 
 
 @pytest.mark.parametrize("cmd,data,message", [
-    ("verify", {"seed": {}}, "unknown certificate kind None"),
-    ("markers", {"demo": "stack"}, "unknown markers demo 'stack'"),
+    ("verify", {"seed": {}}, "kind: unknown certificate kind None"),
+    ("markers", {"demo": "stack"}, "demo: unknown markers demo 'stack'"),
     ("markers", with_field(partitions_spec(), ("probes", 0), [8, 3]),
-     "probe (8, 3) outside the partition window"),
-], ids=["verify-no-kind", "markers-unknown-demo", "partition-probe-outside"])
+     "probes[0]: probe (8, 3) outside the partition window"),
+    # These named no path.
+    ("markers", with_field(partitions_spec(), ("levels", 0, "rects"), [[0, 7, 0, 3]]),
+     "levels[0]: rects must cover the window exactly once"),
+    ("markers", with_field(partitions_spec(), ("levels", 0, "rects"), [[0, 8, 0, 7]]),
+     "levels[0]: rect Rect(lo=(0, 0), hi=(8, 7)) leaves the window Rect(lo=(0, 0), hi=(7, 7))"),
+    ("markers", {"demo": "shifted_stack", "a": -1}, "a: a must be >= 0, got -1"),
+    ("markers", {"demo": "shifted_stack", "a": 1, "side": 18},
+     "side: window holds no admissible segment of this length"),
+    ("markers", {"demo": "shifted_stack", "a": 1, "side": -5},
+     "side: inverted rectangle bounds (0,-6,0,-6)"),
+], ids=["verify-no-kind", "markers-unknown-demo", "partition-probe-outside",
+        "partition-cover", "partition-rect-outside", "stack-a-negative", "stack-side-short",
+        "stack-side-negative"])
 def test_rejected_specs_exit_2(tmp_path, capsys, cmd, data, message):
     spec = write_spec(tmp_path / "spec.json", data)
     code, out, err = run_cli([cmd, "--spec", spec], capsys)

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from gridwindows import witness
 from gridwindows.geometry import Box, Rect
 from gridwindows.grid import HOLE, Config, PatternSet, _match_offsets, flip
-from gridwindows.mincolor import MtCondition, extend_cover, extend_pattern, extend_shift, validate
+from gridwindows.mincolor import (Certificate, MtCondition, extend_cover, extend_pattern,
+                                  extend_shift, validate, verify_certificate)
 from gridwindows.witness import _boxes, _differs, _reach, window_two_coloring_check
 
 from oracles import (cells_of, naive_occurrences, naive_pattern_ok, naive_reach, naive_shift_ok,
@@ -504,11 +505,29 @@ def first_failing(rect, ok):
     return (bad[0][0] + rect.lo[0], bad[0][1] + rect.lo[1]) if bad else None
 
 
+def reference_structure(c):
+    """validate's structural violations, in its order: a hole in the window,
+    an even side in odd mode, each zero shift, each pattern with a hole."""
+    out = []
+    if (c.p.array == HOLE).any():
+        out.append(("structure", None, None))
+    if c.odd_mode and (c.p.rect.width % 2 == 0 or c.p.rect.height % 2 == 0):
+        out.append(("structure", None, None))
+    out += [("structure", i, None) for i, (t, _T) in enumerate(c.shifts) if t == (0, 0)]
+    out += [("structure", j, None) for j, (f, _F) in enumerate(c.patterns)
+            if (f.array == HOLE).any()]
+    return out
+
+
 def reference_violations(c):
-    """validate's clause violations from the per-polarity oracles: each
-    clause's verdict from naive_shift_ok or naive_pattern_ok, and its first
-    failing cell from naive_reach over the differing pairs or over the
-    naive_occurrences of that polarity."""
+    """validate's violations: the structural ones alone when there are any,
+    else each clause's from the per-polarity oracles: its verdict from
+    naive_shift_ok or naive_pattern_ok, and its first failing cell from
+    naive_reach over the differing pairs or over the naive_occurrences of
+    that polarity."""
+    structure = reference_structure(c)
+    if structure:
+        return structure
     bounds, cells = cells_of(c.p)
     rect = c.p.rect
     out = []
@@ -587,6 +606,53 @@ def as_frozensets(c, cut):
                                patterns=tuple((f, cells(F)) for f, F in c.patterns))
 
 
+def punched(rng, cfg):
+    """The window with one random cell made a hole."""
+    bits = cfg.array.copy()
+    bits[rng.randrange(bits.shape[0]), rng.randrange(bits.shape[1])] = HOLE
+    return Config(cfg.rect, bits)
+
+
+FAULTS = ("zero shift", "holed pattern", "holed window", "even side")
+
+
+def broken(rng, c, fault):
+    """c with one structural fault of FAULTS: a zero shift or a pattern with
+    a hole (one of c's, else one inserted), a hole in the window, or an even
+    side in odd mode (the window doubled in width when both sides are odd)."""
+    if fault == "zero shift":
+        shifts = list(c.shifts)
+        if shifts and rng.random() < 0.5:
+            k = rng.randrange(len(shifts))
+            shifts[k] = ((0, 0), shifts[k][1])
+        else:
+            shifts.insert(rng.randint(0, len(shifts)), ((0, 0), Box(0, 0, 0, 0)))
+        return dataclasses.replace(c, shifts=tuple(shifts))
+    if fault == "holed pattern":
+        patterns = list(c.patterns)
+        if patterns and rng.random() < 0.5:
+            k = rng.randrange(len(patterns))
+            patterns[k] = (punched(rng, patterns[k][0]), patterns[k][1])
+        else:
+            patterns.insert(rng.randint(0, len(patterns)), (punched(rng, c.p), Box(0, 0, 0, 0)))
+        return dataclasses.replace(c, patterns=tuple(patterns))
+    if fault == "holed window":
+        return dataclasses.replace(c, p=punched(rng, c.p))
+    p = c.p
+    if p.rect.width % 2 and p.rect.height % 2:
+        a, b, cc, d = p.rect.bounds()
+        p = Config(Rect.from_bounds(a, 2 * b - a + 1, cc, d), np.hstack([p.array, p.array]))
+    return dataclasses.replace(c, p=p, odd_mode=True)
+
+
+def final_validate(c):
+    """verify's "final validate" on a certificate whose seed and final are c."""
+    cert = Certificate(seed=c, final=c, steps=[], limits={"max_side": 10**6, "max_steps": 0})
+    (ok,) = [ch["ok"] for ch in verify_certificate(cert)["checks"]
+             if ch["name"] == "final validate"]
+    return ok
+
+
 def fills_its_bounding_box(S):
     xs, ys = columns(list(S))
     return len(S) == (max(xs) - min(xs) + 1) * (max(ys) - min(ys) + 1)
@@ -594,9 +660,9 @@ def fills_its_bounding_box(S):
 
 def validate_differential(form=lambda c: c):
     """validate against reference_violations on 1,000 rand_condition
-    conditions, each passed through ``form``; the count of each clause,
-    verdict and kind of witness set seen (one that fills its bounding box,
-    or another)."""
+    conditions, each passed through ``form``, and verify's "final validate"
+    against ``validate(c) == []``; the count of each clause, verdict and
+    kind of witness set seen (one that fills its bounding box, or another)."""
     rng = seeded(139)
     seen = Counter()
     for _ in range(1000):
@@ -605,6 +671,7 @@ def validate_differential(form=lambda c: c):
             seen["full set" if S and fills_its_bounding_box(S) else "other set"] += 1
         got = [(v.clause, v.index, v.g) for v in validate(c)]
         assert got == reference_violations(c), c
+        assert final_validate(c) == (got == []), c
         seen.update(clause for clause, _i, _g in got)
         seen["clean"] += not got
         seen["patterns"] += bool(c.patterns)
@@ -621,6 +688,23 @@ def test_validate_matches_per_polarity_oracles():
     assert min(seen["a"], seen["b1"], seen["b2"], seen["clean"]) >= 50, seen
     assert min(seen["b1", True], seen["b1", False], seen["b2 alone"]) >= 20, seen
     assert seen["patterns"] >= 300, seen
+
+
+def test_validate_and_verify_report_each_structural_fault():
+    # The same conditions, each with one structural fault: validate reports
+    # the faults alone, and verify's final validate fails with it, through
+    # the clause pass they share. A zero shift or a holed pattern made
+    # verify raise where validate reported it.
+    rng, faults = seeded(157), Counter()
+
+    def form(c):
+        fault = rng.choice(FAULTS)
+        faults[fault] += 1
+        return broken(rng, c, fault)
+
+    seen = validate_differential(form)
+    assert seen["clean"] == 0 and seen["structure"] >= 1000, seen
+    assert len(faults) == 4 and min(faults.values()) >= 200, faults
 
 
 def test_validate_matches_per_polarity_oracles_on_frozensets():

@@ -237,6 +237,66 @@ def test_verify_runs_no_builder_function(tmp_path, cmd, spec):
     assert unfailed == set()
 
 
+# ------------------------------------------------------------ punched holes
+
+def replaced(doc, path, value):
+    """doc with the value at path replaced, copying only the containers on it."""
+    if not path:
+        return value
+    key, *rest = path
+    new = copy.copy(doc)
+    new[key] = replaced(doc[key], rest, value)
+    return new
+
+
+def punched(cert):
+    """Each defined cell of each window p and pattern f of the seed and the
+    final made a hole, its rows and holes kept consistent."""
+    for key in ("seed", "final"):
+        cond = cert[key]
+        paths = [(key, "p")] + [(key, "patterns", j, "f")
+                                for j in range(len(cond.get("patterns", [])))]
+        for path in paths:
+            window = cert
+            for k in path:
+                window = window[k]
+            a, _b, c, _d = window["rect"]
+            rows = window["rows"]
+            for j, row in enumerate(rows):
+                for i, v in enumerate(row):
+                    if v != ".":
+                        holed = [*rows[:j], row[:i] + "." + row[i + 1:], *rows[j + 1:]]
+                        yield replaced(cert, path, dict(window, rows=holed,
+                                                        holes=[*window["holes"], [a + i, c + j]]))
+
+
+# A hole punched into a pattern made verify exit 2 ("pattern must be
+# hole-free") where validate reports a structural fault. A hole anywhere in
+# an mt certificate is a failing check (exit 4); in gp, whose conditions
+# declare their one hole, it is an error naming that declaration (exit 2).
+@pytest.mark.parametrize("cmd,spec", [(cmd, spec) for (cmd, spec, _c, _r) in PINNED],
+                         ids=["mt", "odd", "neg", "neg-odd", "gp", "gp-neg", "gp-n3"])
+def test_punched_hole_fails_a_check_or_names_its_path(tmp_path, cmd, spec):
+    (tmp_path / "spec.json").write_text(canon_dumps(spec))
+    assert run_quiet([cmd, "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path)]) == 0
+    cert = json.loads((tmp_path / "certificate.json").read_text())
+    naive = naive_verify_mt if cmd == "build-mt" else naive_verify_gp
+    path = tmp_path / "punched.json"
+    codes = set()
+    for doc in punched(cert):
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["verify", "--spec", str(path)])
+        codes.add(code)
+        if code == 4:
+            assert err.getvalue() == "" and not json.loads(out.getvalue())["ok"]
+        else:
+            assert re.match(r"error: (seed|final)\.u: ", err.getvalue()), err.getvalue()
+        assert not naive(doc)
+    assert codes == ({4} if cmd == "build-mt" else {2})
+
+
 # ------------------------------------------------------------ path mutation
 
 BIG = {"max_side": 10**31, "max_steps": 64}
@@ -288,11 +348,18 @@ def path_mutation_cases(tmp_path):
                     yield argv, mutate(copy.deepcopy(doc), path, "set", value) if path else value
 
 
+# An exit-2 message names the JSON path of the field at fault, unless it is
+# about the whole document.
+PATH_ERROR = re.compile(r"error: [A-Za-z_]\w*(\.\w+|\[\d+\])*: ")
+WHOLE_DOCUMENT = ("error: expected a JSON object\n", "error: JSON nests too deeply\n")
+
+
 def run_cases(cases_file):
     """Run each (argv, document) case of the JSON file through the CLI, in
     this process, with an alarm of 10 s each. Prints a JSON object: the
     count of each exit code, and the cases that raised, timed out, exited
-    otherwise or printed a traceback."""
+    otherwise, printed a traceback or exited 2 naming no path, each with
+    its stderr."""
     def alarm(_sig, _frame):
         raise TimeoutError("case ran past its alarm")
 
@@ -310,15 +377,18 @@ def run_cases(cases_file):
         finally:
             signal.alarm(0)
         codes[code] += 1
-        if code not in (0, 2, 3, 4) or "Traceback" in err.getvalue():
-            bad.append([argv[0], doc, code])
+        text = err.getvalue()
+        pathless = code == 2 and not PATH_ERROR.match(text) and text not in WHOLE_DOCUMENT
+        if code not in (0, 2, 3, 4) or "Traceback" in text or pathless:
+            bad.append([argv[0], doc, code, text])
     print(json.dumps({"codes": codes, "bad": bad}))
 
 
 def test_cli_total_under_path_mutation(tmp_path):
     """Every edited spec and certificate ends in exit 0, 2, 3 or 4 with no
     traceback, each within its alarm, in one child process under a 1.5 GiB
-    address-space cap."""
+    address-space cap; every exit 2 but the whole-document errors names the
+    JSON path of the field at fault."""
     cases = list(path_mutation_cases(tmp_path))
     (tmp_path / "cases.json").write_text(canon_dumps(cases))
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import test_soundness; "

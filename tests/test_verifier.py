@@ -711,6 +711,32 @@ def test_zero_shift_fails_both_of_its_checks(tmp_path, capsys):
                       "shift[0] t=(0,0) window two-coloring"]
 
 
+# A pattern with a hole made verify exit 2 with the pathless "pattern must be
+# hole-free", though validate reports it as a structural fault. Its clauses
+# fail instead, and final validate with them, as for a zero t; in the seed,
+# seed validate fails too.
+@pytest.mark.parametrize("in_seed", [False, True], ids=["final", "seed"])
+def test_holed_pattern_fails_its_clauses(tmp_path, capsys, in_seed):
+    data = build_cert(tmp_path, capsys, "build-mt", MT_SPEC)
+    entry = data["final"]["patterns"][0]
+    f = entry["f"]
+    a, _b, c, _d = f["rect"]
+    f["rows"][0] = "." + f["rows"][0][1:]
+    f["holes"] = [[a, c]]
+    if in_seed:
+        data["seed"]["patterns"] = [entry]
+    path = tmp_path / "holed.json"
+    path.write_text(canon_dumps(data))
+    code = main(["verify", "--spec", str(path)])
+    out, err = capsys.readouterr()
+    failed = [c["name"] for c in json.loads(out)["checks"] if not c["ok"]]
+    assert (code, err) == (4, "")
+    # A seed pattern is one more than the steps add, so the chain fails too.
+    head = ["seed validate", "final validate", "final extends seed"] if in_seed else [
+        "final validate"]
+    assert failed == [*head, "pattern[0] clause b1", "pattern[0] clause b2"]
+
+
 # Every shift's t is read before any T, so a bad t further down the list is
 # the error named.
 @pytest.mark.parametrize("key", ["seed", "final"])

@@ -221,12 +221,12 @@ def _match_offsets(p, f):
             for u, b in enumerate(row):
                 acc &= planes[b : b + 2, v : v + nsy, u : u + nsx]
     else:
-        acc = np.empty((2, nsy, nsx), dtype=bool)
-        for j in range(nsy):
-            for i in range(nsx):
-                d = pa[j : j + fh, i : i + fw] ^ fa
-                acc[0, j, i] = not d.any()
-                acc[1, j, i] = (d == 1).all()
+        # Each offset's cells, one offset at a time, as bytes against f and
+        # against its complement: two bools per offset.
+        plain, flipped = fa.tobytes(), (fa ^ 1).tobytes()
+        cells = (pa[j : j + fh, i : i + fw].tobytes() for j in range(nsy) for i in range(nsx))
+        hits = (b for c in cells for b in (c == plain, c == flipped))
+        acc = np.fromiter(hits, bool, 2 * nsy * nsx).reshape(nsy, nsx, 2).transpose(2, 0, 1)
     return Rect((sx0, sy0), (sx1, sy1)), acc
 
 

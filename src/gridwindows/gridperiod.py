@@ -460,5 +460,6 @@ def constant_on_lattice_demo(rule, r):
         rule(window.array[y - r : y + r + 1, x - r : x + r + 1].tolist())
         for x, y in lattice_points_in(lat, Rect((r, r), (x1 - r, y1 - r)))
     }
-    assert len(values) == 1, "rule must be constant on the hole-free lattice"
+    if len(values) != 1:
+        raise ValueError("rule must be constant on the hole-free lattice")
     return window, lat, values.pop()

@@ -86,27 +86,32 @@ def _reach(target, srect, grid, boxes):
     target: each box is clipped to that range in Python ints and taken
     relative to (lx, ly), so every numpy value is bounded by the sides of
     target and srect whatever the coordinates are."""
-    ok = np.zeros(np.shape(grid)[:-2] + (target.height, target.width), dtype=bool)
+    shape = np.shape(grid)[:-2] + (target.height, target.width)
     if srect is None or not grid.any():
-        return ok
+        return np.zeros(shape, dtype=bool)
     lx, hx = srect.lo[0] - target.hi[0], srect.hi[0] - target.lo[0]
     ly, hy = srect.lo[1] - target.hi[1], srect.hi[1] - target.lo[1]
     sh, sw = grid.shape[-2:]
     dtype = np.int32 if sh * sw < 2**31 else np.int64  # one plane's sums
     sat = np.zeros(grid.shape[:-2] + (sh + 1, sw + 1), dtype=dtype)
-    sat[..., 1:, 1:] = grid.cumsum(axis=-2, dtype=dtype).cumsum(axis=-1, dtype=dtype)
+    table = sat[..., 1:, 1:]  # summed in place: no temporary of its size
+    table[...] = grid
+    for axis in (-2, -1):
+        np.add.accumulate(table, axis, out=table)
     # Target cell g as an srect array index plus (lx, ly): g - target.hi.
     # Cell g and relative box [x0, x1] x [y0, y1] count the grid cells of
     # g + (lx, ly) + box; mode="clip" clips the box to srect.
     ys = np.arange(1 - target.height, 1)
     xs = np.arange(1 - target.width, 1)
+    ok = None  # the first box's hits, with each later box's OR-ed in
     for x0, x1, y0, y1 in boxes:
         x0, x1, y0, y1 = max(x0, lx) - lx, min(x1, hx) - lx, max(y0, ly) - ly, min(y1, hy) - ly
         if x0 > x1 or y0 > y1:
             continue
         rows = sat.take(ys + y1 + 1, -2, mode="clip") - sat.take(ys + y0, -2, mode="clip")
-        ok |= rows.take(xs + x1 + 1, -1, mode="clip") != rows.take(xs + x0, -1, mode="clip")
-    return ok
+        hit = rows.take(xs + x1 + 1, -1, mode="clip") != rows.take(xs + x0, -1, mode="clip")
+        ok = hit if ok is None else np.logical_or(ok, hit, out=ok)
+    return np.zeros(shape, dtype=bool) if ok is None else ok
 
 
 def _shift_ok_grid(p, t, T):

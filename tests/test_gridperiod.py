@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import re
@@ -513,3 +514,11 @@ def test_constant_on_lattice_demo():
 
     window2, lat2, value2 = constant_on_lattice_demo(corner, 1)
     assert value2 in (0, 1)
+
+
+def test_constant_on_lattice_demo_refuses_a_rule_not_constant():
+    """A rule that answers each call anew takes more than one value over the
+    lattice: a ValueError, which ``python -O`` keeps, unlike an assert."""
+    calls = itertools.count()
+    with pytest.raises(ValueError, match="constant"):
+        constant_on_lattice_demo(lambda patch: next(calls), 1)

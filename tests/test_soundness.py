@@ -170,14 +170,14 @@ def test_builder_names_every_growth_helper():
 
 
 def traced_verify(path):
-    """verify's exit code and report on the certificate file, and the names
-    of the package functions it called."""
+    """verify's exit code and report on the certificate file, and the code
+    objects of the package functions it called."""
     pkg = str(Path(gridwindows.__file__).parent)
     called = set()
 
     def profile(frame, event, _arg):
         if event == "call" and frame.f_code.co_filename.startswith(pkg):
-            called.add(frame.f_code.co_name)
+            called.add(frame.f_code)
 
     out = io.StringIO()
     sys.setprofile(profile)
@@ -220,7 +220,7 @@ def test_verify_runs_no_builder_function(tmp_path, cmd, spec):
     honest = tmp_path / "certificate.json"
     code, oks, called = traced_verify(honest)
     assert code == 0 and all(oks)
-    assert not [f for f in called if BUILDER.match(f)]
+    assert not [f for f in called if BUILDER.match(f.co_name)]
     # A check counts as failed where the report keeps its length.
     unfailed = set(range(len(oks)))
     cert = json.loads(honest.read_text())
@@ -229,12 +229,59 @@ def test_verify_runs_no_builder_function(tmp_path, cmd, spec):
         path.write_text(canon_dumps(doc))
         code, tampered, called = traced_verify(path)
         assert code in (0, 2, 4)
-        assert not [f for f in called if BUILDER.match(f)]
+        assert not [f for f in called if BUILDER.match(f.co_name)]
         if len(tampered) == len(oks):
             unfailed -= {i for i, ok in enumerate(tampered) if not ok}
         if not unfailed:
             break
     assert unfailed == set()
+
+
+# The trusted path by name: a change that brings a function under verify
+# adds it here, in the diff. Lines within each function are counted by
+# tests/trusted_lines.py.
+TRUSTED = [
+    "cli._family", "cli._load_json", "cli._verdict", "cli.cmd_verify", "cli.main",
+    "geometry.Box.__contains__", "geometry.Box.__eq__", "geometry.Box.__len__",
+    "geometry.Box.__post_init__", "geometry.Box.area", "geometry.Box.bounds",
+    "geometry.Box.from_lex", "geometry.Rect.contains", "geometry.Rect.contains_rect",
+    "geometry.Rect.from_bounds", "geometry.Rect.from_json", "geometry.Rect.height",
+    "geometry.Rect.intersect", "geometry.Rect.translate", "geometry.Rect.width", "geometry._ints",
+    "grid.Config.__eq__", "grid.Config._trusted", "grid.Config.array", "grid.Config.from_json",
+    "grid.Config.from_rows", "grid.Config.hole_free", "grid.Config.holes", "grid.Config.restrict",
+    "grid.Config.value", "grid._match_offsets", "grid._slices",
+    "gridperiod.GpCondition.from_json", "gridperiod.GpCondition.u",
+    "gridperiod.LineClear.__post_init__", "gridperiod._check_line", "gridperiod._check_shift",
+    "gridperiod._is_power", "gridperiod._stage", "gridperiod.detect_line_period",
+    "gridperiod.is_extension_gp", "gridperiod.validate_gp", "gridperiod.verify_gp_certificate",
+    "gridperiod.verify_gp_certificate.<locals>.periodic", "gridperiod.verify_grid_periodicity",
+    "mincolor.MtCondition.from_json", "mincolor._check_odd", "mincolor._check_pattern",
+    "mincolor._check_shift", "mincolor._clauses", "mincolor._structure", "mincolor.is_extension",
+    "mincolor.validate", "mincolor.verify_certificate",
+    "schedule._as_is", "schedule._request", "schedule.certificate_class.<locals>.from_json",
+    "schedule.check_steps", "schedule.covered", "schedule.read_limits", "schedule.report",
+    "schedule.within_limits",
+    "serialize._expect", "serialize._write", "serialize.at", "serialize.canon_dumps",
+    "serialize.construct", "serialize.is_int", "serialize.is_point", "serialize.read_bool",
+    "serialize.read_int", "serialize.read_list", "serialize.read_object", "serialize.read_point",
+    "serialize.read_points", "serialize.read_records",
+    "witness._boxes", "witness._differs", "witness._pattern_ok_grid", "witness._reach",
+    "witness._shift_ok_grid",
+]
+
+
+def test_verify_enters_only_the_pinned_functions(tmp_path):
+    """``module.qualname`` of every package function that honest verifies
+    of the PINNED certificates enter, sorted, is TRUSTED."""
+    names = set()
+    for cmd, spec, *_hashes in PINNED:
+        (tmp_path / "spec.json").write_text(canon_dumps(spec))
+        assert run_quiet([cmd, "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path)]) == 0
+        code, oks, called = traced_verify(tmp_path / "certificate.json")
+        assert code == 0 and all(oks)
+        names |= {f"{Path(f.co_filename).stem}.{f.co_qualname}" for f in called
+                  if not f.co_name.startswith("<")}  # comprehensions are not functions
+    assert sorted(names) == TRUSTED
 
 
 # ------------------------------------------------------------ punched holes

@@ -9,6 +9,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import tracemalloc
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gridwindows import gridperiod, mincolor, witness
+from gridwindows import cli, gridperiod, mincolor, witness
 from gridwindows.cli import main
 from gridwindows.geometry import Box, Rect
 from gridwindows.grid import HOLE, Config
@@ -1378,3 +1379,63 @@ def test_verify_agrees_with_the_naive_verifier_on_a_small_gp_universe():
     assert count == 11904
     # Both answers occur, so the universe tells a sound verifier from a constant one.
     assert 0 < accepted < count
+
+
+# ------------------------------------------------------------ linear in area
+
+# Each doubling of the window's side may multiply the certificate's bytes and
+# each traced peak of verify by at most this. Measured at sides 64, 128 and
+# 256: mt bytes x4.25 and x4.29 (coordinates gain digits), reading x4.0,
+# checking x3.9 and x4.0; gp below x4. An offset loop that holds offsets x
+# cells at once, as a sliding window view does, read x7.7 in checking.
+GROWTH_PER_DOUBLING = 4 * 1.25
+
+
+def linear_mt_spec(s):
+    """A 2s x s window: s x s by cover, three shifts, then the pattern of the
+    whole window, whose clause runs _match_offsets' offset loop."""
+    return {"odd": False, "seed": {"rect": [0, 1, 0, 1], "rows": ["01", "10"], "holes": []},
+            "schedule": [{"op": "cover", "g": [s - 1, s - 1]}, {"op": "shift", "t": [1, 0]},
+                         {"op": "shift", "t": [0, 1]}, {"op": "shift", "t": [1, 2]},
+                         {"op": "self_pattern"}],
+            "limits": {"max_side": 2 * s, "max_steps": 8}}
+
+
+def linear_gp_spec(s):
+    """An s x s window from the README's gp seed."""
+    return {"seed": {"n": 2, "p": {"rect": [0, 1, 0, 1], "rows": ["01", "1."],
+                                   "holes": [[1, 1]]}},
+            "schedule": [{"op": "shift", "s": [1, 0]},
+                         {"op": "line_clear", "axis": "row", "index": 0},
+                         {"op": "cover", "g": [s - 1, s - 1]}],
+            "limits": {"max_side": s, "max_steps": 8}}
+
+
+@pytest.mark.parametrize("cmd,spec", [("build-mt", linear_mt_spec), ("build-gp", linear_gp_spec)],
+                         ids=["mt", "gp"])
+def test_certificate_bytes_and_verify_peak_grow_linearly_in_area(tmp_path, cmd, spec):
+    """Verify cost and certificate size stay linear in window area, gated in
+    bytes, which repeat run to run where times do not: the certificate file,
+    and the tracemalloc peaks of verify's two stages as ``cmd_verify`` runs
+    them (numpy reports its buffers to tracemalloc). Reading peaks far above
+    checking, so checking is measured apart, above what reading left held."""
+    sizes = []
+    for s in (64, 128, 256):
+        out = tmp_path / str(s)
+        (tmp_path / "spec.json").write_text(canon_dumps(spec(s)))
+        assert run_quiet([cmd, "--spec", str(tmp_path / "spec.json"), "--out", str(out)]) == 0
+        cert = out / "certificate.json"
+        tracemalloc.start()
+        try:
+            data = cli._load_json(cert)
+            *_, cert_cls, verify = cli._family(data["kind"])
+            read = cert_cls.from_json(data)
+            held, read_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            assert verify(read)["ok"]
+            check_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        sizes.append((cert.stat().st_size, read_peak, check_peak))
+    for before, after in zip(sizes, sizes[1:]):
+        assert all(b <= GROWTH_PER_DOUBLING * a for a, b in zip(before, after)), sizes

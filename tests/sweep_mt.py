@@ -2,7 +2,7 @@
 certificate of a small universe. Too slow for the test suite (pytest does
 not collect this file); run it by hand:
 
-    PYTHONPATH=src:tests python tests/sweep_mt.py [--workers N] [--part one|two|all]
+    python tests/sweep_mt.py [--workers N] [--part one|two|all]
 
 Universe. Every 0/1 window with both sides in 1..3 (682 windows) is a seed
 with no shifts, and the final is the same window with shifts installed by
@@ -26,9 +26,13 @@ import sys
 import time
 from itertools import product
 from multiprocessing import get_context
+from pathlib import Path
 
-from gridwindows import mincolor
-from oracles import naive_verify_mt
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+from gridwindows import mincolor  # noqa: E402
+from oracles import naive_verify_mt  # noqa: E402
 
 SHIFTS = [[x, y] for x in range(-2, 3) for y in range(-2, 3) if (x, y) != (0, 0)]
 OFFSETS = [(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1)]

@@ -47,7 +47,8 @@ def test_span_target_classes_are_distinct():
 
 def test_tracer_sees_one_dump_span_per_written_file(tmp_path, capsys):
     # canon_dumps recurses through a private helper, so the traced run
-    # counts each dump once: window.json, certificate.json and the report.
+    # counts each dump once: window.json and certificate.json. The report
+    # is printed by json.dumps.
     from gridwindows import cli
     from test_cli import PINNED, write_spec
 
@@ -64,6 +65,6 @@ def test_tracer_sees_one_dump_span_per_written_file(tmp_path, capsys):
         tracer.uninstall()
     capsys.readouterr()
     assert code == 0
-    assert [span[0] for span in tracer.spans].count("serialize.canon_dumps") == 3
+    assert [span[0] for span in tracer.spans].count("serialize.canon_dumps") == 2
     cert_bytes = (tmp_path / "out" / "certificate.json").stat().st_size
     assert tracer.counts["serialize.cert_bytes"] == cert_bytes

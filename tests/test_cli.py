@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -1137,3 +1138,92 @@ def test_bad_argv_after_good_call_exit_2(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+# ------------------------------------------------------- the paused collector
+
+def run_collected(argv, capsys):
+    """main(argv) after a full collection: its exit code and stderr, how
+    many objects the next collection finds in cycles, and whether the
+    collector is on. The parser is built first: argparse leaves formatter
+    cycles when it builds one, once per process and before main pauses the
+    collector."""
+    cli.build_parser()
+    gc.collect()
+    code = main(argv)
+    garbage, enabled = gc.collect(), gc.isenabled()
+    return code, capsys.readouterr().err, garbage, enabled
+
+
+# main runs each command with the collector paused, which is safe only while
+# no command leaves a reference cycle behind.
+@pytest.mark.parametrize("cmd,spec", [(cmd, spec) for (cmd, spec, _c, _r) in PINNED],
+                         ids=["mt", "odd", "neg", "neg-odd", "gp", "gp-neg", "gp-n3"])
+def test_build_and_verify_leave_no_cycles(tmp_path, capsys, cmd, spec):
+    out_dir = tmp_path / "out"
+    for argv in ([cmd, "--spec", write_spec(tmp_path / "spec.json", spec), "--out", str(out_dir),
+                  "--format", "pgm"],
+                 ["verify", "--spec", str(out_dir / "certificate.json")]):
+        code, _, garbage, enabled = run_collected(argv, capsys)
+        assert (code, garbage, enabled) == (0, 0, True)
+
+
+def edited_certificate(tmp_path, capsys, T):
+    """Path of an mt certificate whose first witness set is replaced by T."""
+    out_dir = tmp_path / "out"
+    assert run_cli(["build-mt", "--spec", write_spec(tmp_path / "spec.json", mt_spec()),
+                    "--out", str(out_dir)], capsys)[0] == 0
+    data = json.loads((out_dir / "certificate.json").read_text())
+    data["final"]["shifts"][0]["T"] = T
+    return write_spec(tmp_path / "edited.json", data)
+
+
+# (command, spec, flags, exit code, text in stderr); for verify the spec is
+# the T written into the first shift of a built mt certificate.
+COLLECTED_CASES = {
+    "toast-pass": ("toast", PINNED_TOAST[0][0], ["--format", "pgm"], 0, ""),
+    "toast-broken": ("toast", PINNED_TOAST[1][0], ["--format", "pgm"], 0, ""),
+    "markers-stack": ("markers", {"demo": "shifted_stack", "a": 1}, ["--format", "pgm"], 0, ""),
+    "markers-partitions": ("markers", partitions_spec(), [], 0, ""),
+    "exit-2": ("verify", [[0.5, 0]], [], 2, "error: final.shifts[0].T: expected a list of points"),
+    "exit-3": ("build-mt", mt_spec(schedule=[{"op": "cover", "g": [50, 50]}]),
+               ["--max-side", "32"], 3, "error: window side 51 exceeds max_side=32"),
+    "exit-4": ("verify", [[99, 99]], [], 4, ""),
+}
+
+
+@pytest.mark.parametrize("name", COLLECTED_CASES)
+def test_checkers_and_failures_leave_no_cycles(tmp_path, capsys, name):
+    cmd, data, flags, want, message = COLLECTED_CASES[name]
+    if cmd == "verify":
+        spec = edited_certificate(tmp_path, capsys, data)
+    else:
+        spec = write_spec(tmp_path / "spec.json", data)
+        flags = [*flags, "--out", str(tmp_path / "o")]
+    code, err, garbage, enabled = run_collected([cmd, "--spec", spec, *flags], capsys)
+    assert (code, garbage, enabled) == (want, 0, True)
+    assert message in err
+
+
+def test_a_paused_collector_stays_paused(tmp_path, capsys):
+    spec = write_spec(tmp_path / "m.json", {"demo": "shifted_stack", "a": 1})
+    gc.disable()
+    try:
+        assert run_cli(["markers", "--spec", spec], capsys)[0] == 0
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_the_collector_is_back_after_an_uncaught_error(tmp_path, capsys, monkeypatch):
+    seen = []
+
+    def broken(args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("not caught by main")
+
+    monkeypatch.setattr(cli, "cmd_verify", broken)
+    assert gc.isenabled()
+    with pytest.raises(RuntimeError, match="not caught by main"):
+        main(["verify", "--spec", str(tmp_path / "certificate.json")])
+    assert seen == [False] and gc.isenabled()

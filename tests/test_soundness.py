@@ -261,10 +261,10 @@ TRUSTED = [
     "schedule._as_is", "schedule._request", "schedule.certificate_class.<locals>.from_json",
     "schedule.check_steps", "schedule.covered", "schedule.read_limits", "schedule.report",
     "schedule.within_limits",
-    "serialize._expect", "serialize._write", "serialize.at", "serialize.canon_dumps",
-    "serialize.construct", "serialize.is_int", "serialize.is_point", "serialize.read_bool",
-    "serialize.read_int", "serialize.read_list", "serialize.read_object", "serialize.read_point",
-    "serialize.read_points", "serialize.read_records",
+    "serialize._expect", "serialize.at", "serialize.construct", "serialize.is_int",
+    "serialize.is_point", "serialize.read_bool", "serialize.read_int", "serialize.read_list",
+    "serialize.read_object", "serialize.read_point", "serialize.read_points",
+    "serialize.read_records",
     "witness._boxes", "witness._differs", "witness._pattern_ok_grid", "witness._reach",
     "witness._shift_ok_grid",
 ]

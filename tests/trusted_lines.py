@@ -2,7 +2,7 @@
 slow and too noisy for the test suite (pytest does not collect this file);
 run it by hand:
 
-    PYTHONPATH=src:tests python tests/trusted_lines.py
+    python tests/trusted_lines.py
 
 It builds the certificates of the PINNED specs (tests/test_cli.py) with
 ``gridwin build-mt`` and ``gridwin build-gp``, then runs ``gridwin verify``
@@ -16,10 +16,13 @@ import sys
 import tempfile
 from pathlib import Path
 
-import gridwindows
-from gridwindows.serialize import canon_dumps
-from test_cli import PINNED
-from test_verifier import run_quiet
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+import gridwindows  # noqa: E402
+from gridwindows.serialize import canon_dumps  # noqa: E402
+from test_cli import PINNED  # noqa: E402
+from test_verifier import run_quiet  # noqa: E402
 
 PKG = Path(gridwindows.__file__).parent
 

@@ -21,6 +21,7 @@ import argparse
 import functools
 import gc
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -93,11 +94,13 @@ def _hole_lattice_pgm(final, seed):
     return pgm_dumps(np.outer(ys, xs), 1)
 
 
-def _write_line(path, text):
-    """Write ``text`` and a newline, without copying the text to append it."""
-    with open(path, "w") as fh:
-        fh.write(text)
-        fh.write("\n")
+def _write_file(path, *chunks):
+    """Write the chunks (texts or bytes) over the file's old bytes, then cut it to their
+    length: truncating to zero first makes ext4 flush the file on close (``auto_da_alloc``)."""
+    with open(path, "wb", opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as fh:
+        for chunk in chunks:
+            fh.write(chunk.encode() if isinstance(chunk, str) else chunk)
+        fh.truncate()
 
 
 def _build(args, kind):
@@ -121,15 +124,15 @@ def _build(args, kind):
     # dumped once for both files, and freed before rendering.
     data = cert.doc()
     text = data["final"]["p"] = Raw(canon_dumps(data["final"]["p"]))
-    _write_line(out / "window.json", text)
-    _write_line(out / "certificate.json", canon_dumps(data))
+    _write_file(out / "window.json", text, "\n")
+    _write_file(out / "certificate.json", canon_dumps(data), "\n")
     del data, text
     if args.format == "pgm":
-        (out / "window.pgm").write_bytes(window.to_pgm())
+        _write_file(out / "window.pgm", window.to_pgm())
         if kind == "gp":
-            (out / "hole_lattice.pgm").write_bytes(_hole_lattice_pgm(cert.final, seed))
+            _write_file(out / "hole_lattice.pgm", _hole_lattice_pgm(cert.final, seed))
     elif args.format == "ascii":
-        (out / "window.txt").write_text(window.to_ascii())
+        _write_file(out / "window.txt", window.to_ascii())
     return _verdict(report)
 
 
@@ -179,7 +182,7 @@ def cmd_toast(args):
             raise ValueError(f"toast.levels: a PGM holds at most 65535 levels, got {len(t.levels)}")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "toast.pgm").write_bytes(_toast_pgm(t))
+        _write_file(out / "toast.pgm", _toast_pgm(t))
     print(canon_dumps(report))
     return 0
 
@@ -209,7 +212,7 @@ def _markers_stack(args, spec):
         bits = np.zeros((m, m), dtype=np.uint8)
         bits[a, a] = 1
         marker = Config._trusted(Rect.from_bounds(-a, a, -a, a), bits)
-        (out / "stack.pgm").write_bytes(build_shifted_stack(marker, side - 1).to_pgm())
+        _write_file(out / "stack.pgm", build_shifted_stack(marker, side - 1).to_pgm())
     print(canon_dumps(report))
     return 0
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Rect
-from .serialize import (at, construct, fail, pgm_dumps, points_json, read_list, read_object,
-                        read_points)
+from .serialize import (Raw, at, construct, fail, pgm_dumps, points_json, read_list,
+                        read_object, read_points)
 
 HOLE = 255
 # The hole set of every hole-free window: an empty frozenset costs 216 bytes.
@@ -85,12 +85,21 @@ class Config:
         data |= hole
         return cls._trusted(rect, data.reshape(rect.height, rect.width))
 
+    @staticmethod
+    def _render(bits, sep):
+        """The rows of ``bits`` over 0/1/'.' joined by ``sep``: one numpy
+        pass, with nothing to escape."""
+        h, w = bits.shape
+        out = np.empty((h, w + len(sep)), dtype=np.uint8)
+        out[:, w:] = np.frombuffer(sep.encode(), np.uint8)
+        np.add(bits, ord("0"), out=out[:, :w])
+        np.copyto(out[:, :w], ord("."), where=bits == HOLE)
+        return str(out.reshape(-1).data[: out.size - len(sep)], "ascii")
+
     def rows(self):
         """Low-y row first, as strings over 0/1/'.'."""
         h, w = self._bits.shape
-        chars = self._bits + ord("0")
-        np.copyto(chars, ord("."), where=self._bits == HOLE)
-        text = chars.tobytes().decode("ascii")
+        text = self._render(self._bits, "")
         return [text[j * w : (j + 1) * w] for j in range(h)]
 
     def value(self, g):
@@ -129,6 +138,11 @@ class Config:
             "holes": points_json(self.holes),
         }
 
+    def doc(self):
+        """``to_json()`` for ``canon_dumps``, the rows one Raw JSON text."""
+        rows = Raw('["%s"]' % self._render(self._bits, '","'))
+        return {"rect": self.rect.to_json(), "rows": rows, "holes": points_json(self.holes)}
+
     @classmethod
     def from_json(cls, data, where=""):
         """``where`` is the window's JSON path, named in errors."""
@@ -149,8 +163,7 @@ class Config:
 
     def to_ascii(self):
         """Top-down text rendering over 0/1/'.', one line per row."""
-        lines = self.rows()[::-1]
-        return "".join(line + "\n" for line in lines)
+        return self._render(self._bits[::-1], "\n") + "\n"
 
     def __eq__(self, other):
         if not isinstance(other, Config):

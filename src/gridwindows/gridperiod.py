@@ -10,6 +10,7 @@ hole, every residue class modulo any past block size stays constant.
 from __future__ import annotations
 
 import functools
+import json
 from dataclasses import dataclass
 from itertools import islice
 
@@ -20,7 +21,7 @@ from .geometry import Lattice, Rect, lattice_points_in
 from .grid import HOLE, Config
 from .schedule import (Cover, certificate_class, check_steps, covered, report, run_schedule,
                        within_limits)
-from .serialize import at, fail, is_int, is_point, read_int, read_object, read_point
+from .serialize import at, canon_dumps, fail, is_int, is_point, read_int, read_object, read_point
 
 
 def _is_power(k, n):
@@ -43,11 +44,13 @@ class GpCondition:
             raise ValueError("condition must have exactly one hole")
         return next(iter(holes))
 
-    def to_json(self):
+    def doc(self):
+        """The condition's JSON value for ``canon_dumps``, the rows one Raw text."""
         u = self.u
-        return {"n": self.n, "p": self.p.to_json(), "u": [u[0], u[1]]}
+        return {"n": self.n, "p": self.p.doc(), "u": [u[0], u[1]]}
 
-    doc = to_json
+    def to_json(self):
+        return json.loads(canon_dumps(self.doc()))
 
     @classmethod
     def from_json(cls, data, where=""):

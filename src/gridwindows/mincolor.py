@@ -47,13 +47,13 @@ class MtCondition:
     odd_mode: bool
 
     def doc(self):
-        """The condition's JSON value for ``canon_dumps``, with each Box
-        witness set kept as a Box, which it writes from the bounds."""
+        """The condition's JSON value for ``canon_dumps``: each Box witness set
+        kept as a Box, written from its bounds, and each window's rows one Raw text."""
         return {
-            "p": self.p.to_json(),
+            "p": self.p.doc(),
             "odd": self.odd_mode,
             "shifts": [{"t": [t[0], t[1]], "T": _doc_points(T)} for (t, T) in self.shifts],
-            "patterns": [{"f": f.to_json(), "F": _doc_points(F)} for (f, F) in self.patterns],
+            "patterns": [{"f": f.doc(), "F": _doc_points(F)} for (f, F) in self.patterns],
         }
 
     def to_json(self):

@@ -211,6 +211,42 @@ def test_build_out_of_memory_exit_3(tmp_path, cmd, spec):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+# Artifacts are written over in place, as open(path, "w") writes them: a
+# path that is a directory, or a read-only file the user may not write,
+# exits 2, and a symlink is written through.
+@pytest.mark.parametrize("case", ["directory", "read-only", "symlink"])
+def test_build_over_an_odd_artifact_path(tmp_path, capsys, case):
+    argv = ["build-gp", "--spec", write_spec(tmp_path / "spec.json", gp_spec()), "--out"]
+    assert run_cli([*argv, str(tmp_path / "fresh")], capsys)[0] == 0
+    fresh = (tmp_path / "fresh" / "certificate.json").read_bytes()
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    target = real = out_dir / "certificate.json"
+    if case == "directory":
+        target.mkdir()
+    elif case == "read-only":
+        target.write_bytes(b"x" * 2 * len(fresh))
+        target.chmod(0o444)
+    else:
+        real = tmp_path / "real.json"
+        real.write_bytes(b"x" * 2 * len(fresh))
+        target.symlink_to(real)
+    # A privileged user may write a read-only file, as open(path, "w") does.
+    refused = case == "directory" or not os.access(target, os.W_OK)
+    before = real.stat()
+    code, out, err = run_cli([*argv, str(out_dir)], capsys)
+    if refused:
+        assert (code, out) == (2, "")
+        assert err.startswith("error: [Errno ") and err.count("\n") == 1
+        assert "Traceback" not in err
+    else:
+        assert code == 0 and err == ""
+        assert real.read_bytes() == fresh
+        assert target.is_symlink() == (case == "symlink")
+        after = real.stat()
+        assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+
+
 # Limits were read with int(): Infinity ended in an OverflowError traceback,
 # and "100", true and 2.9 were taken as 100, 1 and 2.
 @pytest.mark.parametrize("cmd,spec", [("build-mt", mt_spec()), ("build-gp", gp_spec())],
@@ -505,20 +541,52 @@ PINNED = [
 ]
 
 
-@pytest.mark.parametrize("cmd,spec,cert_sha,report_sha", PINNED,
-                         ids=["mt", "odd", "neg", "neg-odd", "gp", "gp-neg", "gp-n3"])
-def test_build_artifacts_byte_identical(tmp_path, capsys, cmd, spec, cert_sha, report_sha):
+PINNED_IDS = ["mt", "odd", "neg", "neg-odd", "gp", "gp-neg", "gp-n3"]
+STALE = ["longer", "1-byte"]
+
+
+def file_bytes(out_dir):
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+def run_over(out_dir, capsys, argv, over):
+    """run_cli(argv + ["--out", out_dir]): (exit code, stdout). Unless
+    ``over`` is None, out_dir first holds every artifact of a fresh run as a
+    stale file of "x", twice as long ("longer") or one byte ("1-byte"), and
+    each must come out in place (same inode) with the fresh run's bytes."""
+    if over is not None:
+        fresh = out_dir.with_name(out_dir.name + "-fresh")
+        assert run_cli([*argv, "--out", str(fresh)], capsys)[0] == 0
+        out_dir.mkdir()
+        for p in fresh.iterdir():
+            (out_dir / p.name).write_bytes(b"x" * (2 * p.stat().st_size if over == "longer" else 1))
+        inodes = {p.name: p.stat().st_ino for p in out_dir.iterdir()}
+    code, out, _ = run_cli([*argv, "--out", str(out_dir)], capsys)
+    if over is not None:
+        assert file_bytes(out_dir) == file_bytes(fresh)
+        assert {p.name: p.stat().st_ino for p in out_dir.iterdir()} == inodes
+    return code, out
+
+
+# A build into a fresh --out, and builds over the stale, longer or shorter,
+# files of every artifact of --format pgm and ascii.
+@pytest.mark.parametrize("cmd,spec,cert_sha,report_sha,over",
+                         [(*pin, over) for pin in PINNED for over in (None, *STALE)],
+                         ids=[name + (f"-over-{over}" if over else "")
+                              for name in PINNED_IDS for over in (None, *STALE)])
+def test_build_artifacts_byte_identical(tmp_path, capsys, cmd, spec, cert_sha, report_sha, over):
     path = write_spec(tmp_path / "spec.json", spec)
-    out_dir = tmp_path / "out"
-    code, out, _ = run_cli([cmd, "--spec", path, "--out", str(out_dir)], capsys)
-    assert code == 0
-    cert = (out_dir / "certificate.json").read_bytes()
-    assert hashlib.sha256(cert).hexdigest() == cert_sha
-    assert hashlib.sha256(out.encode()).hexdigest() == report_sha
+    for fmt in ["json"] if over is None else ["pgm", "ascii"]:
+        out_dir = tmp_path / fmt
+        code, out = run_over(out_dir, capsys, [cmd, "--spec", path, "--format", fmt], over)
+        assert code == 0
+        cert = (out_dir / "certificate.json").read_bytes()
+        assert hashlib.sha256(cert).hexdigest() == cert_sha
+        assert hashlib.sha256(out.encode()).hexdigest() == report_sha
 
 
 @pytest.mark.parametrize("cmd,spec", [(cmd, spec) for (cmd, spec, _c, _r) in PINNED],
-                         ids=["mt", "odd", "neg", "neg-odd", "gp", "gp-neg", "gp-n3"])
+                         ids=PINNED_IDS)
 def test_build_writes_the_window_text_once(tmp_path, capsys, cmd, spec):
     # The final window is dumped once: window.json holds that text, and the
     # certificate holds the same bytes as its final window.
@@ -533,7 +601,7 @@ def test_build_writes_the_window_text_once(tmp_path, capsys, cmd, spec):
 
 
 @pytest.mark.parametrize("cmd,spec", [(cmd, spec) for (cmd, spec, _c, _r) in PINNED],
-                         ids=["mt", "odd", "neg", "neg-odd", "gp", "gp-neg", "gp-n3"])
+                         ids=PINNED_IDS)
 def test_build_pgms_are_the_library_bytes(tmp_path, capsys, cmd, spec):
     # window.pgm is Config.to_pgm() of window.json, and hole_lattice.pgm is
     # pgm_dumps of the mask of the final hole's class modulo the seed block.
@@ -683,6 +751,15 @@ def test_toast_artifacts_byte_identical(tmp_path, capsys, data, report_sha, pgm_
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == report_sha
     assert hashlib.sha256(read_pgm(out_dir / "toast.pgm")).hexdigest() == pgm_sha
+
+
+@pytest.mark.parametrize("over", STALE)
+@pytest.mark.parametrize("cmd,data", [("toast", toast_spec()),
+                                      ("markers", {"demo": "shifted_stack", "a": 1})],
+                         ids=["toast", "stack"])
+def test_checker_pgms_written_over_stale_files(tmp_path, capsys, cmd, data, over):
+    argv = [cmd, "--spec", write_spec(tmp_path / "spec.json", data), "--format", "pgm"]
+    assert run_over(tmp_path / "o", capsys, argv, over)[0] == 0
 
 
 def huge_toast_spec():
@@ -1158,7 +1235,7 @@ def run_collected(argv, capsys):
 # main runs each command with the collector paused, which is safe only while
 # no command leaves a reference cycle behind.
 @pytest.mark.parametrize("cmd,spec", [(cmd, spec) for (cmd, spec, _c, _r) in PINNED],
-                         ids=["mt", "odd", "neg", "neg-odd", "gp", "gp-neg", "gp-n3"])
+                         ids=PINNED_IDS)
 def test_build_and_verify_leave_no_cycles(tmp_path, capsys, cmd, spec):
     out_dir = tmp_path / "out"
     for argv in ([cmd, "--spec", write_spec(tmp_path / "spec.json", spec), "--out", str(out_dir),

@@ -116,6 +116,43 @@ def test_certificates_and_conditions_dump_like_the_standard_library(tmp_path, ca
         assert canon_dumps(x.to_json()) == std_dumps(x.to_json())
 
 
+@st.composite
+def windows(draw, cells="01."):
+    """A window of 1 to 7 cells a side over ``cells``: 1 x n and n x 1 too."""
+    w, h, x0, y0 = draw(st.integers(1, 7)), draw(st.integers(1, 7)), draw(COORDS), draw(COORDS)
+    rows = draw(st.lists(st.text(cells, min_size=w, max_size=w), min_size=h, max_size=h))
+    return Config.from_rows(Rect.from_bounds(x0, x0 + w - 1, y0, y0 + h - 1), rows)
+
+
+@st.composite
+def one_hole_windows(draw):
+    p = draw(windows("01"))
+    rows, (w, h) = p.rows(), (p.rect.width, p.rect.height)
+    j, i = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+    rows[j] = rows[j][:i] + "." + rows[j][i + 1 :]
+    return Config.from_rows(p.rect, rows)
+
+
+MT_CONDITIONS = st.builds(
+    lambda p, f, t, odd: mincolor.MtCondition(p, ((t, frozenset({t})),), ((f, Box(0, 1, 0, 0)),),
+                                              odd),
+    windows(), windows("01"), st.tuples(COORDS, COORDS), st.booleans())
+GP_CONDITIONS = st.builds(gridperiod.GpCondition, st.integers(2, 3), one_hole_windows())
+
+
+@given(windows() | one_hole_windows())
+def test_window_doc_dumps_as_its_rows(cfg):
+    # doc() renders the rows as one JSON text; to_json() lists them.
+    assert canon_dumps(cfg.doc()) == canon_dumps(cfg.to_json()) == std_dumps(cfg.to_json())
+
+
+@given(MT_CONDITIONS | GP_CONDITIONS)
+def test_condition_doc_dumps_as_its_to_json(cond):
+    text = canon_dumps(cond.doc())
+    assert text == canon_dumps(cond.to_json())
+    assert json.loads(text)["p"] == cond.p.to_json()
+
+
 def oracle_points(v):
     try:
         return _json_points(v)
@@ -189,6 +226,7 @@ def test_window_codecs_match_reference_with_holes():
         bits = ref_from_rows(w, h, rows)
         assert cfg.array.tolist() == bits
         assert cfg.rows() == ref_rows(bits) == rows
+        assert cfg.to_ascii() == "".join(row + "\n" for row in rows[::-1])
         assert cfg.to_pgm() == ref_to_pgm(bits).encode("ascii")
         assert cfg.holes == ref_holes(cfg.rect, bits)
         # A sub-window is a strided view of the array, and a translate shares it.
@@ -199,6 +237,7 @@ def test_window_codecs_match_reference_with_holes():
         for view, want in [(cfg.restrict(Rect.from_bounds(x0, x1, y0, y1)), sub),
                            (cfg.translate(move), bits)]:
             assert view.rows() == ref_rows(want)
+            assert canon_dumps(view.doc()) == std_dumps(view.to_json())
             assert view.to_pgm() == ref_to_pgm(want).encode("ascii")
             assert view.holes == ref_holes(view.rect, want)
 

@@ -186,7 +186,7 @@ def flip(p):
 def tile(q, counts, flip_mask, anchor):
     """Tile ``counts = (nx, ny)`` copies of ``q`` into one window anchored at
     ``anchor`` (low corner), flipping the copy at block index (i, j) whenever
-    ``flip_mask(i, j)`` is true.
+    ``flip_mask(i, j)``, asked once per copy with j outer, is truthy.
 
     The index law: out(anchor + (i*w + i', j*h + j')) equals
     q(lo + (i', j')), flipped on masked blocks.
@@ -196,15 +196,14 @@ def tile(q, counts, flip_mask, anchor):
         raise ValueError(f"tile counts must be >= 1, got {counts}")
     if not q.hole_free():
         raise ValueError("cannot tile a window with holes")
-    w, h = q.rect.width, q.rect.height
-    qa = q.array
-    out = np.empty((ny * h, nx * w), dtype=np.uint8)
-    for j in range(ny):
-        for i in range(nx):
-            # q is hole-free, so a flipped copy is q ^ 1, made only where asked.
-            out[j * h : (j + 1) * h, i * w : (i + 1) * w] = qa ^ 1 if flip_mask(i, j) else qa
+    h, w = q.array.shape
+    # Allocated first, so a tiling too large to hold fails before flip_mask is
+    # asked. q is hole-free, so a flipped copy is q ^ 1.
+    out = np.empty((ny, h, nx, w), dtype=np.uint8)
+    flips = np.fromiter((bool(flip_mask(i, j)) for j in range(ny) for i in range(nx)), np.uint8)
+    np.bitwise_xor(q.array[:, None, :], flips.reshape(ny, 1, nx, 1), out=out)
     rect = Rect(anchor, (anchor[0] + nx * w - 1, anchor[1] + ny * h - 1))
-    return Config._trusted(rect, out, _NO_HOLES)
+    return Config._trusted(rect, out.reshape(ny * h, nx * w), _NO_HOLES)
 
 
 def _match_offsets(p, f):

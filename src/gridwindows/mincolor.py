@@ -17,12 +17,12 @@ from dataclasses import dataclass
 
 from .geometry import Box
 from .grid import HOLE, Config, tile
-from .errors import check_side
+from .errors import check_reach, check_side
 from .schedule import (Cover, certificate_class, check_steps, covered, report, run_schedule,
                        within_limits)
 from .serialize import (at, canon_dumps, fail, is_int, is_point, points_json, read_bool,
                         read_object, read_point, read_points, read_records)
-from .witness import _differs, _pattern_ok_grid, _shift_ok_grid, window_two_coloring_check
+from .witness import _boxes, _differs, _pattern_ok_grid, _shift_ok_grid, window_two_coloring_check
 
 
 @dataclass(frozen=True)
@@ -103,27 +103,37 @@ def _structure(c):
     return vs
 
 
-def _clauses(c):
+def _clauses(c, where=""):
     """(clause, index, grid) of each witness clause: a per shift, then b1 and b2
     per pattern from one ``_pattern_ok_grid`` call. A zero shift or a pattern
-    with a hole, which the kernels refuse, gets None: that clause fails."""
-    out = [("a", i, None if tuple(t) == (0, 0) else _shift_ok_grid(c.p, t, T))
+    with a hole, which the kernels refuse, gets None: that clause fails. Each
+    witness set's boxes pass ``check_reach`` before its table is built, which
+    names the set's JSON path below the condition's, ``where``."""
+    def boxes(S, path):
+        out = _boxes(S)
+        check_reach(len(out), c.p.array.size, path)
+        return out
+
+    shifts, patterns = at(where, "shifts"), at(where, "patterns")
+    out = [("a", i, None if tuple(t) == (0, 0) else
+            _shift_ok_grid(c.p, t, boxes(T, f"{shifts}[{i}].T")))
            for i, (t, T) in enumerate(c.shifts)]
     for j, (f, F) in enumerate(c.patterns):
-        grids = _pattern_ok_grid(c.p, f, F) if f.hole_free() else (None, None)
+        grids = (_pattern_ok_grid(c.p, f, boxes(F, f"{patterns}[{j}].F")) if f.hole_free()
+                 else (None, None))
         out += [("b1", j, grids[0]), ("b2", j, grids[1])]
     return out
 
 
-def validate(c):
-    """All violations of the condition's clauses. Structural problems are
-    reported alone, since the witness clauses assume a well-formed input."""
+def validate(c, where=""):
+    """All violations of the condition at JSON path ``where``. Structural problems
+    are reported alone, since the witness clauses assume a well-formed input."""
     vs = _structure(c)
     if vs:
         return vs
     # The complement grid only for a clause that fails.
-    return [Violation(clause, k, _first_bad(c.p.rect, ~ok)) for clause, k, ok in _clauses(c)
-            if not ok.all()]
+    return [Violation(clause, k, _first_bad(c.p.rect, ~ok))
+            for clause, k, ok in _clauses(c, where) if not ok.all()]
 
 
 def is_extension(c1, c2):
@@ -220,13 +230,12 @@ def extend_pattern(c):
 
 
 def duplicate_odd(c):
-    """Three plain copies side by side (keeping the width odd). Returns the
-    new condition and the offset between consecutive copies."""
+    """Three plain copies side by side: the cover of the cell two widths
+    right of the window. Returns the new condition and the copies' offset."""
     if not c.odd_mode:
         raise ValueError("duplicate_odd requires an odd-mode condition")
-    q = c.p
-    newp = tile(q, (3, 1), lambda i, j: False, q.rect.lo)
-    return MtCondition(newp, c.shifts, c.patterns, c.odd_mode), (q.rect.width, 0)
+    w = c.p.rect.width
+    return extend_cover(c, (c.p.rect.hi[0] + 2 * w, c.p.rect.lo[1])), (w, 0)
 
 
 @dataclass(frozen=True)
@@ -309,7 +318,7 @@ Certificate = certificate_class("Certificate", "mt", MtCondition)
 def build_generic(start, sched, limits):
     """Run a schedule of grow requests, recording each step. Deterministic:
     the same start and schedule always give the same certificate."""
-    vs = validate(start)
+    vs = validate(start, "seed")
     if vs:
         raise fail("seed", f"invalid start condition (clause {vs[0].clause})")
     chain, steps, used = run_schedule(start, sched, limits, STEPS)
@@ -331,7 +340,7 @@ def verify_certificate(cert):
     seed, final = cert.seed, cert.final
     # The seed and extension checks run before the clauses, so a certificate
     # that would make several of them raise gets the first one's error.
-    seed_ok = validate(seed) == []
+    seed_ok = validate(seed, "seed") == []
     env = {"shifts": [t for (t, _T) in seed.shifts], "patterns": len(seed.patterns)}
     claims = {}
     for name, ok in check_steps(cert.steps, STEPS, final, env):
@@ -345,7 +354,7 @@ def verify_certificate(cert):
     )
     checks, clauses_ok = [], True
     defined = final.p.array != HOLE
-    for clause, k, grid in _clauses(final):
+    for clause, k, grid in _clauses(final, "final"):
         ok = grid is not None and bool(grid[defined].all())
         clauses_ok &= ok
         if clause != "a":

@@ -114,17 +114,17 @@ def _reach(target, srect, grid, boxes):
     return np.zeros(shape, dtype=bool) if ok is None else ok
 
 
-def _shift_ok_grid(p, t, T):
-    """Boolean grid over p's window: True where some tau in T exhibits a
-    defined, differing pair (g+tau, g+tau+t) inside the window."""
-    return _reach(p.rect, *_differs(p, t), _boxes(T))
+def _shift_ok_grid(p, t, boxes):
+    """Boolean grid over p's window: True where some tau in ``boxes`` (the
+    ``_boxes`` of T) exhibits a defined, differing pair (g+tau, g+tau+t)."""
+    return _reach(p.rect, *_differs(p, t), boxes)
 
 
-def _pattern_ok_grid(p, f, F):
+def _pattern_ok_grid(p, f, boxes):
     """The grids of clauses b1 and b2 over p's window, from one occurrence
-    pass and one table: True where some sigma in F lands on an occurrence
-    offset of f, plain in the first and complemented in the second."""
-    ok = _reach(p.rect, *_match_offsets(p, f), _boxes(F))
+    pass and one table: True where some sigma in ``boxes`` (the ``_boxes`` of F)
+    lands on an occurrence of f, plain in the first and complemented in the second."""
+    ok = _reach(p.rect, *_match_offsets(p, f), boxes)
     return ok if ok.ndim == 3 else (ok, ok)  # f too large: one all-False grid
 
 
@@ -133,7 +133,7 @@ def check_shift_witness(p, t, T):
     in the window and carrying different values."""
     if tuple(t) == (0, 0):
         raise ValueError("shift must be nonzero")
-    ok = _shift_ok_grid(p, t, T)
+    ok = _shift_ok_grid(p, t, _boxes(T))
     defined = p.array != HOLE
     return bool(ok[defined].all())
 
@@ -141,7 +141,7 @@ def check_shift_witness(p, t, T):
 def check_pattern_witness(p, f, F, flipped):
     """Every defined cell g admits sigma in F with g+sigma an occurrence
     offset of f in p (complemented when ``flipped``)."""
-    ok = _pattern_ok_grid(p, f, F)[int(flipped)]
+    ok = _pattern_ok_grid(p, f, _boxes(F))[int(flipped)]
     defined = p.array != HOLE
     return bool(ok[defined].all())
 

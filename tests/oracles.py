@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from gridwindows.geometry import Rect
-from gridwindows.grid import Config, tile
+from gridwindows.grid import Config
 from gridwindows.gridperiod import GpCondition, _is_power
 from gridwindows.markers import ToastViolation
 from gridwindows.mincolor import MtCondition, _lex_least_differing
@@ -441,6 +441,24 @@ def ref_to_pgm(bits):
     return ref_pgm_dumps(rows, 2)
 
 
+# The tiling before it was one numpy expression: one slice write per copy,
+# asking flip_mask copy by copy, row j by row j.
+
+def naive_tile(q, counts, flip_mask, anchor):
+    nx, ny = counts
+    if nx < 1 or ny < 1:
+        raise ValueError(f"tile counts must be >= 1, got {counts}")
+    if not q.hole_free():
+        raise ValueError("cannot tile a window with holes")
+    w, h = q.rect.width, q.rect.height
+    qa = q.array
+    out = np.empty((ny * h, nx * w), dtype=np.uint8)
+    for j in range(ny):
+        for i in range(nx):
+            out[j * h : (j + 1) * h, i * w : (i + 1) * w] = qa ^ 1 if flip_mask(i, j) else qa
+    return Config(Rect(anchor, (anchor[0] + nx * w - 1, anchor[1] + ny * h - 1)), out)
+
+
 # The builder's shift step before it tiled toward t directly: a negative
 # shift mirrors the window, tiles it toward +|t|, mirrors it back and
 # reflects the witness box one point at a time.
@@ -487,9 +505,9 @@ def mirror_extend_shift(c, t):
         j0 += j0 % 2
     bi = (b + tt[0] - a) // w
     bj = (d + tt[1] - cc) // h
-    grown = tile(q, (i0 + 1, j0 + 1), lambda i, j: False, (a, cc))
+    grown = naive_tile(q, (i0 + 1, j0 + 1), lambda i, j: False, (a, cc))
     if grown.value((b, d)) == grown.value((b + tt[0], d + tt[1])):
-        grown = tile(q, (i0 + 1, j0 + 1), lambda i, j: (i, j) == (bi, bj), (a, cc))
+        grown = naive_tile(q, (i0 + 1, j0 + 1), lambda i, j: (i, j) == (bi, bj), (a, cc))
     T = frozenset(Rect.from_bounds(-i0 * w, b - a, -j0 * h, d - cc).points())
     newp = _mirror_config(grown, fx, fy, about=c.p.rect)
     T = frozenset(((-x if fx else x), (-y if fy else y)) for (x, y) in T)

@@ -1,13 +1,14 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from gridwindows.geometry import Rect
 from gridwindows.grid import Config, PatternSet, boundary, find_occurrences, flip, tile
 from gridwindows.serialize import canon_dumps
 
-from oracles import cells_of, naive_boundary, naive_occurrences, rect_cells
+from oracles import cells_of, naive_boundary, naive_occurrences, naive_tile, rect_cells
 
 
 def rand_config(rng, max_side=6, holes=False):
@@ -141,6 +142,43 @@ def test_tile_rejects_zero_counts(counts):
     q = Config.from_rows(Rect.from_bounds(0, 1, 0, 0), ["01"])
     with pytest.raises(ValueError, match="tile counts must be >= 1"):
         tile(q, counts, lambda i, j: False, (0, 0))
+
+
+# (falsy, truthy) answers of a flip mask: a copy is flipped exactly where
+# the answer is truthy, whatever its type.
+MASK_ANSWERS = [(0, 1), (0, 2), (None, "x"), (np.bool_(False), np.bool_(True))]
+TILE_COUNTS = [(1, 1), (1, 6), (6, 1), (2, 3), (5, 4), (6, 6)]
+TILE_ANCHORS = [(0, 0), (-3, 5), (-(10**12), 10**12), (10**12, -(10**12))]
+
+
+@pytest.mark.parametrize("falsy,truthy", MASK_ANSWERS, ids=["0-1", "0-2", "None-x", "np.bool_"])
+def test_tile_matches_the_per_copy_loop(falsy, truthy):
+    """tile equals naive_tile, the per-copy loop it replaced, on q of sides 1
+    to 4, counts 1 to 6 and far anchors; it asks flip_mask once per copy in
+    the same order, and returns a read-only, hole-free window of its own."""
+    rng = random.Random(36)
+    for w in range(1, 5):
+        for h in range(1, 5):
+            rows = ["".join(rng.choice("01") for _ in range(w)) for _ in range(h)]
+            q = Config.from_rows(Rect.from_bounds(-2, w - 3, 1, h), rows)
+            for counts in TILE_COUNTS:
+                flips = {(i, j): rng.random() < 0.5 for i in range(counts[0])
+                         for j in range(counts[1])}
+                for anchor in TILE_ANCHORS:
+                    asked = {"tile": [], "naive": []}
+
+                    def mask(name):
+                        def answer(i, j):
+                            asked[name].append((i, j))
+                            return truthy if flips[i, j] else falsy
+                        return answer
+
+                    out = tile(q, counts, mask("tile"), anchor)
+                    assert out == naive_tile(q, counts, mask("naive"), anchor)
+                    assert asked["tile"] == asked["naive"]
+                    assert not out.array.flags.writeable
+                    assert not np.shares_memory(out.array, q.array)
+                    assert out.holes == frozenset() and out.hole_free()
 
 
 @pytest.mark.parametrize("rect", [Rect.from_bounds(0, 2, 0, 0), Rect.from_bounds(-1, 0, 0, 0)])

@@ -25,7 +25,7 @@ from gridwindows.mincolor import (
 from gridwindows.serialize import canon_dumps
 from gridwindows.witness import check_pattern_witness, check_shift_witness
 
-from oracles import mirror_extend_shift, rect_cells
+from oracles import mirror_extend_shift, naive_tile, rect_cells
 
 
 def checkerboard(a, b, c, d):
@@ -321,6 +321,24 @@ def test_duplicate_odd_three_by_three():
     assert out.p.rect == Rect.from_bounds(0, 8, 0, 2)
     occ = find_occurrences(out.p, cond.p, False)
     assert {(0, 0), (3, 0)} <= occ
+
+
+def test_duplicate_odd_is_three_plain_copies_from_the_low_corner():
+    """The cover of the cell two widths right of the window gives what the
+    old step tiled directly: three plain copies anchored at the window's low
+    corner, on every odd window of sides 1 to 5."""
+    rng = random.Random(36)
+    for w in (1, 3, 5):
+        for h in (1, 3, 5):
+            for _ in range(4):
+                a, c = rng.randint(-9, 9), rng.randint(-9, 9)
+                rows = ["".join(rng.choice("01") for _ in range(w)) for _ in range(h)]
+                q = Config.from_rows(Rect.from_bounds(a, a + w - 1, c, c + h - 1), rows)
+                cond = bare(q, odd=True)
+                out, offset = duplicate_odd(cond)
+                assert out.p == naive_tile(q, (3, 1), lambda i, j: False, q.rect.lo)
+                assert offset == (w, 0) and out.odd_mode
+                assert (out.shifts, out.patterns) == (cond.shifts, cond.patterns)
 
 
 def test_duplicate_odd_requires_odd_mode():

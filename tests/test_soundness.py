@@ -242,6 +242,7 @@ def test_verify_runs_no_builder_function(tmp_path, cmd, spec):
 # tests/trusted_lines.py.
 TRUSTED = [
     "cli._family", "cli._load_json", "cli._verdict", "cli.cmd_verify", "cli.main",
+    "errors.check_reach",
     "geometry.Box.__contains__", "geometry.Box.__eq__", "geometry.Box.__len__",
     "geometry.Box.__post_init__", "geometry.Box.area", "geometry.Box.bounds",
     "geometry.Box.from_lex", "geometry.Rect.contains", "geometry.Rect.contains_rect",
@@ -256,7 +257,8 @@ TRUSTED = [
     "gridperiod.is_extension_gp", "gridperiod.validate_gp", "gridperiod.verify_gp_certificate",
     "gridperiod.verify_gp_certificate.<locals>.periodic", "gridperiod.verify_grid_periodicity",
     "mincolor.MtCondition.from_json", "mincolor._check_odd", "mincolor._check_pattern",
-    "mincolor._check_shift", "mincolor._clauses", "mincolor._structure", "mincolor.is_extension",
+    "mincolor._check_shift", "mincolor._clauses", "mincolor._clauses.<locals>.boxes",
+    "mincolor._structure", "mincolor.is_extension",
     "mincolor.validate", "mincolor.verify_certificate",
     "schedule._as_is", "schedule._request", "schedule.certificate_class.<locals>.from_json",
     "schedule.check_steps", "schedule.covered", "schedule.read_limits", "schedule.report",

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from gridwindows import cli, gridperiod, mincolor, witness
 from gridwindows.cli import main
+from gridwindows.errors import MAX_REACH_PASSES, ResourceLimitError, check_reach
 from gridwindows.geometry import Box, Rect
 from gridwindows.grid import HOLE, Config
 from gridwindows.gridperiod import (
@@ -179,6 +180,69 @@ def test_far_pattern_with_far_witness_set_verifies(tmp_path, capsys):
     pattern["f"]["holes"] = [[x + c, y - c] for x, y in pattern["f"]["holes"]]
     pattern["F"] = [[x - c, y + c] for x, y in pattern["F"]]
     assert verify_cert(tmp_path, capsys, data) == (0, honest)
+
+
+# A witness set of b boxes costs b passes over its clause's grid, so verify
+# bounds b x cells by the input before it builds a table, and names the set.
+def checkerboard_half(points):
+    """The points (x, y) of a witness set with x + y even: one box each."""
+    return [v for v in points if (v[0] + v[1]) % 2 == 0]
+
+
+def square_spec(s, *steps):
+    """Seed 01/10 covered to an s x s window, then the given steps."""
+    return {"seed": {"rect": [0, 1, 0, 1], "rows": ["01", "10"], "holes": []},
+            "schedule": [{"op": "cover", "g": [s - 1, s - 1]}, *steps],
+            "limits": {"max_side": 256, "max_steps": 8}}
+
+
+def test_scattered_witness_set_over_the_work_bound_exit_3(tmp_path, capsys):
+    """The checkerboard half of an honest T over a 128x128 window is 8,192
+    one-cell boxes. Unbounded, verify answered ok after 8,192 box queries."""
+    data = build_cert(tmp_path, capsys, "build-mt", square_spec(128, {"op": "shift", "t": [1, 0]}))
+    shift = data["final"]["shifts"][0]
+    shift["T"] = checkerboard_half(shift["T"])
+    assert len(shift["T"]) == 128 * 128 // 2
+    path = tmp_path / "tampered.json"
+    path.write_text(canon_dumps(data))
+    assert main(["verify", "--spec", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "error: final.shifts[0].T: 8192 boxes over 16384 cells exceed the witness work bound "
+        "of 256 passes per cell and box\n")
+
+
+@pytest.mark.parametrize("key", ["seed", "final"])
+@pytest.mark.parametrize("entry,name,steps", [
+    ("shifts", "T", [{"op": "shift", "t": [1, 0]}]),
+    ("patterns", "F", [{"op": "self_pattern"}]),
+])
+def test_work_bound_names_the_witness_set(tmp_path, capsys, key, entry, name, steps):
+    """A seed is validated first, so a seed's set is the one named."""
+    data = build_cert(tmp_path, capsys, "build-mt", square_spec(32, *steps))
+    witness_set = data["final"][entry][0]
+    witness_set[name] = checkerboard_half(witness_set[name])
+    if key == "seed":
+        data["seed"] = data["final"]
+    path = tmp_path / "tampered.json"
+    path.write_text(canon_dumps(data))
+    assert main(["verify", "--spec", str(path)]) == 3
+    assert f"error: {key}.{entry}[0].{name}: " in capsys.readouterr().err
+
+
+def test_work_bound_never_refuses_few_boxes_or_small_windows():
+    """One box, or at most MAX_REACH_PASSES boxes, passes over any window;
+    any set passes over a window of at most MAX_REACH_PASSES cells."""
+    bound = MAX_REACH_PASSES
+    for cells in (1, bound, bound + 1, 10**6, 1 << 62):
+        for boxes in (1, 2, bound):
+            check_reach(boxes, cells, "T")
+    for boxes in (bound + 1, 10**6, 1 << 62):
+        check_reach(boxes, bound, "T")
+    # The bound is exact: boxes * cells == bound * (cells + boxes) still passes.
+    check_reach(2 * bound, 2 * bound, "T")
+    with pytest.raises(ResourceLimitError, match="^F: 513 boxes over 512 cells"):
+        check_reach(2 * bound + 1, 2 * bound, "F")
 
 
 def test_window_check_far_offset_leaves_no_admissible_position():
